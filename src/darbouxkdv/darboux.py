@@ -3,7 +3,9 @@
 Builds the base potential U(x) = -h(h+1)/cosh^2 x, its pseudo-virtual seed
 functions phi_v(x) = (cosh x)^(h+1+v) P_v^(-h-1-v,-h-1-v)(tanh x), the
 deformed potentials U_D = U - 2 (log W[seeds])'' and their bound states with
-norming constants.
+norming constants.  The norming constants are closed forms, the residues of
+the transmission amplitude's Gamma product at its bound-state poles; no
+numerical integration enters.
 
 Every derivative is assembled analytically: higher derivatives of any closed
 form solution are reduced to (phi, phi') through phi'' = (U - E) phi, which
@@ -22,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 from .specfun import JacobiParams, jacobi_coefficients
 
@@ -39,10 +40,6 @@ __all__ = [
     "bound_states",
 ]
 
-NORMALIZATION_HALF_WIDTH = 25.0
-NORMALIZATION_ABS_TOL = 1e-12
-TAIL_X = 12.0
-TAIL_STEP = 2.0
 SCAN_HALF_WIDTH = 20.0
 SCAN_POINTS = 40001
 
@@ -184,6 +181,11 @@ def _base_solution(h: float, n: int) -> _Solution:
     return _Solution(h, -kappa, -kappa * kappa, pcoef)
 
 
+def _wronskian_matrix(sols: list, u, nrows: int):
+    """(..., nrows, M) scaled derivative rows of the solutions sols at u."""
+    return np.moveaxis(np.stack([s.rows_u(u, nrows) for s in sols], axis=1), (0, 1), (-2, -1))
+
+
 def base_potential(h: float, x):
     """The reflectionless well -h(h+1)/cosh^2 x."""
     if not h > 0:
@@ -261,13 +263,15 @@ class PotentialEvaluator:
         """Sign changes or zeros of W[seeds] on a dense grid of [-20, 20].
 
         The scanned quantity is the cosh-scaled Wronskian determinant, which
-        equals W up to strictly positive factors.
+        equals W up to strictly positive factors.  A point counts as a zero
+        when the determinant is within rounding of zero for its own matrix:
+        below 64 eps times the Hadamard bound, the product of the column norms.
         """
         x = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-        vals = self._scaled_wronskian(np.tanh(x))
-        amax = np.max(np.abs(vals))
-        tiny = np.abs(vals) <= 1e-11 * amax
-        if np.any(tiny):
+        mat = _wronskian_matrix(self._seeds, np.tanh(x), len(self._seeds))
+        vals = np.linalg.det(mat)
+        hadamard = np.sqrt(np.prod(np.einsum("...ij,...ij->...j", mat, mat), axis=-1))
+        if np.any(np.abs(vals) <= 64.0 * np.finfo(float).eps * hadamard):
             return True
         sgn = np.sign(vals)
         return bool(np.any(sgn[1:] * sgn[:-1] < 0))
@@ -275,11 +279,6 @@ class PotentialEvaluator:
     def _rows(self, u, nrows: int):
         """(nrows, M, ...) stack of scaled derivative rows for the seed set."""
         return np.stack([s.rows_u(u, nrows) for s in self._seeds], axis=1)
-
-    def _scaled_wronskian(self, u):
-        m = len(self._seeds)
-        rows = self._rows(u, m)  # (m, m, npts)
-        return np.linalg.det(np.moveaxis(rows, (0, 1), (-2, -1)))
 
     def __call__(self, x):
         x = np.asarray(x)
@@ -344,109 +343,99 @@ def deformed_potential(spec: SystemSpec, allow_singular: bool = False) -> Potent
     return PotentialEvaluator(spec, allow_singular=allow_singular)
 
 
-def _crum_added_state(seeds: list, extra: _Solution) -> Callable:
-    """x -> W[seeds, extra](x) / W[seeds](x), the deformed partner of extra.
+def _added_state_dets(seeds: list, extra: _Solution) -> Callable:
+    """u -> (W[seeds, extra], W[seeds]), scaled: the deformed partner of extra.
 
-    The cosh powers of the seed columns cancel between numerator and
-    denominator; the extra column leaves one factor (cosh x)^gamma_extra,
-    which carries the decay of the state.
-    """
-    m = len(seeds)
-    if m == 0:
-        return lambda x: np.asarray(extra.value(x))
-
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        u = np.tanh(x)
-        cols = [s.rows_u(u, m + 1) for s in seeds] + [extra.rows_u(u, m + 1)]
-        big = np.moveaxis(np.stack(cols, axis=1), (0, 1), (-2, -1))  # (..., m+1, m+1)
-        num = np.linalg.det(big)
-        den = np.linalg.det(big[..., :m, :m])
-        return np.cosh(x) ** extra.gamma * num / den
-
-    return psi
-
-
-def _crum_removed_state(seeds: list, j: int) -> Callable:
-    """x -> W[seeds without j](x) / W[seeds](x): the bound state added by seed j.
-
-    After the cosh cancellations a single factor (cosh x)^(-gamma_j) remains,
-    i.e. the state decays like sech^(h+1+v_j).
+    The cosh powers of the seed columns cancel in the ratio; the extra column
+    leaves (cosh x)^gamma_extra = (cosh x)^(-kappa), the decay of the state.
     """
     m = len(seeds)
 
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        u = np.tanh(x)
-        cols = [s.rows_u(u, m) for s in seeds]
-        big = np.moveaxis(np.stack(cols, axis=1), (0, 1), (-2, -1))  # (..., m, m)
-        den = np.linalg.det(big)
-        if m > 1:
-            ncols = [i for i in range(m) if i != j]
-            num = np.linalg.det(big[..., : m - 1, :][..., :, ncols])
-        else:
-            num = np.ones_like(den)
-        return num / (np.cosh(x) ** seeds[j].gamma * den)
+    def dets(u):
+        big = _wronskian_matrix(seeds + [extra], u, m + 1)
+        return np.linalg.det(big), np.linalg.det(big[..., :m, :m])
 
-    return psi
+    return dets
 
 
-def _normalize(raw: Callable, kappa: float):
-    """Unit-normalize, fix the sign of the +inf tail, extract the tail amplitude.
+def _removed_state_dets(seeds: list, j: int) -> Callable:
+    """u -> (W[seeds without j], W[seeds]), scaled: the state added by seed j.
 
-    The norming constant is the x -> +inf limit of psi(x) e^(kappa x), taken at
-    x = 12 with a Richardson step to x = 14 removing the leading e^(-2x)
-    correction.
+    After the cosh cancellations (cosh x)^(-gamma_j) = (cosh x)^(-kappa)
+    remains, i.e. the state decays like sech^(h+1+v_j).
     """
-    norm2, _ = quad(
-        lambda xx: float(raw(xx)) ** 2,
-        -NORMALIZATION_HALF_WIDTH,
-        NORMALIZATION_HALF_WIDTH,
-        epsabs=NORMALIZATION_ABS_TOL,
-        epsrel=1e-12,
-        limit=400,
-        points=(-4.0, 0.0, 4.0),
-    )
-    if not (norm2 > 0 and math.isfinite(norm2)):
-        raise RuntimeError("normalization quadrature failed to converge")
-    scale = 1.0 / math.sqrt(norm2)
-    f1 = float(raw(TAIL_X)) * math.exp(kappa * TAIL_X) * scale
-    f2 = float(raw(TAIL_X + TAIL_STEP)) * math.exp(kappa * (TAIL_X + TAIL_STEP)) * scale
-    c = f2 + (f2 - f1) / math.expm1(2.0 * TAIL_STEP)
-    sign = 1.0 if c >= 0 else -1.0
+    m = len(seeds)
+    keep = [i for i in range(m) if i != j]
 
-    def wavefunction(x, _raw=raw, _s=sign * scale):
-        out = np.asarray(_raw(x)) * _s
+    def dets(u):
+        big = _wronskian_matrix(seeds, u, m)
+        return np.linalg.det(big[..., : m - 1, keep]), np.linalg.det(big)
+
+    return dets
+
+
+def _norming_sq(h: float, kappa: float, ds: list) -> float:
+    """c^2 = |Res_{K=i kappa} t_D(K)| at a bound-state pole, in closed form.
+
+    With s = -iK, t_D = Gamma(s-h) Gamma(s+h+1) / (Gamma(s+1) Gamma(s)) times
+    (s + d_j)/(s - d_j) per seed, d_j = h+1+v_j.  A seed level kappa = d_j is
+    the pole of its own factor (residue 2 d_j); an original level kappa = h-n
+    is the pole of Gamma(s-h) (residue (-1)^n / n!).  Every Gamma argument is
+    a positive real.
+    """
+    log_c2 = math.lgamma(kappa + h + 1.0) - math.lgamma(kappa + 1.0) - math.lgamma(kappa)
+    factors = math.prod((d + kappa) / abs(d - kappa) for d in ds if d != kappa)
+    if kappa in ds:
+        return 2.0 * kappa * math.exp(log_c2 + math.lgamma(kappa - h)) * factors
+    return math.exp(log_c2 - math.lgamma(round(h - kappa) + 1.0)) * factors
+
+
+def _unit_state(dets: Callable, kappa: float, c: float) -> Callable:
+    """x -> psi(x) = scale (cosh x)^(-kappa) num(u)/den(u), unit-normalized.
+
+    The raw state's tail lim_{x->+inf} raw(x) e^(kappa x) is 2^kappa num(1)/den(1).
+    scale = c / tail makes psi decay as +c e^(-kappa x), which fixes its sign
+    and, c^2 being the norming constant, its unit norm.
+    """
+    num1, den1 = dets(1.0)
+    scale = c / (2.0**kappa * float(num1) / float(den1))
+
+    def wavefunction(x):
+        x = np.asarray(x, dtype=float)
+        num, den = dets(np.tanh(x))
+        out = scale * np.cosh(x) ** -kappa * num / den
         return float(out) if out.ndim == 0 else out
 
-    return wavefunction, abs(c)
+    return wavefunction
 
 
 def bound_states(spec: SystemSpec) -> list:
     """All bound states of the deformed system, sorted by increasing energy.
 
     The ceil(h) deformed originals sit at E = -(h-n)^2 and each seed v adds
-    one state at E = -(h+1+v)^2; every state is unit-normalized by adaptive
-    quadrature and carries the tail amplitude of its e^(-kappa x) decay.
+    one state at E = -(h+1+v)^2.  Each norming constant comes in closed form
+    from the residue of the transmission amplitude, c_n^2 = |Res_{K=i kappa_n}
+    t_D(K)| (the wells are even), and scales the Crum-ratio wavefunction to
+    unit norm with tail +c_n e^(-kappa_n x).
     """
     pot = deformed_potential(spec)
     seeds = pot._seeds
-    entries = []
-    for n in range(spec.n_base_states):
-        entries.append((spec.h - n, _crum_added_state(seeds, _base_solution(spec.h, n))))
-    for j, v in enumerate(spec.seeds):
-        entries.append((spec.h + 1.0 + v, _crum_removed_state(seeds, j)))
+    h = spec.h
+    ds = [h + 1.0 + v for v in spec.seeds]
+    entries = [(h - n, _added_state_dets(seeds, _base_solution(h, n)))
+               for n in range(spec.n_base_states)]
+    entries += [(d, _removed_state_dets(seeds, j)) for j, d in enumerate(ds)]
     entries.sort(key=lambda e: -e[0] * e[0])
     out = []
-    for idx, (kappa, raw) in enumerate(entries):
-        wavefunction, c = _normalize(raw, kappa)
+    for idx, (kappa, dets) in enumerate(entries):
+        c = math.sqrt(_norming_sq(h, kappa, ds))
         out.append(
             BoundState(
                 index=idx,
                 kappa=kappa,
                 energy=-kappa * kappa,
                 norming_constant=c,
-                wavefunction=wavefunction,
+                wavefunction=_unit_state(dets, kappa, c),
             )
         )
     return out

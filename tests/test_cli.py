@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import darbouxkdv
 from darbouxkdv.cli import main
 
 
@@ -65,6 +69,18 @@ class TestPotentialCommand:
                            "--xmin", "0", "--xmax", "1", "--n", "2")
         assert code == 2
         assert "singular" in err
+
+    def test_deep_single_seed_module_entry_point(self):
+        # v = 36 is nodeless; U_D(0) = h(h+1) - 2 (h+1+v)^2 = -2886
+        src = os.path.dirname(os.path.dirname(darbouxkdv.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "darbouxkdv.cli", "potential", "--h", "1", "--seeds", "36",
+             "--xmin", "-1", "--xmax", "1", "--n", "3"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[2] == "0,-2886"
 
     def test_bad_grid_exit_code(self, capsys):
         code, _, _ = run(capsys, "potential", "--h", "1", "--xmin", "1",

@@ -174,6 +174,13 @@ class TestDeformedPotential:
         assert not deformed_potential(SystemSpec(1.0, (2,))).is_singular
 
 
+# seed sets the node scan must reject, and deep single seeds it must accept
+FLAGGED_SEED_SETS = [
+    (1.0, (2, 4)), (1.0, (2, 4, 6)), (1.0, (2, 4, 6, 8)), (2.3, (4, 8)), (3.0, (2, 6, 10, 14)),
+]
+DEEP_SINGLE_SEEDS = [(1.0, (36,)), (1.0, (50,)), (5.0, (34,)), (8.0, (30,))]
+
+
 class TestBoundStates:
     def test_h1_v2_spectrum_and_norming(self):
         states = bound_states(SystemSpec(1.0, (2,)))
@@ -199,9 +206,18 @@ class TestBoundStates:
         assert len(bound_states(SystemSpec(2.5))) == 3
 
     def test_unit_normalization(self):
-        for spec in (SystemSpec(1.0, (2,)), SystemSpec(1.5, (2,))):
-            for s in bound_states(spec):
-                norm, _ = quad(lambda x: s.wavefunction(x) ** 2, -25, 25, epsabs=1e-11, limit=300)
+        # the shallow states (kappa = 0.1, 0.2, 0.3) of the last three put weight
+        # past |x| = 25, since psi^2 ~ e^(-2 kappa |x|); the window reaches 40/kappa_min
+        specs = (SystemSpec(1.0, (2,)), SystemSpec(1.5, (2,)),
+                 SystemSpec(2.1, (2,)), SystemSpec(1.2), SystemSpec(3.3, (4,)))
+        for spec in specs:
+            states = bound_states(spec)
+            half_width = 40.0 / min(s.kappa for s in states)
+            for s in states:
+                norm, _ = quad(
+                    lambda x: s.wavefunction(x) ** 2, -half_width, half_width,
+                    epsabs=1e-12, epsrel=1e-12, limit=400, points=(-4.0, 0.0, 4.0),
+                )
                 assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_known_wavefunction_shapes_h1(self):
@@ -257,8 +273,32 @@ class TestBoundStates:
             assert f14 == pytest.approx(s.norming_constant, abs=1e-8)
 
     def test_multi_index_rejected(self):
-        with pytest.raises(NodalWronskianError):
-            bound_states(SystemSpec(1.0, (2, 4)))
+        for h, seeds in FLAGGED_SEED_SETS:
+            with pytest.raises(NodalWronskianError):
+                bound_states(SystemSpec(h, seeds))
+
+    @pytest.mark.parametrize("h, seeds", DEEP_SINGLE_SEEDS)
+    def test_deep_single_seed_accepted(self, h, seeds):
+        # one even seed is nodeless at any degree; U_D(0) = h(h+1) - 2 d^2
+        # because (log phi)'(0) = 0 and phi'' = (U + d^2) phi, d = h + 1 + v
+        pot = deformed_potential(SystemSpec(h, seeds))
+        assert not pot.is_singular
+        d = h + 1.0 + seeds[0]
+        assert pot(0.0) == pytest.approx(h * (h + 1.0) - 2.0 * d * d, rel=1e-12)
+        kappas = sorted(s.kappa for s in bound_states(SystemSpec(h, seeds)))
+        assert kappas == sorted([h - n for n in range(math.ceil(h))] + [d])
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 15])
+    @pytest.mark.parametrize("seeds", [(), (2,), (4,)])
+    def test_integer_h_norming_identity(self, h, seeds):
+        # reflectionless wells: c_n^2 = 2 k_n prod_{m != n} (k_n + k_m)/|k_n - k_m|
+        states = bound_states(SystemSpec(float(h), seeds))
+        kappas = [s.kappa for s in states]
+        for s in states:
+            expected = 2.0 * s.kappa * math.prod(
+                (s.kappa + k) / abs(s.kappa - k) for k in kappas if k != s.kappa
+            )
+            assert s.norming_constant**2 == pytest.approx(expected, rel=1e-12)
 
     def test_wavefunction_vectorized(self):
         s = bound_states(SystemSpec(1.0, (2,)))[0]
