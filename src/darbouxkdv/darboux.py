@@ -8,18 +8,21 @@ the transmission amplitude's Gamma product at its bound-state poles; no
 numerical integration enters.
 
 Every derivative is assembled analytically: higher derivatives of any closed
-form solution are reduced to (phi, phi') through phi'' = (U - E) phi, which
-keeps the Wronskian determinants exact and free of numerical differentiation.
-Wronskian matrix columns are rescaled by their cosh powers, leaving entries
-that are polynomials in tanh x; the scale factors cancel in every ratio that
-enters the potential or a wavefunction, so evaluations stay bounded on the
-whole real line and extend to complex x.
+form solution are reduced to (phi, phi') through phi'' = (U - E) phi.
+Wronskian matrix columns rescaled by their cosh powers have entries that are
+polynomials in u = tanh x, so the seed Wronskian is one polynomial W~(u),
+built once, and U_D follows from W~, W~' and W~''; its node test is a sign
+change of W~ or a value within Horner rounding of zero.  The cosh factors
+cancel in every ratio, so evaluations extend to complex x.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -139,7 +142,8 @@ class _Solution:
         self._ab: list = []
         self._row_polys: list = []
 
-    def _extend_tables(self, nrows: int):
+    def row_polys(self, nrows: int) -> list:
+        """phi^(i)(x)/(cosh x)^gamma, i = 0..nrows-1, as polynomials in u."""
         if not self._ab:
             self._ab.append((np.array([1.0]), np.array([0.0])))
         ue = np.array([-self.h * (self.h + 1.0) - self.energy, 0.0, self.h * (self.h + 1.0)])
@@ -153,20 +157,11 @@ class _Solution:
             self._row_polys.append(
                 npoly.polyadd(npoly.polymul(a, self.pcoef), npoly.polymul(b, self.qcoef))
             )
+        return self._row_polys[:nrows]
 
     def value(self, x):
         u = np.tanh(x)
         return np.cosh(x) ** self.gamma * npoly.polyval(u, self.pcoef)
-
-    def logderiv_u(self, u):
-        return self.gamma * u + (1.0 - u * u) * npoly.polyval(u, self.dpcoef) / npoly.polyval(
-            u, self.pcoef
-        )
-
-    def rows_u(self, u, nrows: int):
-        """Stack of phi^(i)(x)/(cosh x)^gamma, i = 0..nrows-1, as functions of u."""
-        self._extend_tables(nrows)
-        return np.stack([npoly.polyval(u, c) for c in self._row_polys[:nrows]])
 
 
 def _seed_solution(h: float, v: int) -> _Solution:
@@ -183,7 +178,36 @@ def _base_solution(h: float, n: int) -> _Solution:
 
 def _wronskian_matrix(sols: list, u, nrows: int):
     """(..., nrows, M) scaled derivative rows of the solutions sols at u."""
-    return np.moveaxis(np.stack([s.rows_u(u, nrows) for s in sols], axis=1), (0, 1), (-2, -1))
+    rows = [[npoly.polyval(u, c) for c in s.row_polys(nrows)] for s in sols]
+    return np.moveaxis(np.array(rows), (0, 1), (-1, -2))
+
+
+def _wronskian_poly(sols: list) -> np.ndarray:
+    """det[phi_j^(i)/cosh^gamma_j], i, j < M, as one polynomial in u = tanh x.
+
+    Laplace expansion: the minor on rows 0..k-1 and columns S expands along
+    row k-1 into minors on S minus one column, O(M 2^M) products; M = 0 gives 1.
+    """
+    m = len(sols)
+    rows = [s.row_polys(m) for s in sols]
+    minors = {(): np.array([1.0])}
+    for i in range(m):
+        minors = {
+            cols: reduce(npoly.polyadd, (
+                (-1.0) ** (i + p) * npoly.polymul(rows[j][i], minors[cols[:p] + cols[p + 1:]])
+                for p, j in enumerate(cols)
+            ))
+            for cols in combinations(range(m), i + 1)
+        }
+    return minors[tuple(range(m))]
+
+
+def _horner(coef: tuple, u):
+    """sum_k coef[k] u^k by Horner's rule, in pure Python for scalar u."""
+    out = 0.0
+    for c in reversed(coef):
+        out = out * u + c
+    return out
 
 
 def base_potential(h: float, x):
@@ -216,7 +240,7 @@ def seed_function(h: float, v: int, x):
     x = np.asarray(x)
     u = np.tanh(x)
     value = sol.value(x)
-    dlog = sol.logderiv_u(u)
+    dlog = npoly.polyval(u, sol.qcoef) / npoly.polyval(u, sol.pcoef)
     d2log = base_potential(h, x) - sol.energy - dlog * dlog
     if x.ndim == 0:
         return float(value), float(dlog), float(d2log)
@@ -233,102 +257,78 @@ def seed_exponents(h: float, v: int):
 class PotentialEvaluator:
     """Callable x -> U_D(x) for a (possibly deformed) soliton potential.
 
-    Evaluation goes through u = tanh x only, so complex x is supported
-    wherever the expression stays finite; that is what the contour-deformed
-    scattering oracle uses for singular multi-step deformations.
+    The seed Wronskian is one polynomial, W[seeds] = prod_j (cosh x)^gamma_j
+    W~(u) in u = tanh x, so that with Gamma = sum_j gamma_j
+
+        U_D = U - 2 (1-u^2) [Gamma - 2u W~'/W~ + (1-u^2) (W~''/W~ - (W~'/W~)^2)].
+
+    One seed (W~ = P) takes the Riccati form U - 2 (U - E - r^2) with
+    r = gamma u + (1-u^2) P'/P, exact at the well's centre.  Scalar x, real or
+    complex, is evaluated by pure-Python Horner (the ODE oracle's right-hand
+    side, including its complex detour around a pole), arrays through numpy;
+    an exact zero of W~ gives nan.
     """
 
     def __init__(self, spec: SystemSpec, allow_singular: bool = False):
         self.spec = spec
         self._seeds = [_seed_solution(spec.h, v) for v in spec.seeds]
-        self.is_singular = False
-        if self._seeds:
-            nodal = self._scan_for_nodes()
-            if nodal:
-                if not allow_singular:
-                    raise NodalWronskianError(
-                        f"seed Wronskian of {spec.seeds} (h = {spec.h}) has a node; "
-                        "the deformed potential is singular and this multi-index is rejected"
-                    )
-                self.is_singular = True
-        # fast-path polynomial data for one-step scalar evaluation
-        if spec.n_steps == 1:
-            s = self._seeds[0]
-            self._p1 = tuple(s.pcoef)
-            self._dp1 = tuple(s.dpcoef)
-            self._gamma1 = s.gamma
-            self._e1 = s.energy
+        w = _wronskian_poly(self._seeds)
+        self._w = tuple(w.tolist())
+        self._dw = tuple(npoly.polyder(w).tolist())
+        self._ddw = tuple(npoly.polyder(w, 2).tolist())
+        self._hh = spec.h * (spec.h + 1.0)
+        self._gamma = sum(s.gamma for s in self._seeds)
+        self._energy = self._seeds[0].energy if spec.n_steps == 1 else None
+        self.is_singular = bool(self._seeds) and self._scan_for_nodes()
+        if self.is_singular and not allow_singular:
+            raise NodalWronskianError(
+                f"seed Wronskian of {spec.seeds} (h = {spec.h}) has a node; "
+                "the deformed potential is singular and this multi-index is rejected"
+            )
 
     def _scan_for_nodes(self) -> bool:
-        """Sign changes or zeros of W[seeds] on a dense grid of [-20, 20].
+        """Sign changes or zeros of W~(tanh x) on a dense grid of [-20, 20].
 
-        The scanned quantity is the cosh-scaled Wronskian determinant, which
-        equals W up to strictly positive factors.  A point counts as a zero
-        when the determinant is within rounding of zero for its own matrix:
-        below 64 eps times the Hadamard bound, the product of the column norms.
+        W~ equals W[seeds] up to strictly positive factors.  A point counts as
+        a zero when W~ is within the rounding bound of its Horner evaluation,
+        64 (deg+1) eps sum_k |a_k| |u|^k.
         """
-        x = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-        mat = _wronskian_matrix(self._seeds, np.tanh(x), len(self._seeds))
-        vals = np.linalg.det(mat)
-        hadamard = np.sqrt(np.prod(np.einsum("...ij,...ij->...j", mat, mat), axis=-1))
-        if np.any(np.abs(vals) <= 64.0 * np.finfo(float).eps * hadamard):
+        u = np.tanh(np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS))
+        vals = npoly.polyval(u, self._w)
+        rounding = npoly.polyval(np.abs(u), np.abs(self._w)) * len(self._w) * np.finfo(float).eps
+        if np.any(np.abs(vals) <= 64.0 * rounding):
             return True
         sgn = np.sign(vals)
         return bool(np.any(sgn[1:] * sgn[:-1] < 0))
 
-    def _rows(self, u, nrows: int):
-        """(nrows, M, ...) stack of scaled derivative rows for the seed set."""
-        return np.stack([s.rows_u(u, nrows) for s in self._seeds], axis=1)
+    def _from_u(self, u, w, dw, ddw):
+        """U_D from u = tanh x and W~, W~', W~'' at u; scalars or arrays."""
+        s2 = 1.0 - u * u
+        base = -self._hh * s2
+        q = dw / w
+        if self._energy is not None:
+            r = self._gamma * u + s2 * q
+            return base - 2.0 * (base - self._energy - r * r)
+        return base - 2.0 * s2 * (self._gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
+
+    def _scalar(self, x):
+        """U_D at one real or complex x, in pure Python."""
+        u = cmath.tanh(x) if isinstance(x, complex) else math.tanh(x)
+        try:
+            return self._from_u(u, _horner(self._w, u), _horner(self._dw, u), _horner(self._ddw, u))
+        except ZeroDivisionError:
+            return complex(math.nan, math.nan) if isinstance(u, complex) else math.nan
+
+    evaluate_scalar = _scalar  # the ODE right-hand-side entry point
 
     def __call__(self, x):
-        x = np.asarray(x)
-        scalar = x.ndim == 0
-        xx = np.atleast_1d(x)
-        u = np.tanh(xx)
-        base = -self.spec.h * (self.spec.h + 1.0) * (1.0 - u * u)
-        m = self.spec.n_steps
-        if m == 0:
-            out = base
-        elif m == 1:
-            s = self._seeds[0]
-            r = s.logderiv_u(u)
-            d2 = base - s.energy - r * r
-            out = base - 2.0 * d2
-        else:
-            rows = self._rows(u, m + 2)  # (m+2, m, npts)
-            rows = np.moveaxis(rows, (0, 1), (-2, -1))  # (npts, m+2, m)
-
-            def det(idx):
-                return np.linalg.det(rows[..., idx, :])
-
-            wl = det(list(range(m)))
-            wp = det(list(range(m - 1)) + [m])
-            wpp = det(list(range(m - 1)) + [m + 1])
-            wpp = wpp + det(list(range(m - 2)) + [m - 1, m])
-            dlog = wp / wl
-            out = base - 2.0 * (wpp / wl - dlog * dlog)
-        return complex(out[0]) if scalar and np.iscomplexobj(out) else (
-            float(out[0].real) if scalar else out
-        )
-
-    def evaluate_scalar(self, x: float) -> float:
-        """Fast pure-Python path for ODE right-hand sides (real x, M <= 1)."""
-        m = self.spec.n_steps
-        u = math.tanh(x)
-        s2 = 1.0 - u * u
-        base = -self.spec.h * (self.spec.h + 1.0) * s2
-        if m == 0:
-            return base
-        if m == 1:
-            p = 0.0
-            for c in reversed(self._p1):
-                p = p * u + c
-            dp = 0.0
-            for c in reversed(self._dp1):
-                dp = dp * u + c
-            r = self._gamma1 * u + s2 * dp / p
-            return base - 2.0 * (base - self._e1 - r * r)
-        return float(self(x))
+        if not isinstance(x, (int, float, complex)):
+            x = np.asarray(x)
+            if x.ndim:
+                u = np.tanh(x)
+                return self._from_u(u, *(npoly.polyval(u, c) for c in (self._w, self._dw, self._ddw)))
+            x = x.item()
+        return self._scalar(x)
 
 
 def deformed_potential(spec: SystemSpec, allow_singular: bool = False) -> PotentialEvaluator:

@@ -68,6 +68,25 @@ def _gen_binom(a: float, k: int) -> float:
     return out
 
 
+def _symmetric_coefficients(n: int, a: float) -> np.ndarray:
+    """Monomial coefficients of P_n^(a,a), each one a product of exact factors.
+
+    P_n^(a,a) has the parity of n.  Its lowest coefficient, with n = 2m + k,
+    is (-1)^m (b+m+1)_m / (4^m m!) with b = a + k, times (n+2a+1)/2 when n is
+    odd (the derivative rule P_n' = (n+2a+1)/2 P_(n-1)^(a+1,a+1)); the Jacobi
+    equation then gives c_(j+2) = (j-n)(j+n+2a+1)/((j+1)(j+2)) c_j.
+    """
+    m, k = divmod(n, 2)
+    c = (n + 2.0 * a + 1.0) / 2.0 if k else 1.0
+    for i in range(m):
+        c *= -(a + k + m + 1.0 + i) / (4.0 * (i + 1))
+    out = np.zeros(n + 1)
+    out[k] = c
+    for j in range(k, n - 1, 2):
+        out[j + 2] = out[j] * (j - n) * (j + n + 2.0 * a + 1.0) / ((j + 1) * (j + 2))
+    return out
+
+
 def jacobi_coefficients(p: JacobiParams) -> np.ndarray:
     """Monomial coefficients (lowest degree first) of P_n^(alpha,beta).
 
@@ -78,9 +97,12 @@ def jacobi_coefficients(p: JacobiParams) -> np.ndarray:
     which involves only generalized binomials, so it is exact for every real
     parameter pair, including the nonpositive-integer values where the
     terminating hypergeometric form would divide by a vanishing Pochhammer
-    symbol.
+    symbol.  For alpha = beta the coefficients come from the recurrence of
+    _symmetric_coefficients instead, which is free of cancellation.
     """
     n, al, be = p.n, p.alpha, p.beta
+    if al == be:
+        return _symmetric_coefficients(n, al)
     minus = np.array([-0.5, 0.5])  # (z-1)/2
     plus = np.array([0.5, 0.5])    # (z+1)/2
     coeffs = np.zeros(n + 1)

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -128,6 +130,32 @@ def profile_h2(x):
     return -4.0 * (144 * c**4 - 280 * c**2 + 147) / (c**2 * (64 * c**4 - 112 * c**2 + 49))
 
 
+def u_d_mp(h, seeds, x):
+    """U - 2 (log W)'' at real or complex x from the seed definition, in mpmath.
+
+    phi_v = cosh^g P_v^(-g,-g)(tanh), g = h + 1 + v; rows are mpmath derivatives
+    of phi_v.  W' and W'' replace the last rows of the Wronskian matrix:
+    W' = |rows 0..m-2, m| and W'' = |rows 0..m-2, m+1| + |rows 0..m-3, m-1, m|.
+    """
+    h, x = mp.mpf(h), mp.mpmathify(x)
+    m = len(seeds)
+    d = []
+    for v in seeds:
+        g = h + 1 + v
+        d.append(list(mp.diffs(lambda y: mp.cosh(y) ** g * mp.jacobi(v, -g, -g, mp.tanh(y)), x, m + 1)))
+
+    def det(rows):
+        return mp.det(mp.matrix([[d[j][i] for j in range(m)] for i in rows]))
+
+    w = det(range(m))
+    dw = det([*range(m - 1), m])
+    ddw = det([*range(m - 1), m + 1]) + det([*range(m - 2), m - 1, m])
+    return -h * (h + 1) / mp.cosh(x) ** 2 - 2 * (ddw / w - (dw / w) ** 2)
+
+
+MULTI_SEED_SETS = [(1.0, (2, 4)), (3.7, (2, 6)), (1.6, (2, 4, 6)), (3.3, (2, 4, 6, 8))]
+
+
 class TestDeformedPotential:
     def test_spot_values(self):
         assert deformed_potential(SystemSpec(1.0, (2,)))(0.0) == pytest.approx(-30.0, abs=1e-12)
@@ -149,10 +177,47 @@ class TestDeformedPotential:
         assert abs(pot(18.0)) < 1e-12
 
     def test_scalar_path_matches_vectorized(self):
-        for spec in (SystemSpec(1.0), SystemSpec(1.5, (2,)), SystemSpec(2.0, (4,))):
-            pot = deformed_potential(spec)
-            for x in RNG.uniform(-8, 8, size=20):
-                assert pot.evaluate_scalar(float(x)) == pytest.approx(float(pot(float(x))), rel=1e-13, abs=1e-13)
+        specs = [SystemSpec(1.0), SystemSpec(1.5, (2,)), SystemSpec(2.0, (4,))]
+        specs += [SystemSpec(h, seeds) for h, seeds in MULTI_SEED_SETS]
+        for spec in specs:
+            pot = deformed_potential(spec, allow_singular=True)
+            xs = RNG.uniform(-8, 8, size=20)
+            zs = 0.5 * np.exp(1j * RNG.uniform(0.0, np.pi, size=10))
+            for x, vec in zip(xs, pot(xs)):
+                assert pot.evaluate_scalar(float(x)) == pytest.approx(vec, rel=1e-13, abs=1e-13)
+                assert pot(float(x)) == pot.evaluate_scalar(float(x))
+            for z, vec in zip(zs, pot(zs)):
+                got = pot.evaluate_scalar(complex(z))
+                assert isinstance(got, complex) and got == pytest.approx(vec, rel=1e-13)
+
+    @pytest.mark.parametrize("h, seeds", MULTI_SEED_SETS)
+    def test_multi_seed_matches_mpmath(self, h, seeds):
+        pot = deformed_potential(SystemSpec(h, seeds), allow_singular=True)
+        xs = np.array([0.5, 1.3, 3.0, 7.0])
+        xs = np.concatenate([-xs, xs])
+        with mp.workdps(30):
+            ref = np.array([float(u_d_mp(h, seeds, x)) for x in xs])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(pot(xs) - ref)) <= 1e-12 * scale
+        assert max(abs(pot(float(x)) - r) for x, r in zip(xs, ref)) <= 1e-12 * scale
+
+    def test_complex_detour_matches_mpmath(self):
+        # the ODE oracle's semicircle |x| = 0.5 around the pole of h=1 [2,4]
+        pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
+        zs = [0.5 * cmath.exp(1j * th) for th in np.linspace(0.0, np.pi, 9)]
+        with mp.workdps(30):
+            ref = [complex(u_d_mp(1.0, (2, 4), z)) for z in zs]
+        scale = max(abs(r) for r in ref)
+        assert max(abs(pot(z) - r) for z, r in zip(zs, ref)) <= 1e-12 * scale
+
+    def test_exact_wronskian_zero_is_nan(self):
+        # W~(0) is exactly zero for the even set [2,4]; no ZeroDivisionError
+        pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
+        assert math.isnan(pot(0.0))
+        assert math.isnan(pot.evaluate_scalar(0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = pot(np.array([0.0, 1.0]))
+        assert math.isnan(vals[0]) and math.isfinite(vals[1])
 
     def test_even_multi_index_is_nodal(self):
         # the Wronskian of two or more even seeds vanishes at x = 0
@@ -178,7 +243,10 @@ class TestDeformedPotential:
 FLAGGED_SEED_SETS = [
     (1.0, (2, 4)), (1.0, (2, 4, 6)), (1.0, (2, 4, 6, 8)), (2.3, (4, 8)), (3.0, (2, 6, 10, 14)),
 ]
-DEEP_SINGLE_SEEDS = [(1.0, (36,)), (1.0, (50,)), (5.0, (34,)), (8.0, (30,))]
+DEEP_SINGLE_SEEDS = [
+    (1.0, (36,)), (1.0, (50,)), (5.0, (34,)), (8.0, (30,)),
+    (25.0, (34,)), (1.0, (70,)), (0.5, (100,)),
+]
 
 
 class TestBoundStates:

@@ -164,6 +164,22 @@ class TestKdvResidual:
         data = scattering_data_from_spec(SystemSpec(2.0, (2,)))
         assert kdv_residual(data, -1.0, 0.02) <= 1e-5
 
+    def test_steep_core(self):
+        # kappa = 8 core: a stencil's truncation error grows like kappa^7 and
+        # reached 1e-5 here; exact derivatives leave only rounding of the data
+        data = scattering_data_from_spec(SystemSpec(5.0, (2,)))
+        assert kdv_residual(data, 1.82, 0.006) <= 1e-9
+
+    def test_detects_a_non_solution(self, monkeypatch):
+        # scaling the interaction term of the tau expansion by e breaks the
+        # Cauchy structure: the field is no longer a KdV solution
+        import darbouxkdv.kdv as kdv
+
+        terms = kdv._tau_terms(TWO_SOLITON.kappas, TWO_SOLITON.c0)
+        bent = terms[:-1] + ((terms[-1][0] + 1.0,) + terms[-1][1:],)
+        monkeypatch.setattr(kdv, "_tau_terms", lambda kappas, c0: bent)
+        assert kdv_residual(TWO_SOLITON, 0.3, 0.0) > 1.0
+
 
 class TestAsymptoticDecomposition:
     def test_two_soliton_phase_shifts(self):

@@ -52,6 +52,23 @@ class TestJacobi:
         got = jacobi_coefficients(JacobiParams(n, a, a))
         np.testing.assert_allclose(got, coeffs, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n, a", [(34, -60.0), (100, -101.5), (27, -12.3), (30, 24.0)])
+    def test_symmetric_coefficients_at_high_degree(self, n, a):
+        # deep seeds and bound states: every coefficient to rounding, against
+        # the binomial sum in mpmath, and the wrong-parity ones exactly zero
+        got = jacobi_coefficients(JacobiParams(n, a, a))
+        assert not np.any(got[1 - n % 2::2])
+        with mp.workdps(50):
+            for zz in (mp.mpf("-0.9"), mp.mpf("0.3"), mp.mpf(1)):
+                ref = mp.fsum(
+                    mp.binomial(n + a, k) * mp.binomial(n + a, n - k)
+                    * ((zz - 1) / 2) ** (n - k) * ((zz + 1) / 2) ** k
+                    for k in range(n + 1)
+                )
+                scale = sum(abs(c) * abs(float(zz)) ** i for i, c in enumerate(got))
+                value = np.polynomial.polynomial.polyval(float(zz), got)
+                assert abs(value - float(ref)) <= 1e-14 * scale
+
     def test_half_integer_parameters(self):
         # P_5^(-3.5,-3.5)(z) = -3/256 z exactly (symbolic expansion)
         value, dvalue = jacobi_eval(JacobiParams(5, -3.5, -3.5), 0.4)
