@@ -179,23 +179,19 @@ def cmd_soliton(args) -> int:
     data = _soliton_data(args)
     ts = np.array([args.t]) if args.t is not None else _grid(args.tmin, args.tmax, args.nt)
     xs = np.array([args.x]) if args.x is not None else _grid(args.xmin, args.xmax, args.n)
-    offenders = [
-        (x, t)
-        for t in ts
-        for x in xs
-        if max(abs(4.0 * k**3 * t) + k * abs(x) for k in data.kappas) > THETA_PRECISION_LIMIT
-    ]
-    if offenders:
-        listing = ", ".join(f"({_fmt(x)}, {_fmt(t)})" for x, t in offenders[:10])
+    # max over kappa of |4 k^3 t| + k |x| per (t, x), rounded as the scalar bound
+    speed = 4.0 * np.array([k**3 for k in data.kappas])
+    drift = np.abs(ts[:, None] * speed)  # (nt, N)
+    magnitude = np.max(drift[:, None, :] + np.asarray(data.kappas) * np.abs(xs)[:, None], axis=2)
+    ti, xi = np.nonzero(magnitude > THETA_PRECISION_LIMIT)
+    if ti.size:
+        listing = ", ".join(f"({_fmt(xs[j])}, {_fmt(ts[i])})" for i, j in zip(ti[:10], xi[:10]))
         raise OverflowDomainError(
-            f"{len(offenders)} grid point(s) outside the numeric stability domain: {listing}"
+            f"{ti.size} grid point(s) outside the numeric stability domain: {listing}"
         )
-    tcol, xcol, ucol = [], [], []
-    for t in ts:
-        us = np.atleast_1d(field_u(data, xs, float(t)))
-        tcol.extend(float(t) for _ in xs)
-        xcol.extend(float(x) for x in xs)
-        ucol.extend(float(u) for u in us)
+    tcol = np.repeat(ts, xs.size)
+    xcol = np.tile(xs, ts.size)
+    ucol = np.concatenate([field_u(data, xs, float(t)) for t in ts])
     _write(_table_text(("t", "x", "u"), (tcol, xcol, ucol), args.format), args.output)
     return EXIT_OK
 

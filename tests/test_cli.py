@@ -200,6 +200,16 @@ class TestSolitonCommand:
                            "--t", "1e12", "--x", "0")
         assert code == 4
         assert "stability" in err
+        # on a grid: every offender counted, the first ones listed t-major
+        code, _, err = run(capsys, "soliton", "--kappas", "1,4", "--c0", "1,1",
+                           "--tmin", "0", "--tmax", "1e12", "--nt", "3",
+                           "--xmin", "-1", "--xmax", "1", "--n", "3")
+        assert code == 4
+        assert "6 grid point(s) outside the numeric stability domain" in err
+        assert (
+            "(-1, 500000000000), (0, 500000000000), (1, 500000000000), "
+            "(-1, 1000000000000), (0, 1000000000000), (1, 1000000000000)\n"
+        ) in err
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -148,6 +149,18 @@ class TestFieldU:
         for x, u in zip(xs, arr):
             assert field_u(TWO_SOLITON, float(x), 0.01) == pytest.approx(u, rel=1e-14)
 
+    def test_blocked_equals_scalar_path(self):
+        # 5,000 points span several FIELD_BLOCKs; every matrix is solved on its
+        # own, so blocking must not change a single bit
+        data = scattering_data_from_spec(SystemSpec(6.0, (2,)))
+        xs = np.linspace(-30.0, 30.0, 5000)
+        whole = field_u(data, xs, 0.01)
+        scalar = np.array([field_u(data, float(x), 0.01) for x in xs])
+        halves = np.concatenate([field_u(data, xs[:2500], 0.01), field_u(data, xs[2500:], 0.01)])
+        assert np.array_equal(whole, scalar)
+        assert np.array_equal(whole, halves)
+        assert type(field_u(data, 0.5, 0.01)) is float
+
     def test_field_wrapper(self):
         f = SolitonField(TWO_SOLITON)
         assert f(0.0, 0.0) == field_u(TWO_SOLITON, 0.0, 0.0)
@@ -223,6 +236,27 @@ class TestConservedQuantities:
         mass, momentum = conserved_quantities(TWO_SOLITON, 0.0)
         assert mass == pytest.approx(-20.0, abs=1e-9)
         assert momentum == pytest.approx(16.0 / 3.0 * 65.0, abs=1e-8)
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.2, 0.3])
+    def test_shallow_soliton(self, kappa):
+        # the window must widen with the decay length 1/kappa
+        data = SolitonData((kappa,), (math.sqrt(2.0 * kappa),))
+        mass, momentum = conserved_quantities(data, 0.0)
+        assert mass == pytest.approx(-4.0 * kappa, rel=1e-10)
+        assert momentum == pytest.approx(16.0 / 3.0 * kappa**3, rel=1e-10)
+
+    @pytest.mark.parametrize("h", [3.0, 4.0])
+    def test_many_solitons_no_warning(self, h):
+        data = scattering_data_from_spec(SystemSpec(h, (2,)))
+        assert data.n == int(h) + 1
+        mass_ref = -4.0 * sum(data.kappas)
+        momentum_ref = 16.0 / 3.0 * sum(k**3 for k in data.kappas)
+        for t in (0.0, 0.02):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mass, momentum = conserved_quantities(data, t)
+            assert mass == pytest.approx(mass_ref, rel=1e-9)
+            assert momentum == pytest.approx(momentum_ref, rel=1e-9)
 
     def test_time_independence(self):
         m0, p0 = conserved_quantities(TWO_SOLITON, 0.0)
