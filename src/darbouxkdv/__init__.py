@@ -35,28 +35,18 @@ from .scattering import (
 )
 from .spectral_oracle import GridSpec, OracleWindowError, eigen_spectrum, oracle_norming_constants
 from .specfun import (
-    DegenerateConnectionError,
-    GammaPoleError,
-    Hyp2f1ConvergenceError,
     JacobiParams,
-    hyp2f1,
-    hyp2f1_connection,
-    hyp2f1_dz,
     jacobi_coefficients,
-    jacobi_eval,
     log_gamma,
     reciprocal_gamma,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AsymptoticSoliton",
     "BoundState",
-    "DegenerateConnectionError",
-    "GammaPoleError",
     "GridSpec",
-    "Hyp2f1ConvergenceError",
     "JacobiParams",
     "NodalWronskianError",
     "OracleWindowError",
@@ -78,11 +68,7 @@ __all__ = [
     "eigen_spectrum",
     "field_u",
     "glm_matrix",
-    "hyp2f1",
-    "hyp2f1_connection",
-    "hyp2f1_dz",
     "jacobi_coefficients",
-    "jacobi_eval",
     "kdv_residual",
     "log_gamma",
     "numerical_amplitudes",

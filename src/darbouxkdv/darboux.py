@@ -10,10 +10,13 @@ numerical integration enters.
 Every derivative is assembled analytically: higher derivatives of any closed
 form solution are reduced to (phi, phi') through phi'' = (U - E) phi.
 Wronskian matrix columns rescaled by their cosh powers have entries that are
-polynomials in u = tanh x, so the seed Wronskian is one polynomial W~(u),
-built once, and U_D follows from W~, W~' and W~''; its node test is a sign
-change of W~ or a value within Horner rounding of zero.  The cosh factors
-cancel in every ratio, so evaluations extend to complex x.
+polynomials in u = tanh x, so every Wronskian is one polynomial in u.  The
+seed Wronskian W~(u) is built once; U_D follows from W~, W~' and W~'', and
+its node test is a sign change of W~ or a value within Horner rounding of
+zero.  Each bound state is the Crum ratio of two such polynomials, a
+Wronskian with one column added to or removed from the seeds over W~, times
+a cosh power.  The cosh factors cancel in every ratio, so evaluations extend
+to complex x.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class SystemSpec:
     seeds: tuple = ()
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
+        if not (isinstance(self.h, (int, float, np.integer, np.floating))
+                and math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"coupling h must be a finite positive real, got {self.h!r}")
         object.__setattr__(self, "h", float(self.h))
         seeds = tuple(self.seeds)
@@ -174,12 +178,6 @@ def _base_solution(h: float, n: int) -> _Solution:
     kappa = h - n
     pcoef = jacobi_coefficients(JacobiParams(n, kappa, kappa))
     return _Solution(h, -kappa, -kappa * kappa, pcoef)
-
-
-def _wronskian_matrix(sols: list, u, nrows: int):
-    """(..., nrows, M) scaled derivative rows of the solutions sols at u."""
-    rows = [[npoly.polyval(u, c) for c in s.row_polys(nrows)] for s in sols]
-    return np.moveaxis(np.array(rows), (0, 1), (-1, -2))
 
 
 def _wronskian_poly(sols: list) -> np.ndarray:
@@ -343,37 +341,6 @@ def deformed_potential(spec: SystemSpec, allow_singular: bool = False) -> Potent
     return PotentialEvaluator(spec, allow_singular=allow_singular)
 
 
-def _added_state_dets(seeds: list, extra: _Solution) -> Callable:
-    """u -> (W[seeds, extra], W[seeds]), scaled: the deformed partner of extra.
-
-    The cosh powers of the seed columns cancel in the ratio; the extra column
-    leaves (cosh x)^gamma_extra = (cosh x)^(-kappa), the decay of the state.
-    """
-    m = len(seeds)
-
-    def dets(u):
-        big = _wronskian_matrix(seeds + [extra], u, m + 1)
-        return np.linalg.det(big), np.linalg.det(big[..., :m, :m])
-
-    return dets
-
-
-def _removed_state_dets(seeds: list, j: int) -> Callable:
-    """u -> (W[seeds without j], W[seeds]), scaled: the state added by seed j.
-
-    After the cosh cancellations (cosh x)^(-gamma_j) = (cosh x)^(-kappa)
-    remains, i.e. the state decays like sech^(h+1+v_j).
-    """
-    m = len(seeds)
-    keep = [i for i in range(m) if i != j]
-
-    def dets(u):
-        big = _wronskian_matrix(seeds, u, m)
-        return np.linalg.det(big[..., : m - 1, keep]), np.linalg.det(big)
-
-    return dets
-
-
 def _norming_sq(h: float, kappa: float, ds: list) -> float:
     """c^2 = |Res_{K=i kappa} t_D(K)| at a bound-state pole, in closed form.
 
@@ -390,20 +357,19 @@ def _norming_sq(h: float, kappa: float, ds: list) -> float:
     return math.exp(log_c2 - math.lgamma(round(h - kappa) + 1.0)) * factors
 
 
-def _unit_state(dets: Callable, kappa: float, c: float) -> Callable:
+def _unit_state(num: np.ndarray, den: tuple, kappa: float, c: float) -> Callable:
     """x -> psi(x) = scale (cosh x)^(-kappa) num(u)/den(u), unit-normalized.
 
     The raw state's tail lim_{x->+inf} raw(x) e^(kappa x) is 2^kappa num(1)/den(1).
     scale = c / tail makes psi decay as +c e^(-kappa x), which fixes its sign
     and, c^2 being the norming constant, its unit norm.
     """
-    num1, den1 = dets(1.0)
-    scale = c / (2.0**kappa * float(num1) / float(den1))
+    scale = c / (2.0**kappa * npoly.polyval(1.0, num) / npoly.polyval(1.0, den))
 
     def wavefunction(x):
         x = np.asarray(x, dtype=float)
-        num, den = dets(np.tanh(x))
-        out = scale * np.cosh(x) ** -kappa * num / den
+        u = np.tanh(x)
+        out = scale * np.cosh(x) ** -kappa * npoly.polyval(u, num) / npoly.polyval(u, den)
         return float(out) if out.ndim == 0 else out
 
     return wavefunction
@@ -413,21 +379,25 @@ def bound_states(spec: SystemSpec) -> list:
     """All bound states of the deformed system, sorted by increasing energy.
 
     The ceil(h) deformed originals sit at E = -(h-n)^2 and each seed v adds
-    one state at E = -(h+1+v)^2.  Each norming constant comes in closed form
-    from the residue of the transmission amplitude, c_n^2 = |Res_{K=i kappa_n}
-    t_D(K)| (the wells are even), and scales the Crum-ratio wavefunction to
-    unit norm with tail +c_n e^(-kappa_n x).
+    one state at E = -(h+1+v)^2.  Each is a Crum ratio of scaled Wronskians,
+    a ratio of two polynomials in u = tanh x over the seed Wronskian W~: an
+    original level's numerator is W~[seeds, phi_n], and the cosh power left
+    over is that of phi_n, (cosh x)^(-kappa); seed j's numerator is
+    W~[seeds without j], leaving (cosh x)^(-gamma_j) = (cosh x)^(-kappa).
+    Each norming constant comes in closed form from the residue of the
+    transmission amplitude, c_n^2 = |Res_{K=i kappa_n} t_D(K)| (the wells are
+    even), and scales the wavefunction to unit norm with tail +c_n e^(-kappa_n x).
     """
     pot = deformed_potential(spec)
     seeds = pot._seeds
     h = spec.h
     ds = [h + 1.0 + v for v in spec.seeds]
-    entries = [(h - n, _added_state_dets(seeds, _base_solution(h, n)))
+    entries = [(h - n, _wronskian_poly(seeds + [_base_solution(h, n)]))
                for n in range(spec.n_base_states)]
-    entries += [(d, _removed_state_dets(seeds, j)) for j, d in enumerate(ds)]
+    entries += [(d, _wronskian_poly(seeds[:j] + seeds[j + 1:])) for j, d in enumerate(ds)]
     entries.sort(key=lambda e: -e[0] * e[0])
     out = []
-    for idx, (kappa, dets) in enumerate(entries):
+    for idx, (kappa, num) in enumerate(entries):
         c = math.sqrt(_norming_sq(h, kappa, ds))
         out.append(
             BoundState(
@@ -435,7 +405,7 @@ def bound_states(spec: SystemSpec) -> list:
                 kappa=kappa,
                 energy=-kappa * kappa,
                 norming_constant=c,
-                wavefunction=_unit_state(dets, kappa, c),
+                wavefunction=_unit_state(num, pot._w, kappa, c),
             )
         )
     return out

@@ -162,7 +162,8 @@ def numerical_amplitudes(
     decomposes (psi, psi') there against e^(+-iKx).  Potentials flagged as
     singular are integrated along a complex semicircle of the given radius
     around x = 0; the result is the meromorphic continuation of the scattering
-    state and is independent of which half-plane the detour uses.
+    state and is independent of which half-plane the detour uses.  half_width
+    must be positive and detour_radius inside (0, half_width).
     """
     if not K > 0:
         raise ValueError(f"wave number must be positive, got K = {K}")
@@ -172,6 +173,10 @@ def numerical_amplitudes(
             "is too ill-conditioned to return a trustworthy result"
         )
     L = float(half_width)
+    if not L > 0:
+        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not 0 < detour_radius < L:
+        raise ValueError(f"detour_radius must lie in (0, half_width = {L}), got {detour_radius}")
     edge = max(abs(complex(potential(L))), abs(complex(potential(-L))))
     if edge >= ORACLE_DECAY:
         raise ValueError(f"potential must decay below {ORACLE_DECAY} at +-{L}, got {edge:.2e}")

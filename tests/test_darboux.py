@@ -29,6 +29,10 @@ class TestSystemSpec:
         assert SystemSpec(1.0).n_base_states == 1
         assert SystemSpec(1.5).n_base_states == 2
         assert SystemSpec(2.0).n_base_states == 2
+        # numpy real scalars are real numbers too, as numpy integer seeds are
+        assert SystemSpec(np.int64(2), (2,)) == SystemSpec(2.0, (2,))
+        assert SystemSpec(np.float32(1.5)) == SystemSpec(1.5)
+        assert type(SystemSpec(np.float32(1.5)).h) is float
 
     @pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
     def test_bad_h(self, h):
@@ -151,6 +155,33 @@ def u_d_mp(h, seeds, x):
     dw = det([*range(m - 1), m])
     ddw = det([*range(m - 1), m + 1]) + det([*range(m - 2), m - 1, m])
     return -h * (h + 1) / mp.cosh(x) ** 2 - 2 * (ddw / w - (dw / w) ** 2)
+
+
+def jacobi_mp(n, a):
+    """z -> P_n^(a,a)(z) from the binomial sum in mpmath, its coefficients built once."""
+    if n < 0:
+        return lambda z: mp.mpf(0)
+    coef = [mp.binomial(n + a, k) * mp.binomial(n + a, n - k) for k in range(n + 1)]
+    return lambda z: mp.fsum(
+        c * ((z - 1) / 2) ** (n - k) * ((z + 1) / 2) ** k for k, c in enumerate(coef)
+    )
+
+
+def phi_mp(gamma, n):
+    """x -> (phi, phi') for phi = cosh^gamma P_n^(-gamma,-gamma)(tanh x), in mpmath.
+
+    phi' = cosh^gamma (gamma u P + (1 - u^2) P') with P' = (n - 2 gamma + 1)/2
+    P_(n-1)^(1-gamma,1-gamma), so no numerical differentiation enters.
+    """
+    p, dp = jacobi_mp(n, -gamma), jacobi_mp(n - 1, 1 - gamma)
+    dfac = (n - 2 * gamma + 1) / 2
+
+    def phi(x):
+        u, c = mp.tanh(x), mp.cosh(x) ** gamma
+        pu = p(u)
+        return c * pu, c * (gamma * u * pu + (1 - u * u) * dfac * dp(u))
+
+    return phi
 
 
 MULTI_SEED_SETS = [(1.0, (2, 4)), (3.7, (2, 6)), (1.6, (2, 4, 6)), (3.3, (2, 4, 6, 8))]
@@ -321,6 +352,30 @@ class TestBoundStates:
             residual = -stencil + (pot(xs) - s.energy) * psi(xs)
             scale = np.max(np.abs(psi(xs)))
             assert np.max(np.abs(residual)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize(
+        "h, v, tol", [(6.0, 2, 8.6e-15), (15.0, 4, 5.8e-12), (25.0, 34, 2.1e-8)]
+    )
+    def test_wavefunction_shapes_match_mpmath_crum_ratio(self, h, v, tol):
+        # one seed phi_v: an original level is W[phi_v, phi_n]/phi_v, the seed
+        # level 1/phi_v; a least-squares scale leaves the normalisation out
+        xs = np.linspace(-4, 4, 17)
+        with mp.workdps(50):
+            hm = mp.mpf(h)
+            seed = [phi_mp(hm + 1 + v, v)(mp.mpf(x)) for x in xs]
+            for s in bound_states(SystemSpec(h, (v,))):
+                if s.kappa == h + 1 + v:
+                    ref = [1 / f for f, _ in seed]
+                else:
+                    base = phi_mp(-mp.mpf(s.kappa), round(h - s.kappa))
+                    ref = []
+                    for (f, df), x in zip(seed, xs):
+                        g, dg = base(mp.mpf(x))
+                        ref.append((f * dg - df * g) / f)
+                ref = np.array([float(r) for r in ref])
+                got = s.wavefunction(xs)
+                scale = ref @ got / (ref @ ref)
+                assert np.max(np.abs(got - scale * ref)) <= tol * np.max(np.abs(got))
 
     @pytest.mark.parametrize(
         "spec", [SystemSpec(1.0, (2,)), SystemSpec(2.0, (2,)), SystemSpec(3.0)]

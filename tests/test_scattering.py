@@ -179,6 +179,19 @@ class TestNumericalAmplitudes:
     def test_decay_precondition(self):
         with pytest.raises(ValueError):
             numerical_amplitudes(deformed_potential(SystemSpec(1.0)), 1.0, half_width=6.0)
+        # a window of no width or a detour outside (0, half_width) would give wrong numbers
+        regular = deformed_potential(SystemSpec(1.0, (2,)))
+        singular = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
+        for pot, kwargs in [
+            (regular, {"half_width": -25.0}),
+            (regular, {"half_width": 0.0}),
+            (singular, {"detour_radius": 30.0}),
+            (singular, {"detour_radius": 0.0}),
+            (singular, {"detour_radius": -0.5}),
+            (singular, {"half_width": 0.3}),
+        ]:
+            with pytest.raises(ValueError):
+                numerical_amplitudes(pot, 1.0, **kwargs)
 
     def test_plain_callable_potential(self):
         amp = numerical_amplitudes(lambda x: -2.0 / math.cosh(x) ** 2, 1.0)
