@@ -18,7 +18,7 @@ import numpy as np
 from .darboux import NodalWronskianError, SystemSpec, bound_states, deformed_potential
 from .kdv import OverflowDomainError, SolitonData, field_u, scattering_data_from_spec
 from .scattering import deformed_amplitudes, numerical_amplitudes
-from .spectral_oracle import GridSpec, oracle_norming_constants
+from .spectral_oracle import GridSpec, OracleWindowError, oracle_norming_constants
 from .verification import run_suite
 
 __all__ = ["main"]
@@ -94,11 +94,7 @@ def cmd_spectrum(args) -> int:
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
     states = bound_states(spec)
     pot = deformed_potential(spec)
-    oracle = oracle_norming_constants(
-        pot,
-        GridSpec(L=args.grid_l, n_points=args.grid_n, order=4),
-        k_max=len(states) + 4,
-    )
+    oracle = oracle_norming_constants(pot, GridSpec(L=args.grid_l, n_points=args.grid_n, order=4))
     if len(oracle) != len(states):
         sys.stderr.write(
             f"oracle found {len(oracle)} bound states, closed form has {len(states)}\n"
@@ -285,7 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OverflowDomainError as exc:
+    except (OverflowDomainError, OracleWindowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC_DOMAIN
     except (NodalWronskianError, ValueError) as exc:

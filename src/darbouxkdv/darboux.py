@@ -11,12 +11,12 @@ Every derivative is assembled analytically: higher derivatives of any closed
 form solution are reduced to (phi, phi') through phi'' = (U - E) phi.
 Wronskian matrix columns rescaled by their cosh powers have entries that are
 polynomials in u = tanh x, so every Wronskian is one polynomial in u.  The
-seed Wronskian W~(u) is built once; U_D follows from W~, W~' and W~'', and
-its node test is a sign change of W~ or a value within Horner rounding of
-zero.  Each bound state is the Crum ratio of two such polynomials, a
-Wronskian with one column added to or removed from the seeds over W~, times
-a cosh power.  The cosh factors cancel in every ratio, so evaluations extend
-to complex x.
+seed Wronskian W~(u) is built once and U_D follows from W~, W~' and W~''.
+Regularity is a closed form: one even seed is nodeless, two or more have a
+node at x = 0.  Each bound state is the Crum ratio of two such polynomials,
+a Wronskian with one column added to or removed from the seeds over W~,
+times a cosh power.  The cosh factors cancel in every ratio, so evaluations
+extend to complex x.
 """
 
 from __future__ import annotations
@@ -46,12 +46,27 @@ __all__ = [
     "bound_states",
 ]
 
-SCAN_HALF_WIDTH = 20.0
-SCAN_POINTS = 40001
-
 
 class NodalWronskianError(ValueError):
     """The seed Wronskian has a node, so the deformed potential is singular."""
+
+
+def _validated(h, seeds) -> tuple:
+    """(float h, int seeds) for finite h > 0 and increasing even seeds >= 2, else ValueError."""
+    if not (isinstance(h, (int, float, np.integer, np.floating)) and math.isfinite(h) and h > 0):
+        raise ValueError(f"coupling h must be a finite positive real, got {h!r}")
+    seeds = tuple(seeds)
+    for v in seeds:
+        if not isinstance(v, (int, np.integer)):
+            raise ValueError(f"seed degrees must be integers, got {v!r}")
+        if v < 2 or v % 2 != 0:
+            raise ValueError(
+                f"seed degree {v} is not an even integer >= 2 "
+                "(odd degrees deform into singular potentials)"
+            )
+    if any(b <= a for a, b in zip(seeds, seeds[1:])):
+        raise ValueError(f"seed degrees must be strictly increasing, got {seeds}")
+    return float(h), tuple(int(v) for v in seeds)
 
 
 @dataclass(frozen=True)
@@ -65,22 +80,9 @@ class SystemSpec:
     seeds: tuple = ()
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, float, np.integer, np.floating))
-                and math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"coupling h must be a finite positive real, got {self.h!r}")
-        object.__setattr__(self, "h", float(self.h))
-        seeds = tuple(self.seeds)
-        for v in seeds:
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"seed degrees must be integers, got {v!r}")
-            if v < 2 or v % 2 != 0:
-                raise ValueError(
-                    f"seed degree {v} is not an even integer >= 2 "
-                    "(odd degrees deform into singular potentials)"
-                )
-        if any(b <= a for a, b in zip(seeds, seeds[1:])):
-            raise ValueError(f"seed degrees must be strictly increasing, got {seeds}")
-        object.__setattr__(self, "seeds", tuple(int(v) for v in seeds))
+        h, seeds = _validated(self.h, self.seeds)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "seeds", seeds)
 
     @property
     def n_steps(self) -> int:
@@ -233,8 +235,8 @@ def seed_function(h: float, v: int, x):
     deformed potential.  The second log-derivative comes from the equation
     itself, (log phi)'' = (U - E) - ((log phi)')^2.
     """
-    spec = SystemSpec(h, (v,))  # reuses the even/positive validation
-    sol = _seed_solution(spec.h, v)
+    h, _ = _validated(h, (v,))
+    sol = _seed_solution(h, v)
     x = np.asarray(x)
     u = np.tanh(x)
     value = sol.value(x)
@@ -247,7 +249,7 @@ def seed_function(h: float, v: int, x):
 
 def seed_exponents(h: float, v: int):
     """Growth exponents of phi_v at +inf and -inf: (h+1+v, -(h+1+v))."""
-    SystemSpec(h, (v,))
+    h, _ = _validated(h, (v,))
     delta = h + 1.0 + v
     return delta, -delta
 
@@ -265,6 +267,15 @@ class PotentialEvaluator:
     complex, is evaluated by pure-Python Horner (the ODE oracle's right-hand
     side, including its complex detour around a pole), arrays through numpy;
     an exact zero of W~ gives nan.
+
+    is_singular = spec.n_steps >= 2, exact on every (all-even) seed set:
+    * One even seed is nodeless.  With gamma = h+1+v = h+1+2m, the even-power
+      coefficients of P_v^(-gamma,-gamma) are positive: the lowest is
+      prod_i (gamma-m-1-i)/(4(i+1)) with gamma-m-1-i >= h+1 > 0, and the
+      ratio (j-v)(j-v-2h-1)/((j+1)(j+2)) of _symmetric_coefficients is
+      positive for j < v.  So W~ = P >= P(0) > 0, in floats too.
+    * Two or more even seeds have a node.  The first-derivative row of the
+      scaled matrix, gamma u P + (1-u^2) P', is odd, so W~(0) = 0 exactly.
     """
 
     def __init__(self, spec: SystemSpec, allow_singular: bool = False):
@@ -277,27 +288,12 @@ class PotentialEvaluator:
         self._hh = spec.h * (spec.h + 1.0)
         self._gamma = sum(s.gamma for s in self._seeds)
         self._energy = self._seeds[0].energy if spec.n_steps == 1 else None
-        self.is_singular = bool(self._seeds) and self._scan_for_nodes()
+        self.is_singular = spec.n_steps >= 2
         if self.is_singular and not allow_singular:
             raise NodalWronskianError(
                 f"seed Wronskian of {spec.seeds} (h = {spec.h}) has a node; "
                 "the deformed potential is singular and this multi-index is rejected"
             )
-
-    def _scan_for_nodes(self) -> bool:
-        """Sign changes or zeros of W~(tanh x) on a dense grid of [-20, 20].
-
-        W~ equals W[seeds] up to strictly positive factors.  A point counts as
-        a zero when W~ is within the rounding bound of its Horner evaluation,
-        64 (deg+1) eps sum_k |a_k| |u|^k.
-        """
-        u = np.tanh(np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS))
-        vals = npoly.polyval(u, self._w)
-        rounding = npoly.polyval(np.abs(u), np.abs(self._w)) * len(self._w) * np.finfo(float).eps
-        if np.any(np.abs(vals) <= 64.0 * rounding):
-            return True
-        sgn = np.sign(vals)
-        return bool(np.any(sgn[1:] * sgn[:-1] < 0))
 
     def _from_u(self, u, w, dw, ddw):
         """U_D from u = tanh x and W~, W~', W~'' at u; scalars or arrays."""
@@ -332,11 +328,10 @@ class PotentialEvaluator:
 def deformed_potential(spec: SystemSpec, allow_singular: bool = False) -> PotentialEvaluator:
     """Evaluator for U_D(x) = U(x) - 2 (log W[seed functions])''(x).
 
-    Multi-step seed sets whose Wronskian has a node (every all-even set with
-    two or more seeds does, since the first-derivative row of the Wronskian
-    matrix vanishes at x = 0 for even functions) raise NodalWronskianError
-    unless allow_singular is set; a singular evaluator is still exact away
-    from the Wronskian zeros and supports complex x for contour integration.
+    Seed sets whose Wronskian has a node (every set of two or more) raise
+    NodalWronskianError unless allow_singular is set; a singular evaluator is
+    still exact away from the Wronskian zeros and supports complex x for
+    contour integration.
     """
     return PotentialEvaluator(spec, allow_singular=allow_singular)
 

@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .darboux import PotentialEvaluator, SystemSpec
+from .darboux import PotentialEvaluator, SystemSpec, _validated
 from .specfun import log_gamma, reciprocal_gamma
 
 __all__ = [
@@ -80,7 +79,7 @@ def deformation_factor(h: float, v: int, K: float):
     d = h + 1 + v; the transmission factor carries the new bound-state pole at
     K = i d on the positive imaginary axis.
     """
-    SystemSpec(h, (v,))
+    _validated(h, (v,))
     if not K > 0:
         raise ValueError(f"wave number must be positive, got K = {K}")
     d = h + 1.0 + v
@@ -92,10 +91,11 @@ def deformed_amplitudes(spec: SystemSpec, K: float) -> ScatteringAmplitudes:
     """Amplitudes of the M-step deformed well: products of one-step factors."""
     amp = base_amplitudes(spec.h, K)
     t, r = amp.t, amp.r
-    for v in spec.seeds:
-        tf, rf = deformation_factor(spec.h, v, K)
+    for v in spec.seeds:  # deformation_factor's product, the spec already validated
+        d = spec.h + 1.0 + v
+        tf = (K + 1j * d) / (K - 1j * d)
         t *= tf
-        r *= rf
+        r *= -tf
     return ScatteringAmplitudes(K=float(K), t=t, r=r)
 
 
@@ -112,6 +112,8 @@ def transmission_poles(spec: SystemSpec) -> list:
 
 def _integrate_segments(potential, K: float, segments, y0):
     """March psi'' = (U - K^2) psi through parameterized path segments."""
+    from scipy.integrate import solve_ivp  # slow to import, and only this oracle uses it
+
     y = y0
     for path, dpath, s0, s1 in segments:
         def rhs(s, yv):

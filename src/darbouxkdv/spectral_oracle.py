@@ -78,21 +78,28 @@ def _hamiltonian(potential, grid: GridSpec):
     return ham, uu
 
 
-def eigen_spectrum(potential, grid: GridSpec, k_max: int = 12) -> list:
+def eigen_spectrum(potential, grid: GridSpec) -> list:
     """Bound spectrum of -d2/dx2 + U: list of (energy, eigenvector) pairs.
 
     Returns every eigenvalue below -1e-3, sorted ascending, with eigenvectors
-    normalized in the discrete inner product sum(psi^2) dx = 1.  A warning is
-    emitted for eigenvalues within a factor of ten of the continuum cutoff.
+    normalized in the discrete inner product sum(psi^2) dx = 1.  The lowest 12
+    eigenpairs are computed first, and their number doubles until one of them
+    lies in the continuum.  A warning is emitted for eigenvalues within a
+    factor of ten of the continuum cutoff.
     """
     ham, uu = _hamiltonian(potential, grid)
     sigma = float(uu.min()) - 1.0
-    k = min(k_max, ham.shape[0] - 2)
-    v0 = np.full(ham.shape[0], 1.0 / math.sqrt(ham.shape[0]))
-    try:
-        w, vecs = eigsh(ham, k=k, sigma=sigma, which="LM", v0=v0, tol=0)
-    except Exception as exc:  # pragma: no cover - ARPACK failures are rare
-        raise RuntimeError(f"eigen-decomposition failed: {exc}") from exc
+    n = ham.shape[0]
+    k = min(12, n - 2)
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    while True:
+        try:
+            w, vecs = eigsh(ham, k=k, sigma=sigma, which="LM", v0=v0, tol=0)
+        except Exception as exc:  # pragma: no cover - ARPACK failures are rare
+            raise RuntimeError(f"eigen-decomposition failed: {exc}") from exc
+        if w.max() >= -CONTINUUM_EPS or k == n - 2:
+            break
+        k = min(2 * k, n - 2)
     order = np.argsort(w)
     w, vecs = w[order], vecs[:, order]
     keep = w < -CONTINUUM_EPS
@@ -131,11 +138,11 @@ def _tail_fit(xi: np.ndarray, psi: np.ndarray, kappa: float, grid: GridSpec) -> 
     return float(np.dot(psi[window], basis) / np.dot(basis, basis))
 
 
-def oracle_norming_constants(potential, grid: GridSpec, k_max: int = 12) -> list:
+def oracle_norming_constants(potential, grid: GridSpec) -> list:
     """(kappa, c) for each discrete bound state, by matching the e^(-kappa x) tail."""
     xi = grid.interior
     out = []
-    for energy, psi in eigen_spectrum(potential, grid, k_max=k_max):
+    for energy, psi in eigen_spectrum(potential, grid):
         kappa = math.sqrt(-energy)
         out.append((kappa, abs(_tail_fit(xi, psi, kappa, grid))))
     return out

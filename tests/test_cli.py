@@ -117,6 +117,13 @@ class TestSpectrumCommand:
         assert code == 3
         assert "divergence" in err
 
+    def test_unresolvable_level_exit_code(self, capsys):
+        # kappa = 9 decays below the oracle's noise floor: the oracle cannot judge
+        code, _, err = run(capsys, "spectrum", "--h", "6", "--seeds", "2")
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestScatteringCommand:
     def test_single_k_row(self, capsys):

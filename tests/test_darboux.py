@@ -1,9 +1,11 @@
 import cmath
 import math
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from darbouxkdv.darboux import (
@@ -117,6 +119,11 @@ class TestSeedFunction:
             seed_function(1.0, 3, 0.0)
         with pytest.raises(ValueError):
             seed_function(1.0, 0, 0.0)
+        for h in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                seed_function(h, 2, 0.0)
+            with pytest.raises(ValueError):
+                seed_exponents(h, 2)
 
     def test_exponents(self):
         assert seed_exponents(1.0, 2) == (4.0, -4.0)
@@ -182,6 +189,21 @@ def phi_mp(gamma, n):
         return c * pu, c * (gamma * u * pu + (1 - u * u) * dfac * dp(u))
 
     return phi
+
+
+def scan_for_nodes(w):
+    """Numerical node test of W~(tanh x): the oracle for PotentialEvaluator.is_singular.
+
+    A sign change on 40,001 points of [-20, 20], or a point where |W~| is within
+    64 (deg+1) eps sum_k |a_k| |u|^k, the rounding bound of its Horner evaluation.
+    """
+    u = np.tanh(np.linspace(-20.0, 20.0, 40001))
+    vals = npoly.polyval(u, w)
+    rounding = npoly.polyval(np.abs(u), np.abs(w)) * len(w) * np.finfo(float).eps
+    if np.any(np.abs(vals) <= 64.0 * rounding):
+        return True
+    sgn = np.sign(vals)
+    return bool(np.any(sgn[1:] * sgn[:-1] < 0))
 
 
 MULTI_SEED_SETS = [(1.0, (2, 4)), (3.7, (2, 6)), (1.6, (2, 4, 6)), (3.3, (2, 4, 6, 8))]
@@ -269,8 +291,19 @@ class TestDeformedPotential:
     def test_regular_evaluator_not_singular(self):
         assert not deformed_potential(SystemSpec(1.0, (2,))).is_singular
 
+    def test_closed_form_verdict_matches_node_scan(self):
+        degrees = [*range(2, 41, 2), 50, 70, 100]
+        singles = [(h, (v,)) for h in (0.3, 1.0, 7.0, 25.0) for v in degrees]
+        sets = [(1.5, seeds) for m in (2, 3, 4) for seeds in combinations(range(2, 13, 2), m)]
+        verdicts = {}
+        for h, seeds in singles + sets:
+            pot = deformed_potential(SystemSpec(h, seeds), allow_singular=True)
+            verdicts[h, seeds] = (pot.is_singular, scan_for_nodes(np.array(pot._w)))
+        assert [key for key, (rule, scan) in verdicts.items() if rule != scan] == []
+        assert sum(rule for rule, _ in verdicts.values()) == len(sets)
 
-# seed sets the node scan must reject, and deep single seeds it must accept
+
+# seed sets the node verdict must reject, and deep single seeds it must accept
 FLAGGED_SEED_SETS = [
     (1.0, (2, 4)), (1.0, (2, 4, 6)), (1.0, (2, 4, 6, 8)), (2.3, (4, 8)), (3.0, (2, 6, 10, 14)),
 ]

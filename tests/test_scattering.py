@@ -80,6 +80,9 @@ class TestDeformationFactor:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             deformation_factor(1.0, 3, 1.0)
+        for h in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                deformation_factor(h, 2, 1.0)
 
 
 class TestDeformedAmplitudes:

@@ -57,11 +57,17 @@ class TestEigenSpectrum:
             (SystemSpec(1.0, (2,)), 2),
             (SystemSpec(1.5, (2,)), 3),
             (SystemSpec(2.5, ()), 3),
+            (SystemSpec(15.0), 15),  # more levels than the first 12 eigenpairs
         ],
     )
     def test_eigenvalue_count(self, spec, expected):
         levels = eigen_spectrum(deformed_potential(spec), GridSpec(20.0, 2001))
         assert len(levels) == expected
+
+    def test_every_level_of_a_deep_well(self):
+        levels = eigen_spectrum(deformed_potential(SystemSpec(15.0)), GridSpec(20.0, 4001))
+        energies = [e for e, _ in levels]
+        np.testing.assert_allclose(energies, [-((15 - n) ** 2) for n in range(15)], atol=1e-3)
 
     def test_grid_doubling_stability(self):
         pot = deformed_potential(SystemSpec(1.0, (2,)))
