@@ -17,7 +17,6 @@ from .kdv import (
     AsymptoticSoliton,
     OverflowDomainError,
     SolitonData,
-    SolitonField,
     asymptotic_decomposition,
     conserved_quantities,
     field_u,
@@ -35,26 +34,23 @@ from .scattering import (
 )
 from .spectral_oracle import GridSpec, OracleWindowError, eigen_spectrum, oracle_norming_constants
 from .specfun import (
-    JacobiParams,
     jacobi_coefficients,
     log_gamma,
     reciprocal_gamma,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AsymptoticSoliton",
     "BoundState",
     "GridSpec",
-    "JacobiParams",
     "NodalWronskianError",
     "OracleWindowError",
     "OverflowDomainError",
     "PotentialEvaluator",
     "ScatteringAmplitudes",
     "SolitonData",
-    "SolitonField",
     "SystemSpec",
     "asymptotic_decomposition",
     "base_amplitudes",

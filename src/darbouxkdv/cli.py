@@ -94,7 +94,7 @@ def cmd_spectrum(args) -> int:
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
     states = bound_states(spec)
     pot = deformed_potential(spec)
-    oracle = oracle_norming_constants(pot, GridSpec(L=args.grid_l, n_points=args.grid_n, order=4))
+    oracle = oracle_norming_constants(pot, GridSpec(L=args.grid_l, n_points=args.grid_n))
     if len(oracle) != len(states):
         sys.stderr.write(
             f"oracle found {len(oracle)} bound states, closed form has {len(states)}\n"
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OverflowDomainError, OracleWindowError) as exc:
+    except (OverflowDomainError, OverflowError, OracleWindowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC_DOMAIN
     except (NodalWronskianError, ValueError) as exc:

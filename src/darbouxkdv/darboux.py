@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .specfun import JacobiParams, jacobi_coefficients
+from .specfun import jacobi_coefficients
 
 __all__ = [
     "NodalWronskianError",
@@ -172,13 +172,13 @@ class _Solution:
 
 def _seed_solution(h: float, v: int) -> _Solution:
     gamma = h + 1.0 + v
-    pcoef = jacobi_coefficients(JacobiParams(v, -gamma, -gamma))
+    pcoef = jacobi_coefficients(v, -gamma)
     return _Solution(h, gamma, -gamma * gamma, pcoef)
 
 
 def _base_solution(h: float, n: int) -> _Solution:
     kappa = h - n
-    pcoef = jacobi_coefficients(JacobiParams(n, kappa, kappa))
+    pcoef = jacobi_coefficients(n, kappa)
     return _Solution(h, -kappa, -kappa * kappa, pcoef)
 
 
@@ -200,6 +200,17 @@ def _wronskian_poly(sols: list) -> np.ndarray:
             for cols in combinations(range(m), i + 1)
         }
     return minors[tuple(range(m))]
+
+
+def _finite(coef: np.ndarray, what: str) -> np.ndarray:
+    """coef itself, or OverflowError if a coefficient left the float range.
+
+    Callers build their polynomials under np.errstate(over/invalid="ignore"),
+    so an overflow surfaces here as a typed error, not as a warning and nan.
+    """
+    if not np.all(np.isfinite(coef)):
+        raise OverflowError(f"coefficients of {what} overflow the float range")
+    return coef
 
 
 def _horner(coef: tuple, u):
@@ -262,8 +273,8 @@ class PotentialEvaluator:
 
         U_D = U - 2 (1-u^2) [Gamma - 2u W~'/W~ + (1-u^2) (W~''/W~ - (W~'/W~)^2)].
 
-    One seed (W~ = P) takes the Riccati form U - 2 (U - E - r^2) with
-    r = gamma u + (1-u^2) P'/P, exact at the well's centre.  Scalar x, real or
+    W~, W~' and W~'' are built once; a coefficient beyond the float range
+    raises OverflowError (deep seeds at large h).  Scalar x, real or
     complex, is evaluated by pure-Python Horner (the ODE oracle's right-hand
     side, including its complex detour around a pole), arrays through numpy;
     an exact zero of W~ gives nan.
@@ -280,14 +291,14 @@ class PotentialEvaluator:
 
     def __init__(self, spec: SystemSpec, allow_singular: bool = False):
         self.spec = spec
-        self._seeds = [_seed_solution(spec.h, v) for v in spec.seeds]
-        w = _wronskian_poly(self._seeds)
-        self._w = tuple(w.tolist())
-        self._dw = tuple(npoly.polyder(w).tolist())
-        self._ddw = tuple(npoly.polyder(w, 2).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._seeds = [_seed_solution(spec.h, v) for v in spec.seeds]
+            w = _wronskian_poly(self._seeds)
+            polys = (w, npoly.polyder(w), npoly.polyder(w, 2))
+        what = f"the seed Wronskian of {spec.seeds} (h = {spec.h})"
+        self._w, self._dw, self._ddw = (tuple(_finite(c, what).tolist()) for c in polys)
         self._hh = spec.h * (spec.h + 1.0)
         self._gamma = sum(s.gamma for s in self._seeds)
-        self._energy = self._seeds[0].energy if spec.n_steps == 1 else None
         self.is_singular = spec.n_steps >= 2
         if self.is_singular and not allow_singular:
             raise NodalWronskianError(
@@ -300,9 +311,6 @@ class PotentialEvaluator:
         s2 = 1.0 - u * u
         base = -self._hh * s2
         q = dw / w
-        if self._energy is not None:
-            r = self._gamma * u + s2 * q
-            return base - 2.0 * (base - self._energy - r * r)
         return base - 2.0 * s2 * (self._gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
 
     def _scalar(self, x):
@@ -387,9 +395,12 @@ def bound_states(spec: SystemSpec) -> list:
     seeds = pot._seeds
     h = spec.h
     ds = [h + 1.0 + v for v in spec.seeds]
-    entries = [(h - n, _wronskian_poly(seeds + [_base_solution(h, n)]))
-               for n in range(spec.n_base_states)]
-    entries += [(d, _wronskian_poly(seeds[:j] + seeds[j + 1:])) for j, d in enumerate(ds)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = [(h - n, _wronskian_poly(seeds + [_base_solution(h, n)]))
+                   for n in range(spec.n_base_states)]
+        entries += [(d, _wronskian_poly(seeds[:j] + seeds[j + 1:])) for j, d in enumerate(ds)]
+    what = f"a bound-state numerator of {spec.seeds} (h = {h})"
+    entries = [(kappa, _finite(num, what)) for kappa, num in entries]
     entries.sort(key=lambda e: -e[0] * e[0])
     out = []
     for idx, (kappa, num) in enumerate(entries):

@@ -7,13 +7,15 @@ u(x, t) = -2 (d^2/dx^2) log det A(x, t) with
     c_n(t) = c_n(0) e^(4 kappa_n^3 t)
 
 (the symmetric congruent form of the GLM matrix; same determinant, positive
-definite).  The field itself is evaluated through trace formulas on a
-per-point rescaled matrix, which keeps every entry bounded for arbitrary
-(x, t): the rescaling is a congruence by diag(e^(-max(theta_n, 0))), i.e. the
-translation-covariance factors e^(kappa_n a) absorbed at the matrix level.
-Array points are evaluated in blocks of FIELD_BLOCK, so the per-point work
-arrays stay bounded however many points one call asks for; every matrix is
-solved on its own, so a point's value does not depend on its block.
+definite).  The field itself is evaluated on a per-point rescaled matrix,
+which keeps every entry bounded for arbitrary (x, t): the rescaling is a
+congruence by diag(e^(-max(theta_n, 0))), i.e. the translation-covariance
+factors e^(kappa_n a) absorbed at the matrix level.  The x-derivatives of A
+have rank one and two, so one linear solve with one right-hand side per point
+gives u.  Array points are evaluated in blocks of FIELD_BLOCK, so the
+per-point work arrays stay bounded however many points one call asks for;
+every matrix is solved on its own, so a point's value does not depend on its
+block.
 The KdV residual check re-evaluates the field in high precision through the
 principal-minor (Cauchy determinant) expansion of det A, an algebraically
 independent route whose x- and t-derivatives are exact, term by term.
@@ -37,7 +39,6 @@ from .darboux import SystemSpec, bound_states
 __all__ = [
     "OverflowDomainError",
     "SolitonData",
-    "SolitonField",
     "AsymptoticSoliton",
     "scattering_data_from_spec",
     "glm_matrix",
@@ -51,7 +52,7 @@ RAW_EXPONENT_LIMIT = 700.0  # beyond this the unscaled GLM entries overflow
 RESIDUAL_DPS = 40
 QUADRATURE_MARGIN = 40.0  # window margin in decay lengths 1/kappa_min
 TRAPEZOID_STEP = 0.15     # grid step in units of 1/kappa_max
-FIELD_BLOCK = 1024        # points per trace-formula pass in field_u
+FIELD_BLOCK = 1024        # points per vector solve in field_u
 
 
 class OverflowDomainError(ArithmeticError):
@@ -132,14 +133,21 @@ def glm_matrix(data: SolitonData, x: float, t: float) -> np.ndarray:
 
 
 def field_u(data: SolitonData, x, t: float):
-    """u(x, t) = -2 (log det A)'' via trace formulas, for scalar or array x.
+    """u(x, t) = -2 (log det A)'' from one linear solve, for scalar or array x.
 
-    Per point the matrix is rescaled by the congruence S = diag(e^(-max(theta,0)))
-    so that every entry is bounded; traces are invariant, so
-    (log det A)' = tr(A^-1 A') and (log det A)'' = tr(A^-1 A'') - tr((A^-1 A')^2)
-    are evaluated on the rescaled factors.  No numeric differentiation is used.
-    Array points go through in blocks of FIELD_BLOCK, which bounds the
-    (npts, N, N) work arrays without changing any value.
+    Per point the matrix is rescaled by the congruence S = diag(e^(-max(theta,0))),
+    which leaves the traces of (log det A)' = tr(A^-1 A') and
+    (log det A)'' = tr(A^-1 A'') - tr((A^-1 A')^2) unchanged.  With
+    w = e^(min(theta, 0)), every entry is bounded:
+
+        S A S = S^2 + w w^T / (kappa_m + kappa_n),
+        S A' S = -w w^T,    S A'' S = (kappa w) w^T + w (kappa w)^T,
+
+    so with y = (S A S)^-1 w the traces collapse to dot products,
+    (log det A)' = -w.y and (log det A)'' = 2 (kappa w).y - (w.y)^2.
+    No numeric differentiation is used.  Array points go through in blocks
+    of FIELD_BLOCK, which bounds the (npts, N, N) work arrays without
+    changing any value.
     """
     xarr = np.asarray(x, dtype=float)
     if xarr.ndim == 0:
@@ -153,33 +161,19 @@ def field_u(data: SolitonData, x, t: float):
 
 
 def _field_block(data: SolitonData, xs: np.ndarray, t: float) -> np.ndarray:
-    """The trace formulas of field_u on one block of points, shape (npts,)."""
+    """The one-solve formula of field_u on one block of points, shape (npts,).
+
+    The dot products are per-row sums, whose order does not depend on npts.
+    """
     th = _theta(data, xs, t)  # (npts, N)
     kap = np.asarray(data.kappas)
-    denom = kap[:, None] + kap[None, :]
     th_hat = np.minimum(th, 0.0)
     w = np.exp(th_hat)  # bounded by 1
-    s2 = np.exp(2.0 * (th_hat - th))  # diag of S^2, bounded by 1
-    outer = w[:, :, None] * w[:, None, :]
-    a = outer / denom
-    a[:, np.arange(data.n), np.arange(data.n)] += s2
-    d1 = -outer                # S (dA/dx) S
-    d2 = outer * denom         # S (d2A/dx2) S
-    g1 = np.linalg.solve(a, d1)
-    g2 = np.linalg.solve(a, d2)
-    tr_g2 = np.einsum("pii->p", g2)
-    tr_g1g1 = np.einsum("pij,pji->p", g1, g1)
-    return -2.0 * (tr_g2 - tr_g1g1)
-
-
-class SolitonField:
-    """Callable (x, t) -> u for fixed reflectionless scattering data."""
-
-    def __init__(self, data: SolitonData):
-        self.data = data
-
-    def __call__(self, x, t: float):
-        return field_u(self.data, x, t)
+    a = w[:, :, None] * w[:, None, :] / (kap[:, None] + kap[None, :])
+    a[:, np.arange(data.n), np.arange(data.n)] += np.exp(2.0 * (th_hat - th))  # S^2 <= 1
+    y = np.linalg.solve(a, w[:, :, None])[:, :, 0]
+    wy = (w * y).sum(axis=1)
+    return -2.0 * (2.0 * (kap * w * y).sum(axis=1) - wy * wy)
 
 
 @lru_cache(maxsize=64)
@@ -208,19 +202,30 @@ def _tau_terms(kappas: tuple, c0: tuple):
     return tuple(terms)
 
 
-def _field_mp(data: SolitonData, x, t):
-    """High-precision u(x, t) through the principal-minor expansion of det A."""
-    terms = _tau_terms(data.kappas, data.c0)
+def _tau_sums(data: SolitonData, x, t, nx: int, nt: int):
+    """Exact derivatives of det A = f = sum_S exp(alpha_S + beta_S t + gamma_S x).
+
+    Returns [d^k f/dx^k for k < nx] and [d/dt d^k f/dx^k for k < nt], the sums
+    of gamma^k e and beta gamma^k e over the principal-minor expansion, in the
+    caller's mpmath precision.
+    """
     x = mp.mpf(x)
     t = mp.mpf(t)
-    f = mp.mpf(0)
-    fx = mp.mpf(0)
-    fxx = mp.mpf(0)
-    for log_c, beta, gamma in terms:
+    fx = [mp.mpf(0)] * nx
+    ft = [mp.mpf(0)] * nt
+    for log_c, beta, gamma in _tau_terms(data.kappas, data.c0):
         e = mp.exp(mp.mpf(log_c) + mp.mpf(beta) * t + mp.mpf(gamma) * x)
-        f += e
-        fx += gamma * e
-        fxx += gamma * gamma * e
+        for k in range(nx):
+            fx[k] += e
+            if k < nt:
+                ft[k] += beta * e
+            e *= gamma
+    return fx, ft
+
+
+def _field_mp(data: SolitonData, x, t):
+    """High-precision u(x, t) = -2 (f f'' - f'^2) / f^2 from the tau sums."""
+    (f, fx, fxx), _ = _tau_sums(data, x, t, 3, 0)
     return -2.0 * (fxx * f - fx * fx) / (f * f)
 
 
@@ -238,24 +243,12 @@ def _quotient_derivs(g: list, f: list) -> list:
 def kdv_residual(data: SolitonData, x: float, t: float) -> float:
     """|u_t - 6 u u_x + u_xxx| at one point, from exact derivatives of det A.
 
-    det A = f = sum_S exp(alpha_S + beta_S t + gamma_S x) (the principal-minor
-    expansion), so d^k f/dx^k = sum gamma^k e and d/dt d^k f/dx^k =
-    sum beta gamma^k e exactly.  With u = -2 (log f)'', u_x, u_xxx and u_t
-    are x-derivatives of the quotients f'/f and f_t/f, evaluated in 40
-    significant digits; no step size enters.
+    The derivatives of f = det A come exactly from _tau_sums.  With
+    u = -2 (log f)'', u_x, u_xxx and u_t are x-derivatives of the quotients
+    f'/f and f_t/f, evaluated in 40 significant digits; no step size enters.
     """
     with mp.workdps(RESIDUAL_DPS):
-        x = mp.mpf(x)
-        t = mp.mpf(t)
-        fx = [mp.mpf(0)] * 6
-        ft = [mp.mpf(0)] * 3
-        for log_c, beta, gamma in _tau_terms(data.kappas, data.c0):
-            e = mp.exp(mp.mpf(log_c) + mp.mpf(beta) * t + mp.mpf(gamma) * x)
-            for k in range(6):
-                fx[k] += e
-                if k < 3:
-                    ft[k] += beta * e
-                e *= gamma
+        fx, ft = _tau_sums(data, x, t, 6, 3)
         dlog = _quotient_derivs(fx[1:], fx)  # (log f)^(k+1), k = 0..4
         dlog_t = _quotient_derivs(ft, fx)    # d^k/dx^k of (log f)_t, k = 0..2
         # u = -2 dlog[1], u_x = -2 dlog[2], u_xxx = -2 dlog[4], u_t = -2 dlog_t[2]

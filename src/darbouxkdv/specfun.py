@@ -1,8 +1,8 @@
 """Special-function kernel for the deformation and scattering machinery.
 
 Provides exactly what the rest of the package calls: monomial coefficients of
-Jacobi polynomials for arbitrary real parameters (including the
-negative-parameter range required by pseudo-virtual seed functions), and the
+the symmetric Jacobi polynomials P_n^(a,a) for any real a (including the
+negative range required by pseudo-virtual seed functions), and the
 principal-branch complex log-Gamma and entire reciprocal Gamma of
 scipy.special, bound here under the names the scattering amplitudes use.
 rgamma is an exact 0.0 at the nonpositive integers, which keeps the
@@ -14,14 +14,11 @@ All functions are pure and hold no state; concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
-    "JacobiParams",
     "jacobi_coefficients",
     "log_gamma",
     "reciprocal_gamma",
@@ -30,29 +27,6 @@ __all__ = [
 # Callers pass complex arguments: loggamma of a negative real float is nan.
 log_gamma = scipy.special.loggamma
 reciprocal_gamma = scipy.special.rgamma
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and (possibly negative real) parameters of a Jacobi polynomial."""
-
-    n: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValueError(f"Jacobi degree must be a nonnegative integer, got {self.n}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("Jacobi parameters must be finite")
-
-
-def _gen_binom(a: float, k: int) -> float:
-    """Generalized binomial coefficient C(a, k) for real a, integer k >= 0."""
-    out = 1.0
-    for j in range(k):
-        out *= (a - j) / (j + 1)
-    return out
 
 
 def _symmetric_coefficients(n: int, a: float) -> np.ndarray:
@@ -74,33 +48,16 @@ def _symmetric_coefficients(n: int, a: float) -> np.ndarray:
     return out
 
 
-def jacobi_coefficients(p: JacobiParams) -> np.ndarray:
-    """Monomial coefficients (lowest degree first) of P_n^(alpha,beta).
+def jacobi_coefficients(n: int, a: float) -> np.ndarray:
+    """Monomial coefficients (lowest degree first) of P_n^(a,a).
 
-    Uses the explicit finite sum
-
-        P_n(z) = sum_k C(n+alpha, k) C(n+beta, n-k) ((z-1)/2)^(n-k) ((z+1)/2)^k
-
-    which involves only generalized binomials, so it is exact for every real
-    parameter pair, including the nonpositive-integer values where the
-    terminating hypergeometric form would divide by a vanishing Pochhammer
-    symbol.  For alpha = beta the coefficients come from the recurrence of
-    _symmetric_coefficients instead, which is free of cancellation.
+    Every caller asks for equal parameters: the seeds P_v^(-gamma,-gamma),
+    with gamma any real above 3, and the base states P_n^(kappa,kappa).
+    The coefficients come from the recurrence of _symmetric_coefficients,
+    which is free of cancellation for every real a.
     """
-    n, al, be = p.n, p.alpha, p.beta
-    if al == be:
-        return _symmetric_coefficients(n, al)
-    minus = np.array([-0.5, 0.5])  # (z-1)/2
-    plus = np.array([0.5, 0.5])    # (z+1)/2
-    coeffs = np.zeros(n + 1)
-    for k in range(n + 1):
-        c = _gen_binom(n + al, k) * _gen_binom(n + be, n - k)
-        if c == 0.0:
-            continue
-        term = np.array([c])
-        term = npoly.polymul(term, npoly.polypow(minus, n - k)) if n - k else term
-        term = npoly.polymul(term, npoly.polypow(plus, k)) if k else term
-        coeffs = npoly.polyadd(coeffs, term)
-    out = np.zeros(n + 1)
-    out[: len(coeffs)] = coeffs
-    return out
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"Jacobi degree must be a nonnegative integer, got {n}")
+    if not math.isfinite(a):
+        raise ValueError(f"Jacobi parameter must be finite, got {a}")
+    return _symmetric_coefficients(n, a)

@@ -1,7 +1,7 @@
 """Independent finite-difference Schrodinger eigensolver.
 
 Discretizes -psi'' + U psi = E psi with Dirichlet walls at +-L on a uniform
-grid (order-2 or order-4 central stencils) and extracts every eigenvalue below
+grid (the fourth-order central stencil) and extracts every eigenvalue below
 the continuum edge with a shift-invert Lanczos solve.  Used purely as an
 oracle against the closed-form spectra and norming constants.
 """
@@ -33,15 +33,12 @@ class GridSpec:
 
     L: float = 20.0
     n_points: int = 4001
-    order: int = 4
 
     def __post_init__(self):
         if not self.L > 0:
             raise ValueError("grid half-width must be positive")
         if self.n_points < 501 or self.n_points % 2 == 0:
             raise ValueError("n_points must be an odd integer >= 501")
-        if self.order not in (2, 4):
-            raise ValueError("discretization order must be 2 or 4")
 
     @property
     def points(self) -> np.ndarray:
@@ -66,15 +63,10 @@ def _hamiltonian(potential, grid: GridSpec):
         )
     inv_dx2 = 1.0 / grid.dx**2
     m = len(xi)
-    if grid.order == 4:
-        main = 30.0 / 12.0 * inv_dx2 + uu
-        off1 = np.full(m - 1, -16.0 / 12.0 * inv_dx2)
-        off2 = np.full(m - 2, 1.0 / 12.0 * inv_dx2)
-        ham = sparse.diags([off2, off1, main, off1, off2], [-2, -1, 0, 1, 2], format="csc")
-    else:
-        main = 2.0 * inv_dx2 + uu
-        off1 = np.full(m - 1, -inv_dx2)
-        ham = sparse.diags([off1, main, off1], [-1, 0, 1], format="csc")
+    main = 30.0 / 12.0 * inv_dx2 + uu
+    off1 = np.full(m - 1, -16.0 / 12.0 * inv_dx2)
+    off2 = np.full(m - 2, 1.0 / 12.0 * inv_dx2)
+    ham = sparse.diags([off2, off1, main, off1, off2], [-2, -1, 0, 1, 2], format="csc")
     return ham, uu
 
 

@@ -70,23 +70,11 @@ def two_soliton_closed_form(x, t):
     return num / den
 
 
-def deformed_profile_h1(x):
-    """Closed form of the one-step deformed well at h = 1, v = 2."""
-    c = np.cosh(np.asarray(x, dtype=float))
-    return -30.0 * (4 * c**4 - 8 * c**2 + 5) / (c**2 * (36 * c**4 - 60 * c**2 + 25))
-
-
-def deformed_profile_h2(x):
-    """Closed form of the one-step deformed well at h = 2, v = 2."""
-    c = np.cosh(np.asarray(x, dtype=float))
-    return -4.0 * (144 * c**4 - 280 * c**2 + 147) / (c**2 * (64 * c**4 - 112 * c**2 + 49))
-
-
 # --- criterion 1: spectrum of the h=1, seeds=[2] well from the FD oracle ---
 
 def check_spectrum_h1() -> list:
     pot = deformed_potential(SystemSpec(1.0, (2,)))
-    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=4001, order=4))
+    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=4001))
     energies = [e for e, _ in levels]
     defect = max(abs(a - b) for a, b in zip(energies, (-16.0, -1.0)))
     if len(energies) != 2:
@@ -103,7 +91,7 @@ def check_norming_h1() -> list:
         abs(by_kappa[1] - C0_TWO_SOLITON), abs(by_kappa[4] - C1_TWO_SOLITON)
     )
     pot = deformed_potential(SystemSpec(1.0, (2,)))
-    oracle = oracle_norming_constants(pot, GridSpec(L=20.0, n_points=6001, order=4))
+    oracle = oracle_norming_constants(pot, GridSpec(L=20.0, n_points=6001))
     om = {round(k): c for k, c in oracle}
     odefect = max(abs(om[1] - C0_TWO_SOLITON), abs(om[4] - C1_TWO_SOLITON))
     return [
@@ -145,7 +133,7 @@ def check_explicit_formula() -> list:
 def check_h2_chain() -> list:
     spec = SystemSpec(2.0, (2,))
     pot = deformed_potential(spec)
-    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=6001, order=4))
+    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=6001))
     energies = [e for e, _ in levels]
     sdefect = max(abs(a - b) for a, b in zip(energies, (-25.0, -4.0, -1.0)))
     if len(energies) != 3:

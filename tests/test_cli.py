@@ -82,6 +82,13 @@ class TestPotentialCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[2] == "0,-2886"
 
+    def test_coefficient_overflow_exit_code(self, capsys):
+        code, out, err = run(capsys, "potential", "--h", "1000", "--seeds", "600",
+                             "--xmin", "-1", "--xmax", "1", "--n", "3")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "overflow" in err
+
     def test_bad_grid_exit_code(self, capsys):
         code, _, _ = run(capsys, "potential", "--h", "1", "--xmin", "1",
                          "--xmax", "0", "--n", "5")

@@ -272,6 +272,19 @@ class TestDeformedPotential:
             vals = pot(np.array([0.0, 1.0]))
         assert math.isnan(vals[0]) and math.isfinite(vals[1])
 
+    def test_coefficient_overflow_raises(self):
+        # P_600^(-1601,-1601) has coefficients beyond the float range: a typed
+        # error, where nan and RuntimeWarnings came out before
+        with pytest.raises(OverflowError):
+            deformed_potential(SystemSpec(1000.0, (600,)))
+        # at h = 300 W~ is finite, and U_D(0) = h(h+1) - 2 (h+1+v)^2
+        vals = deformed_potential(SystemSpec(300.0, (600,)))(np.array([-1.0, 0.0, 1.0]))
+        assert np.all(np.isfinite(vals))
+        assert vals[1] == pytest.approx(-1533302.0, rel=1e-12)
+        # but the numerators of its bound states, of higher degree, are not
+        with pytest.raises(OverflowError):
+            bound_states(SystemSpec(300.0, (600,)))
+
     def test_even_multi_index_is_nodal(self):
         # the Wronskian of two or more even seeds vanishes at x = 0
         for seeds in [(2, 4), (2, 6), (2, 4, 6)]:

@@ -7,28 +7,27 @@ import pytest
 import scipy.special as sc
 from numpy.polynomial import polynomial as npoly
 
-from darbouxkdv.specfun import JacobiParams, jacobi_coefficients, log_gamma, reciprocal_gamma
+from darbouxkdv.specfun import jacobi_coefficients, log_gamma, reciprocal_gamma
 
 RNG = np.random.default_rng(42)
 
 
-def jacobi_value(p, z):
-    """P_n^(alpha,beta)(z) and its z-derivative from the monomial coefficients."""
-    coef = jacobi_coefficients(p)
+def jacobi_value(n, a, z):
+    """P_n^(a,a)(z) and its z-derivative from the monomial coefficients."""
+    coef = jacobi_coefficients(n, a)
     return npoly.polyval(z, coef), npoly.polyval(z, npoly.polyder(coef))
 
 
 class TestJacobi:
     def test_degree_zero(self):
-        value, dvalue = jacobi_value(JacobiParams(0, 1.7, -0.3), 0.3)
+        value, dvalue = jacobi_value(0, 1.7, 0.3)
         assert value == 1.0
         assert dvalue == 0.0
 
     def test_pseudo_virtual_values(self):
         # P_2^(-4,-4)(z) = 1/2 + 5 z^2 / 2, expanded symbolically
-        p = JacobiParams(2, -4.0, -4.0)
-        assert jacobi_value(p, 0.0) == (0.5, 0.0)
-        value, dvalue = jacobi_value(p, 1.0)
+        assert jacobi_value(2, -4.0, 0.0) == (0.5, 0.0)
+        value, dvalue = jacobi_value(2, -4.0, 1.0)
         assert value == pytest.approx(3.0, abs=1e-14)
         assert dvalue == pytest.approx(5.0, abs=1e-14)
 
@@ -44,14 +43,14 @@ class TestJacobi:
     )
     def test_frozen_expansions(self, n, a, coeffs):
         # coefficient tables expanded independently with symbolic algebra
-        got = jacobi_coefficients(JacobiParams(n, a, a))
+        got = jacobi_coefficients(n, a)
         np.testing.assert_allclose(got, coeffs, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n, a", [(34, -60.0), (100, -101.5), (27, -12.3), (30, 24.0)])
     def test_symmetric_coefficients_at_high_degree(self, n, a):
         # deep seeds and bound states: every coefficient to rounding, against
         # the binomial sum in mpmath, and the wrong-parity ones exactly zero
-        got = jacobi_coefficients(JacobiParams(n, a, a))
+        got = jacobi_coefficients(n, a)
         assert not np.any(got[1 - n % 2::2])
         with mp.workdps(50):
             for zz in (mp.mpf("-0.9"), mp.mpf("0.3"), mp.mpf(1)):
@@ -66,28 +65,17 @@ class TestJacobi:
 
     def test_half_integer_parameters(self):
         # P_5^(-3.5,-3.5)(z) = -3/256 z exactly (symbolic expansion)
-        value, dvalue = jacobi_value(JacobiParams(5, -3.5, -3.5), 0.4)
+        value, dvalue = jacobi_value(5, -3.5, 0.4)
         assert value == pytest.approx(-3 / 256 * 0.4, abs=1e-15)
         assert dvalue == pytest.approx(-3 / 256, abs=1e-15)
-
-    def test_degenerate_negative_integer_alpha(self):
-        # alpha = -2 with n = 3: the limit form of the terminating series
-        sympy = pytest.importorskip("sympy")
-        z = sympy.symbols("z")
-        ref = sympy.jacobi(3, -2, 1, z)
-        for zz in (-0.7, 0.0, 0.4, 1.0):
-            expected = float(ref.subs(z, sympy.Rational(zz)))
-            value, _ = jacobi_value(JacobiParams(3, -2.0, 1.0), zz)
-            assert value == pytest.approx(expected, abs=1e-13)
 
     def test_matches_scipy_for_classical_parameters(self):
         for _ in range(200):
             n = int(RNG.integers(0, 9))
             a = float(RNG.uniform(-0.9, 4.0))
-            b = float(RNG.uniform(-0.9, 4.0))
             z = float(RNG.uniform(-1.0, 1.0))
-            value, _ = jacobi_value(JacobiParams(n, a, b), z)
-            ref = float(sc.eval_jacobi(n, a, b, z))
+            value, _ = jacobi_value(n, a, z)
+            ref = float(sc.eval_jacobi(n, a, a, z))
             assert value == pytest.approx(ref, rel=1e-11, abs=1e-12)
 
     def test_parity_for_symmetric_parameters(self):
@@ -95,33 +83,32 @@ class TestJacobi:
             n = int(RNG.integers(0, 9))
             a = float(RNG.uniform(-8.0, 4.0))
             z = float(RNG.uniform(0.0, 1.0))
-            p = JacobiParams(n, a, a)
-            left, _ = jacobi_value(p, -z)
-            right, _ = jacobi_value(p, z)
+            left, _ = jacobi_value(n, a, -z)
+            right, _ = jacobi_value(n, a, z)
             assert left == pytest.approx((-1.0) ** n * right, rel=1e-12, abs=1e-12)
 
     def test_polynomial_degree_exactness(self):
         # (n+1)-th finite difference of a degree-n polynomial vanishes
-        p = JacobiParams(4, -7.0, -7.0)
         step = 0.3
-        vals = np.array([jacobi_value(p, -0.9 + step * k)[0] for k in range(6)])
+        vals = np.array([jacobi_value(4, -7.0, -0.9 + step * k)[0] for k in range(6)])
         diff = vals
         for _ in range(5):
             diff = np.diff(diff)
         assert abs(diff[0]) <= 1e-10
 
     def test_derivative_matches_finite_differences(self):
-        p = JacobiParams(5, -8.5, -8.5)
         z, eps = 0.37, 1e-6
-        _, dvalue = jacobi_value(p, z)
-        fd = (jacobi_value(p, z + eps)[0] - jacobi_value(p, z - eps)[0]) / (2 * eps)
+        _, dvalue = jacobi_value(5, -8.5, z)
+        fd = (jacobi_value(5, -8.5, z + eps)[0] - jacobi_value(5, -8.5, z - eps)[0]) / (2 * eps)
         assert dvalue == pytest.approx(fd, rel=1e-8)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            JacobiParams(-1, 0.0, 0.0)
+            jacobi_coefficients(-1, 0.0)
         with pytest.raises(ValueError):
-            JacobiParams(2, math.inf, 1.0)
+            jacobi_coefficients(2.5, 0.0)
+        with pytest.raises(ValueError):
+            jacobi_coefficients(2, math.inf)
 
 
 class TestLogGamma:

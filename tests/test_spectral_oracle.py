@@ -14,7 +14,7 @@ from darbouxkdv.spectral_oracle import (
 
 class TestGridSpec:
     def test_valid(self):
-        g = GridSpec(L=20.0, n_points=4001, order=4)
+        g = GridSpec(L=20.0, n_points=4001)
         assert g.dx == pytest.approx(0.01)
         assert len(g.points) == 4001
         assert g.points[0] == -20.0 and g.points[-1] == 20.0
@@ -27,7 +27,6 @@ class TestGridSpec:
             {"n_points": 500},
             {"n_points": 4000},
             {"n_points": 301},
-            {"order": 3},
         ],
     )
     def test_invalid(self, kwargs):
@@ -81,12 +80,6 @@ class TestEigenSpectrum:
         vecs = np.stack([v for _, v in levels], axis=1)
         gram = vecs.T @ vecs * g.dx
         assert np.max(np.abs(gram - np.eye(len(levels)))) <= 1e-8
-
-    def test_order2_converges_slower(self):
-        pot = deformed_potential(SystemSpec(1.0, (2,)))
-        e4 = eigen_spectrum(pot, GridSpec(20.0, 2001, order=4))[0][0]
-        e2 = eigen_spectrum(pot, GridSpec(20.0, 2001, order=2))[0][0]
-        assert abs(e2 + 16.0) > 10.0 * abs(e4 + 16.0)
 
     def test_decay_precondition(self):
         with pytest.raises(ValueError):
