@@ -63,21 +63,24 @@ def _parse_floats(raw: str) -> tuple:
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if n < 1 or (n > 1 and not lo < hi) or (n == 1 and lo != hi):
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    if not finite or n < 1 or (n > 1 and not lo < hi) or (n == 1 and lo != hi):
         raise ValueError(f"bad grid: [{lo}, {hi}] with {n} points")
     return np.linspace(lo, hi, n)
 
 
 def _table_text(header, columns, fmt: str) -> str:
+    # one %-format per row (csv) or per column (json) over Python floats,
+    # the same bytes as format(v, ".17g") per cell in a fraction of the time
     if fmt == "json":
         body = ",\n".join(
-            f'  "{name}": [{", ".join(_fmt(v) for v in col)}]'
+            f'  "{name}": [' + ", ".join(["%.17g"] * len(col)) % tuple(map(float, col)) + "]"
             for name, col in zip(header, columns)
         )
         return "{\n" + body + "\n}\n"
+    row = ",".join(["%.17g"] * len(columns))
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(row % values for values in zip(*(map(float, col) for col in columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -91,6 +94,9 @@ def cmd_potential(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    for flag, tol in (("--tol-energy", args.tol_energy), ("--tol-norming", args.tol_norming)):
+        if not 0 < tol < math.inf:  # a nan tolerance would pass every comparison
+            raise ValueError(f"{flag} must be finite and positive, got {tol}")
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
     states = bound_states(spec)
     pot = deformed_potential(spec)
@@ -139,24 +145,15 @@ def cmd_scattering(args) -> int:
     if np.any(ks <= 0):
         raise ValueError("K grid must be positive")
     header = ["K", "re_t", "im_t", "re_r", "im_r", "abs_t", "abs_r", "unitarity_defect"]
-    cols = [[] for _ in header]
-    oracle_cols = [[] for _ in range(4)]
-    pot = deformed_potential(spec, allow_singular=True) if args.oracle else None
-    for K in ks:
-        amp = deformed_amplitudes(spec, float(K))
-        vals = (
-            amp.K, amp.t.real, amp.t.imag, amp.r.real, amp.r.imag,
-            abs(amp.t), abs(amp.r), amp.unitarity_defect,
-        )
-        for col, v in zip(cols, vals):
-            col.append(v)
-        if args.oracle:
-            num = numerical_amplitudes(pot, float(K))
-            for col, v in zip(oracle_cols, (num.t.real, num.t.imag, num.r.real, num.r.imag)):
-                col.append(v)
+    amps = (deformed_amplitudes(spec, float(K)) for K in ks)
+    cols = list(zip(*(
+        (a.K, a.t.real, a.t.imag, a.r.real, a.r.imag, abs(a.t), abs(a.r), a.unitarity_defect)
+        for a in amps
+    )))
     if args.oracle:
+        num = numerical_amplitudes(deformed_potential(spec, allow_singular=True), ks)
         header += ["re_t_oracle", "im_t_oracle", "re_r_oracle", "im_r_oracle"]
-        cols += oracle_cols
+        cols += [num.t.real, num.t.imag, num.r.real, num.r.imag]
     _write(_table_text(header, cols, args.format), args.output)
     return EXIT_OK
 

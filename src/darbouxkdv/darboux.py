@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from typing import Callable
 
@@ -182,19 +182,25 @@ def _base_solution(h: float, n: int) -> _Solution:
     return _Solution(h, -kappa, -kappa * kappa, pcoef)
 
 
-def _wronskian_poly(sols: list) -> np.ndarray:
+def _wronskian_poly(sols: list, magnitude: bool = False) -> np.ndarray:
     """det[phi_j^(i)/cosh^gamma_j], i, j < M, as one polynomial in u = tanh x.
 
     Laplace expansion: the minor on rows 0..k-1 and columns S expands along
     row k-1 into minors on S minus one column, O(M 2^M) products; M = 0 gives 1.
+    With magnitude set, every entry's coefficients enter by absolute value and
+    every term with sign +: coefficient by coefficient, the result bounds the
+    terms that the signed expansion sums, and so scales its rounding error.
     """
     m = len(sols)
     rows = [s.row_polys(m) for s in sols]
+    if magnitude:
+        rows = [[np.abs(c) for c in row] for row in rows]
     minors = {(): np.array([1.0])}
     for i in range(m):
         minors = {
             cols: reduce(npoly.polyadd, (
-                (-1.0) ** (i + p) * npoly.polymul(rows[j][i], minors[cols[:p] + cols[p + 1:]])
+                (1.0 if magnitude else (-1.0) ** (i + p))
+                * npoly.polymul(rows[j][i], minors[cols[:p] + cols[p + 1:]])
                 for p, j in enumerate(cols)
             ))
             for cols in combinations(range(m), i + 1)
@@ -321,7 +327,7 @@ class PotentialEvaluator:
         except ZeroDivisionError:
             return complex(math.nan, math.nan) if isinstance(u, complex) else math.nan
 
-    evaluate_scalar = _scalar  # the ODE right-hand-side entry point
+    evaluate_scalar = _scalar  # the ODE oracle's one call per step, real line and detour alike
 
     def __call__(self, x):
         if not isinstance(x, (int, float, complex)):
@@ -360,19 +366,61 @@ def _norming_sq(h: float, kappa: float, ds: list) -> float:
     return math.exp(log_c2 - math.lgamma(round(h - kappa) + 1.0)) * factors
 
 
-def _unit_state(num: np.ndarray, den: tuple, kappa: float, c: float) -> Callable:
+WAVEFUNCTION_ERROR_LIMIT = 1e-6  # absolute, on a unit-normalized state
+
+
+def _unit_state(sols: list, num: np.ndarray, den: tuple, kappa: float, c: float) -> Callable:
     """x -> psi(x) = scale (cosh x)^(-kappa) num(u)/den(u), unit-normalized.
 
-    The raw state's tail lim_{x->+inf} raw(x) e^(kappa x) is 2^kappa num(1)/den(1).
-    scale = c / tail makes psi decay as +c e^(-kappa x), which fixes its sign
-    and, c^2 being the norming constant, its unit norm.
+    num = W~[sols].  The raw state's tail lim_{x->+inf} raw(x) e^(kappa x) is
+    2^kappa num(1)/den(1); scale = c / tail makes psi decay as +c e^(-kappa x),
+    which fixes its sign and, c^2 being the norming constant, its unit norm.
+    With 2^kappa (cosh x)^(-kappa) = e^(-kappa (|x| + log1p(e^(-2|x|)))), num
+    and den taken over their largest coefficients and den > 0 (W~ is
+    nodeless), psi is a sign times the exponential of a sum of logarithms:
+    nothing overflows (deep wells have coefficients near 1e290, and
+    2^kappa num(1) beyond the float range), and psi underflows to 0 only
+    below the smallest float.
+
+    Each call bounds psi's rounding error by eps times num's magnitude
+    polynomial at |u|, scaled like num(u), plus eps bound(1)/|num(1)| relative
+    for the tail scale.  Past WAVEFUNCTION_ERROR_LIMIT it raises
+    OverflowError, as for the low levels of h = 250 [500], whose coefficients
+    reach 1e285 over values near 1e80: double precision cannot resolve them.
+    The terms are built on the first call, so bound_states stays cheap.
     """
-    scale = c / (2.0**kappa * npoly.polyval(1.0, num) / npoly.polyval(1.0, den))
+    eps = np.finfo(float).eps
+
+    @cache
+    def terms():
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _wronskian_poly(sols, magnitude=True)
+        top = np.max(np.abs(num))
+        d = np.asarray(den) / np.max(np.abs(den))
+        num1 = npoly.polyval(1.0, num) / top
+        with np.errstate(divide="ignore"):
+            log_scale = math.log(c) + np.log(npoly.polyval(1.0, d)) - np.log(abs(num1))
+            rel_scale = eps * npoly.polyval(1.0, bound / top) / abs(num1)
+        return num / top, bound / top, d, log_scale, rel_scale, math.copysign(1.0, num1)
 
     def wavefunction(x):
+        num, bound, den, log_scale, rel_scale, sign = terms()
         x = np.asarray(x, dtype=float)
         u = np.tanh(x)
-        out = scale * np.cosh(x) ** -kappa * npoly.polyval(u, num) / npoly.polyval(u, den)
+        a = np.abs(x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_k = log_scale - kappa * (a + np.log1p(np.exp(-2.0 * a)))
+            log_k -= np.log(npoly.polyval(u, den))
+            v = npoly.polyval(u, num)
+            out = sign * np.sign(v) * np.exp(log_k + np.log(np.abs(v)))
+            err = eps * np.exp(log_k) * npoly.polyval(np.abs(u), bound) + rel_scale * np.abs(out)
+        worst = np.max(err)
+        if not worst <= WAVEFUNCTION_ERROR_LIMIT:
+            raise OverflowError(
+                f"bound state kappa = {kappa}: rounding error bound {worst:.1e} exceeds "
+                f"{WAVEFUNCTION_ERROR_LIMIT:.0e}; its Crum-ratio coefficients span more "
+                "than double precision resolves"
+            )
         return float(out) if out.ndim == 0 else out
 
     return wavefunction
@@ -395,15 +443,15 @@ def bound_states(spec: SystemSpec) -> list:
     seeds = pot._seeds
     h = spec.h
     ds = [h + 1.0 + v for v in spec.seeds]
+    entries = [(h - n, seeds + [_base_solution(h, n)]) for n in range(spec.n_base_states)]
+    entries += [(d, seeds[:j] + seeds[j + 1:]) for j, d in enumerate(ds)]
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = [(h - n, _wronskian_poly(seeds + [_base_solution(h, n)]))
-                   for n in range(spec.n_base_states)]
-        entries += [(d, _wronskian_poly(seeds[:j] + seeds[j + 1:])) for j, d in enumerate(ds)]
+        entries = [(kappa, sols, _wronskian_poly(sols)) for kappa, sols in entries]
     what = f"a bound-state numerator of {spec.seeds} (h = {h})"
-    entries = [(kappa, _finite(num, what)) for kappa, num in entries]
+    entries = [(kappa, sols, _finite(num, what)) for kappa, sols, num in entries]
     entries.sort(key=lambda e: -e[0] * e[0])
     out = []
-    for idx, (kappa, num) in enumerate(entries):
+    for idx, (kappa, sols, num) in enumerate(entries):
         c = math.sqrt(_norming_sq(h, kappa, ds))
         out.append(
             BoundState(
@@ -411,7 +459,7 @@ def bound_states(spec: SystemSpec) -> list:
                 kappa=kappa,
                 energy=-kappa * kappa,
                 norming_constant=c,
-                wavefunction=_unit_state(num, pot._w, kappa, c),
+                wavefunction=_unit_state(sols, num, pot._w, kappa, c),
             )
         )
     return out

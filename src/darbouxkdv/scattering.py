@@ -10,10 +10,10 @@ psi -> (1/t) e^(iKx) + (r/t) e^(-iKx) as x -> -inf,
 and each deformation step multiplies t by the unimodular factor
 (K + i(h+1+v)) / (K - i(h+1+v)).  The 1/Gamma factors of r go through
 reciprocal_gamma, so integer h gives a floating-point-exact zero.  An
-independent ODE-integration oracle checks both amplitudes; for singular
-multi-step potentials it detours around the x = 0 pole on a complex
-semicircle, which computes the meromorphic continuation of the deformed
-scattering state.
+independent ODE-integration oracle checks both amplitudes, integrating a
+whole K grid as one complex system; for singular multi-step potentials it
+detours around the x = 0 pole on a complex semicircle, which computes the
+meromorphic continuation of the deformed scattering state.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .darboux import PotentialEvaluator, SystemSpec, _validated
+from .darboux import SystemSpec, _validated
 from .specfun import log_gamma, reciprocal_gamma
 
 __all__ = [
@@ -44,7 +44,8 @@ DETOUR_RADIUS = 0.5
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """Complex transmission and reflection at real wave number K (E = K^2)."""
+    """Complex transmission and reflection at real wave number K (E = K^2),
+    or at each K of the array given to numerical_amplitudes."""
 
     K: float
     t: complex
@@ -57,8 +58,8 @@ class ScatteringAmplitudes:
 
 def base_amplitudes(h: float, K: float) -> ScatteringAmplitudes:
     """Amplitudes of the undeformed well -h(h+1)/cosh^2 x."""
-    if not K > 0:
-        raise ValueError(f"wave number must be positive, got K = {K}")
+    if not 0 < K < math.inf:
+        raise ValueError(f"wave number must be finite and positive, got K = {K}")
     if not h > 0:
         raise ValueError(f"h must be positive, got {h}")
     s = -1j * K
@@ -80,8 +81,8 @@ def deformation_factor(h: float, v: int, K: float):
     K = i d on the positive imaginary axis.
     """
     _validated(h, (v,))
-    if not K > 0:
-        raise ValueError(f"wave number must be positive, got K = {K}")
+    if not 0 < K < math.inf:
+        raise ValueError(f"wave number must be finite and positive, got K = {K}")
     d = h + 1.0 + v
     t_factor = (K + 1j * d) / (K - 1j * d)
     return t_factor, -t_factor
@@ -110,34 +111,6 @@ def transmission_poles(spec: SystemSpec) -> list:
     return sorted(poles)
 
 
-def _integrate_segments(potential, K: float, segments, y0):
-    """March psi'' = (U - K^2) psi through parameterized path segments."""
-    from scipy.integrate import solve_ivp  # slow to import, and only this oracle uses it
-
-    y = y0
-    for path, dpath, s0, s1 in segments:
-        def rhs(s, yv):
-            x = path(s)
-            dx = dpath(s)
-            psi = yv[0] + 1j * yv[1]
-            dpsi = yv[2] + 1j * yv[3]
-            ddpsi = (potential(x) - K * K) * psi
-            a = dpsi * dx
-            b = ddpsi * dx
-            return (a.real, a.imag, b.real, b.imag)
-
-        sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", rtol=1e-10, atol=1e-12)
-        if not sol.success:
-            raise RuntimeError(f"scattering ODE stepper failed: {sol.message}")
-        y = sol.y[:, -1]
-    return y[0] + 1j * y[1], y[2] + 1j * y[3]
-
-
-def _real_rhs_segments(potential, L: float):
-    f = potential.evaluate_scalar if isinstance(potential, PotentialEvaluator) else potential
-    return [(lambda s: s, lambda s: 1.0, L, -L)], f
-
-
 def _detour_segments(L: float, radius: float):
     def arc(theta):
         return radius * cmath.exp(1j * theta)
@@ -154,26 +127,39 @@ def _detour_segments(L: float, radius: float):
 
 def numerical_amplitudes(
     potential,
-    K: float,
+    K,
     half_width: float = ORACLE_HALF_WIDTH,
     detour_radius: float = DETOUR_RADIUS,
 ) -> ScatteringAmplitudes:
     """ODE-integration scattering oracle, independent of the closed forms.
 
-    Starts from a pure e^(iKx) wave at x = +L, integrates backwards to -L and
-    decomposes (psi, psi') there against e^(+-iKx).  Potentials flagged as
-    singular are integrated along a complex semicircle of the given radius
-    around x = 0; the result is the meromorphic continuation of the scattering
-    state and is independent of which half-plane the detour uses.  half_width
-    must be positive and detour_radius inside (0, half_width).
+    K is one wave number or a 1-D array of them; every K must be finite and
+    at least SMALL_K_CUTOFF.  Starts from pure e^(iKx) waves at x = +L and
+    integrates psi'' = (U - K^2) psi backwards to -L for all K at once, as
+    one complex state [psi(K...), psi'(K...)] that evaluates U once per step.
+    There psi = P e^(iKx) + Q e^(-iKx) splits as
+    P = (psi + psi'/(iK)) e^(iKL)/2 and Q = (psi - psi'/(iK)) e^(-iKL)/2.
+    Potentials flagged as singular are integrated along a complex semicircle
+    of the given radius around x = 0; the result is the meromorphic
+    continuation of the scattering state and is independent of which
+    half-plane the detour uses.  half_width must be positive and
+    detour_radius inside (0, half_width).  A scalar K gives scalar fields,
+    an array K arrays of the same length.
     """
-    if not K > 0:
-        raise ValueError(f"wave number must be positive, got K = {K}")
-    if K < SMALL_K_CUTOFF:
-        raise ValueError(
-            f"K = {K} below the {SMALL_K_CUTOFF} cutoff: the e^(+-iKx) decomposition "
-            "is too ill-conditioned to return a trustworthy result"
-        )
+    from scipy.integrate import solve_ivp  # slow to import, and only this oracle uses it
+
+    ks = np.array(K, dtype=float)
+    kv = np.atleast_1d(ks)
+    if ks.ndim > 1 or kv.size == 0:
+        raise ValueError(f"K must be a scalar or a nonempty 1-D array, got shape {ks.shape}")
+    for k in kv.tolist():
+        if not 0 < k < math.inf:
+            raise ValueError(f"wave number must be finite and positive, got K = {k}")
+        if k < SMALL_K_CUTOFF:
+            raise ValueError(
+                f"K = {k} below the {SMALL_K_CUTOFF} cutoff: the e^(+-iKx) decomposition "
+                "is too ill-conditioned to return a trustworthy result"
+            )
     L = float(half_width)
     if not L > 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
@@ -182,18 +168,27 @@ def numerical_amplitudes(
     edge = max(abs(complex(potential(L))), abs(complex(potential(-L))))
     if edge >= ORACLE_DECAY:
         raise ValueError(f"potential must decay below {ORACLE_DECAY} at +-{L}, got {edge:.2e}")
-    singular = bool(getattr(potential, "is_singular", False))
-    if singular:
+    if getattr(potential, "is_singular", False):
         segments = _detour_segments(L, detour_radius)
-        f = potential
     else:
-        segments, f = _real_rhs_segments(potential, L)
-    psi0 = cmath.exp(1j * K * L)
-    y0 = (psi0.real, psi0.imag, (1j * K * psi0).real, (1j * K * psi0).imag)
-    psi, dpsi = _integrate_segments(f, K, segments, y0)
-    # psi = P e^(iKx) + Q e^(-iKx) at x = -L, solved from (psi, psi') jointly
-    ep = cmath.exp(-1j * K * L)  # e^(iK x) at x = -L
-    em = cmath.exp(1j * K * L)   # e^(-iK x) at x = -L
-    mat = np.array([[ep, em], [1j * K * ep, -1j * K * em]])
-    p, q = np.linalg.solve(mat, np.array([psi, dpsi]))
-    return ScatteringAmplitudes(K=float(K), t=1.0 / p, r=q / p)
+        segments = [(lambda s: s, lambda s: 1.0, L, -L)]
+    f = getattr(potential, "evaluate_scalar", potential)
+    n, k2, ik = kv.size, kv * kv, 1j * kv
+    wave = np.exp(ik * L)
+    y = np.concatenate([wave, ik * wave])
+    for path, dpath, s0, s1 in segments:
+        def rhs(s, yv):
+            dx = dpath(s)
+            return np.concatenate([yv[n:] * dx, (f(path(s)) - k2) * yv[:n] * dx])
+
+        sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", rtol=1e-10, atol=1e-12)
+        if not sol.success:
+            raise RuntimeError(f"scattering ODE stepper failed: {sol.message}")
+        y = sol.y[:, -1]
+    psi, dpsi = y[:n], y[n:]
+    p = 0.5 * (psi + dpsi / ik) * wave
+    q = 0.5 * (psi - dpsi / ik) / wave
+    t, r = 1.0 / p, q / p
+    if ks.ndim == 0:
+        return ScatteringAmplitudes(K=float(ks), t=complex(t[0]), r=complex(r[0]))
+    return ScatteringAmplitudes(K=kv, t=t, r=r)

@@ -35,8 +35,8 @@ class GridSpec:
     n_points: int = 4001
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError("grid half-width must be positive")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"grid half-width must be finite and positive, got {self.L}")
         if self.n_points < 501 or self.n_points % 2 == 0:
             raise ValueError("n_points must be an odd integer >= 501")
 

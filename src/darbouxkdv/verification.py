@@ -212,12 +212,10 @@ def check_oracle_agreement() -> list:
     out = []
     for spec in ORACLE_SPECS:
         pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
-        dt = dr = 0.0
-        for K in ORACLE_K_GRID:
-            closed = deformed_amplitudes(spec, K)
-            numeric = numerical_amplitudes(pot, K)
-            dt = max(dt, abs(closed.t - numeric.t))
-            dr = max(dr, abs(closed.r - numeric.r))
+        numeric = numerical_amplitudes(pot, ORACLE_K_GRID)
+        closed = [deformed_amplitudes(spec, K) for K in ORACLE_K_GRID]
+        dt = max(abs(c.t - t) for c, t in zip(closed, numeric.t))
+        dr = max(abs(c.r - r) for c, r in zip(closed, numeric.r))
         label = f"h={spec.h} seeds={list(spec.seeds)}"
         out.append(CheckResult(f"oracle agreement t, {label}", dt, 1e-4))
         out.append(CheckResult(f"oracle agreement r, {label}", dr, 1e-4))

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import darbouxkdv
-from darbouxkdv.cli import main
+from darbouxkdv.cli import _table_text, main
 
 
 def run(capsys, *argv):
@@ -165,6 +166,38 @@ class TestScatteringCommand:
         code, _, _ = run(capsys, "scattering", "--h", "1", "--kmin", "-1",
                          "--kmax", "2", "--nk", "4")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("scattering", "--h", "1", "--seeds", "2", "--k", "inf"),
+    ("scattering", "--h", "1", "--seeds", "2", "--k", "nan", "--oracle"),
+    ("scattering", "--h", "1", "--kmax", "inf"),
+    ("spectrum", "--h", "1", "--grid-l", "inf"),
+    ("spectrum", "--h", "1", "--tol-energy", "nan"),
+    ("spectrum", "--h", "1", "--tol-norming", "inf"),
+    ("spectrum", "--h", "1", "--tol-norming", "0"),
+])
+def test_non_finite_input_exit_code(capsys, argv):
+    # a nan K or tolerance used to pass through as a nan row or a passed check
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_text_matches_per_cell_format(fmt):
+    header = ("a", "b", "c")
+    columns = ([-0.0, 1.0 / 3.0, 1e-300, 2.0], np.array([1e300, -2.5, math.pi, 0.1]),
+               [3, -7, 1e16, 5e-324])
+    cells = [[format(float(v), ".17g") for v in col] for col in columns]
+    if fmt == "json":
+        body = ",\n".join(f'  "{name}": [{", ".join(col)}]' for name, col in zip(header, cells))
+        expected = "{\n" + body + "\n}\n"
+    else:
+        expected = "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n"
+    assert _table_text(header, columns, fmt) == expected
+    assert "-0," in expected  # the sign of -0.0 survives
 
 
 class TestSolitonCommand:

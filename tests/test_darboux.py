@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from darbouxkdv.darboux import (
     NodalWronskianError,
@@ -468,6 +468,24 @@ class TestBoundStates:
                 (s.kappa + k) / abs(s.kappa - k) for k in kappas if k != s.kappa
             )
             assert s.norming_constant**2 == pytest.approx(expected, rel=1e-12)
+
+    def test_deep_well_states_normalized_or_refused(self):
+        # h = 250 [500]: coefficients reach 1e290 and the tail scale 2^kappa
+        # num(1) leaves the float range; kappa = 228 came back identically 0.
+        # kappa = 1 sums coefficients near 1e285 to values near 1e80, beyond
+        # double precision, so its wavefunction may refuse with OverflowError
+        xs = np.linspace(-30.0, 30.0, 120001)
+        states = {s.kappa: s for s in bound_states(SystemSpec(250.0, (500,)))}
+        evaluated = set()
+        for kappa in (751.0, 250.0, 228.0, 1.0):
+            try:
+                psi = states[kappa].wavefunction(xs)
+            except OverflowError:
+                continue
+            evaluated.add(kappa)
+            assert np.all(np.isfinite(psi)) and np.any(psi)
+            assert trapezoid(psi * psi, xs) == pytest.approx(1.0, abs=1e-8)
+        assert {751.0, 250.0, 228.0} <= evaluated
 
     def test_wavefunction_vectorized(self):
         s = bound_states(SystemSpec(1.0, (2,)))[0]

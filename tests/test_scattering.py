@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from darbouxkdv.cli import main
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.scattering import (
     base_amplitudes,
@@ -12,6 +13,7 @@ from darbouxkdv.scattering import (
     numerical_amplitudes,
     transmission_poles,
 )
+from darbouxkdv.verification import ORACLE_K_GRID, ORACLE_SPECS, check_oracle_agreement
 
 RNG = np.random.default_rng(11)
 
@@ -56,6 +58,11 @@ class TestBaseAmplitudes:
             base_amplitudes(1.0, 0.0)
         with pytest.raises(ValueError):
             base_amplitudes(-1.0, 1.0)
+        for K in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                base_amplitudes(1.0, K)
+            with pytest.raises(ValueError):
+                deformation_factor(1.0, 2, K)
 
 
 class TestDeformationFactor:
@@ -163,13 +170,60 @@ class TestNumericalAmplitudes:
         assert abs(closed.t - numeric.t) <= 1e-6
         assert abs(numeric.r) <= 1e-6
 
-    def test_contour_is_path_independent(self):
+    @pytest.mark.parametrize("K", [2.0, np.array([0.5, 2.0, 8.0])])
+    def test_contour_is_path_independent(self, K):
         # the deformed scattering state is meromorphic at the Wronskian zero,
         # so different detour radii must give the same amplitudes
         pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
-        a = numerical_amplitudes(pot, 2.0, detour_radius=0.4)
-        b = numerical_amplitudes(pot, 2.0, detour_radius=0.7)
-        assert abs(a.t - b.t) <= 1e-7
+        a = numerical_amplitudes(pot, K, detour_radius=0.4)
+        b = numerical_amplitudes(pot, K, detour_radius=0.7)
+        assert np.max(np.abs(a.t - b.t)) <= 1e-7
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+    def test_k_array_matches_closed_form(self, spec):
+        pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
+        assert pot.is_singular == (spec.seeds == (2, 4))  # [2, 4] takes the detour
+        numeric = numerical_amplitudes(pot, ORACLE_K_GRID)
+        assert numeric.t.shape == numeric.r.shape == (len(ORACLE_K_GRID),)
+        assert numeric.K.tolist() == list(ORACLE_K_GRID)
+        for K, t, r in zip(ORACLE_K_GRID, numeric.t, numeric.r):
+            closed = deformed_amplitudes(spec, K)
+            assert abs(closed.t - t) <= 1e-6
+            assert abs(closed.r - r) <= 1e-6
+
+    def test_scalar_k_gives_scalar_fields(self):
+        amp = numerical_amplitudes(deformed_potential(SystemSpec(1.0, (2,))), 1.0)
+        assert type(amp.K) is float
+        assert type(amp.t) is complex and type(amp.r) is complex
+
+    @pytest.mark.parametrize("K", [
+        [0.5, 0.04, 2.0], [0.5, -1.0, 2.0], [0.5, math.inf, 2.0], [0.5, math.nan, 2.0],
+        [], [[0.5, 1.0]],
+    ])
+    def test_bad_k_array_rejected(self, K):
+        # one bad wave number rejects the whole array, as does a shape other than 1-D
+        with pytest.raises(ValueError):
+            numerical_amplitudes(deformed_potential(SystemSpec(1.0)), K)
+
+    def test_one_ode_solve_per_spec(self, monkeypatch, capsys):
+        # every K of a spec shares one solve_ivp per path segment: one on the
+        # real line, three on the detour around a singular set's pole
+        import scipy.integrate
+
+        calls = []
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+        assert main(["scattering", "--h", "1", "--seeds", "2,4", "--oracle", "--nk", "32"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 33
+        assert len(calls) == 3
+        calls.clear()
+        assert all(res.passed for res in check_oracle_agreement())
+        assert len(calls) == sum(3 if len(s.seeds) > 1 else 1 for s in ORACLE_SPECS)
 
     def test_small_k_declined(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,8 @@ class TestGridSpec:
         "kwargs",
         [
             {"L": -1.0},
+            {"L": math.inf},
+            {"L": math.nan},
             {"n_points": 500},
             {"n_points": 4000},
             {"n_points": 301},
