@@ -170,11 +170,17 @@ class TestNumericalAmplitudes:
         assert abs(closed.t - numeric.t) <= 1e-6
         assert abs(numeric.r) <= 1e-6
 
-    @pytest.mark.parametrize("K", [2.0, np.array([0.5, 2.0, 8.0])])
-    def test_contour_is_path_independent(self, K):
+    def test_contour_is_path_independent(self):
         # the deformed scattering state is meromorphic at the Wronskian zero,
         # so different detour radii must give the same amplitudes
         pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
+        a = numerical_amplitudes(pot, 2.0, detour_radius=0.4)
+        b = numerical_amplitudes(pot, 2.0, detour_radius=0.7)
+        assert abs(a.t - b.t) <= 1e-7
+
+    def test_contour_is_path_independent_for_k_array(self):
+        pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
+        K = np.array([0.5, 2.0, 8.0])
         a = numerical_amplitudes(pot, K, detour_radius=0.4)
         b = numerical_amplitudes(pot, K, detour_radius=0.7)
         assert np.max(np.abs(a.t - b.t)) <= 1e-7
