@@ -33,17 +33,20 @@ EXIT_NUMERIC_DOMAIN = 4
 # exponent magnitude approaches 1/eps; beyond this the field values are noise.
 THETA_PRECISION_LIMIT = 1e12
 
+TABLE_BLOCK = 4096  # rows (csv) or values (json) formatted and written at a time
+
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _write(text: str, path):
+def _write(blocks, path):
+    """Write an iterable of text blocks, each as soon as it is produced."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _parse_seeds(raw: str) -> tuple:
@@ -69,19 +72,28 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _table_text(header, columns, fmt: str) -> str:
-    # one %-format per row (csv) or per column (json) over Python floats,
-    # the same bytes as format(v, ".17g") per cell in a fraction of the time
+def _table_blocks(header, columns, fmt: str):
+    """The table as text blocks of at most TABLE_BLOCK rows (csv) or values (json).
+
+    One %-format per block over Python floats: the same bytes as
+    format(v, ".17g") per cell in a fraction of the time, while only one
+    block's strings are alive at once.
+    """
     if fmt == "json":
-        body = ",\n".join(
-            f'  "{name}": [' + ", ".join(["%.17g"] * len(col)) % tuple(map(float, col)) + "]"
-            for name, col in zip(header, columns)
-        )
-        return "{\n" + body + "\n}\n"
+        yield "{\n"
+        for i, (name, col) in enumerate(zip(header, columns)):
+            yield (",\n" if i else "") + f'  "{name}": ['
+            for start in range(0, len(col), TABLE_BLOCK):
+                block = tuple(map(float, col[start:start + TABLE_BLOCK]))
+                yield (", " if start else "") + ", ".join(["%.17g"] * len(block)) % block
+            yield "]"
+        yield "\n}\n"
+        return
     row = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(header)]
-    lines.extend(row % values for values in zip(*(map(float, col) for col in columns)))
-    return "\n".join(lines) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, min(map(len, columns)), TABLE_BLOCK):
+        rows = zip(*(map(float, col[start:start + TABLE_BLOCK]) for col in columns))
+        yield "\n".join([row % values for values in rows]) + "\n"
 
 
 def cmd_potential(args) -> int:
@@ -89,7 +101,7 @@ def cmd_potential(args) -> int:
     pot = deformed_potential(spec)
     xs = _grid(args.xmin, args.xmax, args.n)
     us = np.atleast_1d(pot(xs))
-    _write(_table_text(("x", "u"), (xs, us), args.format), args.output)
+    _write(_table_blocks(("x", "u"), (xs, us), args.format), args.output)
     return EXIT_OK
 
 
@@ -129,7 +141,7 @@ def cmd_spectrum(args) -> int:
         + ",\n".join(rows)
         + "\n  ]\n}\n"
     )
-    _write(text, args.output)
+    _write((text,), args.output)
     if worst_e > args.tol_energy or worst_c > args.tol_norming:
         sys.stderr.write(
             f"oracle divergence: energy defect {worst_e:.3e} (tol {args.tol_energy:.1e}), "
@@ -154,7 +166,7 @@ def cmd_scattering(args) -> int:
         num = numerical_amplitudes(deformed_potential(spec, allow_singular=True), ks)
         header += ["re_t_oracle", "im_t_oracle", "re_r_oracle", "im_r_oracle"]
         cols += [num.t.real, num.t.imag, num.r.real, num.r.imag]
-    _write(_table_text(header, cols, args.format), args.output)
+    _write(_table_blocks(header, cols, args.format), args.output)
     return EXIT_OK
 
 
@@ -172,11 +184,11 @@ def cmd_soliton(args) -> int:
     data = _soliton_data(args)
     ts = np.array([args.t]) if args.t is not None else _grid(args.tmin, args.tmax, args.nt)
     xs = np.array([args.x]) if args.x is not None else _grid(args.xmin, args.xmax, args.n)
-    # max over kappa of |4 k^3 t| + k |x| per (t, x), rounded as the scalar bound
-    speed = 4.0 * np.array([k**3 for k in data.kappas])
-    drift = np.abs(ts[:, None] * speed)  # (nt, N)
-    magnitude = np.max(drift[:, None, :] + np.asarray(data.kappas) * np.abs(xs)[:, None], axis=2)
-    ti, xi = np.nonzero(magnitude > THETA_PRECISION_LIMIT)
+    # |4 k^3 t| + k |x| above the limit for some kappa, per (t, x), one kappa at a time
+    outside = np.zeros((ts.size, xs.size), dtype=bool)
+    for k in data.kappas:
+        outside |= np.abs(ts * (4.0 * k**3))[:, None] + k * np.abs(xs) > THETA_PRECISION_LIMIT
+    ti, xi = np.nonzero(outside)
     if ti.size:
         listing = ", ".join(f"({_fmt(xs[j])}, {_fmt(ts[i])})" for i, j in zip(ti[:10], xi[:10]))
         raise OverflowDomainError(
@@ -185,7 +197,7 @@ def cmd_soliton(args) -> int:
     tcol = np.repeat(ts, xs.size)
     xcol = np.tile(xs, ts.size)
     ucol = np.concatenate([field_u(data, xs, float(t)) for t in ts])
-    _write(_table_text(("t", "x", "u"), (tcol, xcol, ucol), args.format), args.output)
+    _write(_table_blocks(("t", "x", "u"), (tcol, xcol, ucol), args.format), args.output)
     return EXIT_OK
 
 

@@ -19,6 +19,9 @@ block.
 The KdV residual check re-evaluates the field in high precision through the
 principal-minor (Cauchy determinant) expansion of det A, an algebraically
 independent route whose x- and t-derivatives are exact, term by term.
+mpmath is imported by the two functions that use it, _tau_sums and
+kdv_residual, so it loads with the first residual check, not with the
+package.
 The conserved mass and momentum are trapezoid sums over one uniform grid,
 evaluated in one vector call: the step is set by the largest kappa, the
 window by the smallest.
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-import mpmath as mp
 import numpy as np
 
 from .darboux import SystemSpec, bound_states
@@ -209,6 +211,8 @@ def _tau_sums(data: SolitonData, x, t, nx: int, nt: int):
     of gamma^k e and beta gamma^k e over the principal-minor expansion, in the
     caller's mpmath precision.
     """
+    import mpmath as mp
+
     x = mp.mpf(x)
     t = mp.mpf(t)
     fx = [mp.mpf(0)] * nx
@@ -247,6 +251,8 @@ def kdv_residual(data: SolitonData, x: float, t: float) -> float:
     u = -2 (log f)'', u_x, u_xxx and u_t are x-derivatives of the quotients
     f'/f and f_t/f, evaluated in 40 significant digits; no step size enters.
     """
+    import mpmath as mp
+
     with mp.workdps(RESIDUAL_DPS):
         fx, ft = _tau_sums(data, x, t, 6, 3)
         dlog = _quotient_derivs(fx[1:], fx)  # (log f)^(k+1), k = 0..4

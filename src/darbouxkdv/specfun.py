@@ -4,11 +4,16 @@ Provides exactly what the rest of the package calls: monomial coefficients of
 the symmetric Jacobi polynomials P_n^(a,a) for any real a (including the
 negative range required by pseudo-virtual seed functions), and the
 principal-branch complex log-Gamma and entire reciprocal Gamma of
-scipy.special, bound here under the names the scattering amplitudes use.
+scipy.special, under the names the scattering amplitudes use.
 rgamma is an exact 0.0 at the nonpositive integers, which keeps the
 reflection of integer-h wells a floating-point zero.
 
-All functions are pure and hold no state; concurrent use is safe.
+scipy.special takes longer to import than the rest of the package together,
+and only the amplitudes need it, so the module holds one lazily bound handle:
+the first log_gamma or reciprocal_gamma call imports scipy.special and binds
+it to _special.  Binding is idempotent (the import lock hands every thread
+the same module object), so concurrent first calls are safe; every function
+is otherwise pure.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special
 
 __all__ = [
     "jacobi_coefficients",
@@ -24,9 +28,28 @@ __all__ = [
     "reciprocal_gamma",
 ]
 
-# Callers pass complex arguments: loggamma of a negative real float is nan.
-log_gamma = scipy.special.loggamma
-reciprocal_gamma = scipy.special.rgamma
+_special = None  # scipy.special, bound by the first Gamma call
+
+
+def _bind_special():
+    global _special
+    import scipy.special
+
+    _special = scipy.special
+    return _special
+
+
+def log_gamma(z):
+    """Principal-branch log Gamma(z), scipy.special.loggamma.
+
+    Callers pass complex arguments: loggamma of a negative real float is nan.
+    """
+    return (_special or _bind_special()).loggamma(z)
+
+
+def reciprocal_gamma(z):
+    """1/Gamma(z), scipy.special.rgamma: entire, and 0.0 at z = 0, -1, -2, ..."""
+    return (_special or _bind_special()).rgamma(z)
 
 
 def _symmetric_coefficients(n: int, a: float) -> np.ndarray:

@@ -4,6 +4,10 @@ Discretizes -psi'' + U psi = E psi with Dirichlet walls at +-L on a uniform
 grid (the fourth-order central stencil) and extracts every eigenvalue below
 the continuum edge with a shift-invert Lanczos solve.  Used purely as an
 oracle against the closed-form spectra and norming constants.
+
+scipy.sparse and its eigsh are imported by the functions that use them, so
+they load only when an FD spectrum is asked for (the spectrum subcommand and
+the spectra suite of verify), not with the package.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
 __all__ = ["GridSpec", "OracleWindowError", "eigen_spectrum", "oracle_norming_constants"]
 
@@ -54,6 +56,8 @@ class GridSpec:
 
 
 def _hamiltonian(potential, grid: GridSpec):
+    from scipy import sparse
+
     xi = grid.interior
     uu = np.asarray(potential(xi), dtype=float)
     edge = max(abs(float(potential(-grid.L))), abs(float(potential(grid.L))))
@@ -79,6 +83,8 @@ def eigen_spectrum(potential, grid: GridSpec) -> list:
     lies in the continuum.  A warning is emitted for eigenvalues within a
     factor of ten of the continuum cutoff.
     """
+    from scipy.sparse.linalg import eigsh
+
     ham, uu = _hamiltonian(potential, grid)
     sigma = float(uu.min()) - 1.0
     n = ham.shape[0]

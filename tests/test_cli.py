@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import darbouxkdv
-from darbouxkdv.cli import _table_text, main
+from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, main
+from darbouxkdv.darboux import SystemSpec, deformed_potential
 
 
 def run(capsys, *argv):
@@ -185,19 +186,44 @@ def test_non_finite_input_exit_code(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _per_cell_text(header, columns, fmt: str) -> str:
+    """The table with format(v, ".17g") per cell, built in one piece."""
+    cells = [[format(float(v), ".17g") for v in col] for col in columns]
+    if fmt == "json":
+        body = ",\n".join(f'  "{name}": [{", ".join(col)}]' for name, col in zip(header, cells))
+        return "{\n" + body + "\n}\n"
+    return "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_text_matches_per_cell_format(fmt):
     header = ("a", "b", "c")
     columns = ([-0.0, 1.0 / 3.0, 1e-300, 2.0], np.array([1e300, -2.5, math.pi, 0.1]),
                [3, -7, 1e16, 5e-324])
-    cells = [[format(float(v), ".17g") for v in col] for col in columns]
-    if fmt == "json":
-        body = ",\n".join(f'  "{name}": [{", ".join(col)}]' for name, col in zip(header, cells))
-        expected = "{\n" + body + "\n}\n"
-    else:
-        expected = "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n"
-    assert _table_text(header, columns, fmt) == expected
+    expected = _per_cell_text(header, columns, fmt)
+    assert "".join(_table_blocks(header, columns, fmt)) == expected
     assert "-0," in expected  # the sign of -0.0 survives
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_grid_matches_per_cell_format(fmt, tmp_path):
+    # more rows than one block, so the text is written in several pieces
+    n = 2 * TABLE_BLOCK + 3
+    path = tmp_path / f"u.{fmt}"
+    assert main(["potential", "--h", "1.5", "--seeds", "2", "--xmin", "-7", "--xmax", "5",
+                 "--n", str(n), "--format", fmt, "--output", str(path)]) == 0
+    xs = np.linspace(-7.0, 5.0, n)
+    us = deformed_potential(SystemSpec(1.5, (2,)))(xs)
+    assert path.read_text() == _per_cell_text(("x", "u"), (xs, us), fmt)
+    assert len(list(_table_blocks(("x", "u"), (xs, us), fmt))) > 3
+
+
+def test_failed_check_writes_nothing(capsys, tmp_path):
+    path = tmp_path / "u.csv"
+    code, out, _ = run(capsys, "soliton", "--kappas", "1,4", "--c0", "1,1",
+                       "--tmin", "0", "--tmax", "1e12", "--nt", "3", "--output", str(path))
+    assert code == 4
+    assert out == "" and not path.exists()
 
 
 class TestSolitonCommand:
