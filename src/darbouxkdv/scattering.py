@@ -10,15 +10,19 @@ psi -> (1/t) e^(iKx) + (r/t) e^(-iKx) as x -> -inf,
 and each deformation step multiplies t by the unimodular factor
 (K + i(h+1+v)) / (K - i(h+1+v)).  The 1/Gamma factors of r go through
 reciprocal_gamma, so integer h gives a floating-point-exact zero.  An
-independent ODE-integration oracle checks both amplitudes, integrating a
-whole K grid as one complex system; for singular multi-step potentials it
-detours around the x = 0 pole on a complex semicircle, which computes the
-meromorphic continuation of the deformed scattering state.
+independent ODE-integration oracle checks both amplitudes.  It writes the
+scattering state as psi = P e^(iKx) + Q e^(-iKx) with varying coefficients
+(the variable-phase, or variation-of-constants, form), so P and Q change only
+where U does and t = 1/P, r = Q/P can be read off at the far end.  It
+integrates a whole K grid as one complex system; for singular multi-step
+potentials it detours around the x = 0 pole on a complex semicircle, which
+computes the meromorphic continuation of the deformed scattering state.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +60,12 @@ class ScatteringAmplitudes:
         return abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
 
 
+@functools.lru_cache(maxsize=256)
+def _reflection_gammas(h: float):
+    """The K-independent factors 1/Gamma(1+h) and 1/Gamma(-h) of r."""
+    return reciprocal_gamma(1.0 + h), reciprocal_gamma(-h)
+
+
 def base_amplitudes(h: float, K: float) -> ScatteringAmplitudes:
     """Amplitudes of the undeformed well -h(h+1)/cosh^2 x."""
     if not 0 < K < math.inf:
@@ -64,12 +74,8 @@ def base_amplitudes(h: float, K: float) -> ScatteringAmplitudes:
         raise ValueError(f"h must be positive, got {h}")
     s = -1j * K
     t = cmath.exp(log_gamma(s - h) + log_gamma(s + h + 1.0) - log_gamma(s + 1.0) - log_gamma(s))
-    r = (
-        t
-        * cmath.exp(log_gamma(1j * K) + log_gamma(1.0 - 1j * K))
-        * reciprocal_gamma(1.0 + h)
-        * reciprocal_gamma(-h)
-    )
+    a, b = _reflection_gammas(float(h))
+    r = t * cmath.exp(log_gamma(1j * K) + log_gamma(1.0 - 1j * K)) * a * b
     return ScatteringAmplitudes(K=float(K), t=t, r=r)
 
 
@@ -111,6 +117,12 @@ def transmission_poles(spec: SystemSpec) -> list:
     return sorted(poles)
 
 
+# (rtol, atol) per path segment; an error made on the arc grows like
+# e^(2K radius) by the time the path is back on the real axis, so the arc runs tighter
+_LINE_TOL = (1e-10, 1e-13)
+_ARC_TOL = (1e-12, 1e-14)
+
+
 def _detour_segments(L: float, radius: float):
     def arc(theta):
         return radius * cmath.exp(1j * theta)
@@ -119,9 +131,9 @@ def _detour_segments(L: float, radius: float):
         return 1j * radius * cmath.exp(1j * theta)
 
     return [
-        (lambda s: s, lambda s: 1.0, L, radius),
-        (arc, darc, 0.0, math.pi),
-        (lambda s: s, lambda s: 1.0, -radius, -L),
+        (lambda s: s, lambda s: 1.0, L, radius, _LINE_TOL),
+        (arc, darc, 0.0, math.pi, _ARC_TOL),
+        (lambda s: s, lambda s: 1.0, -radius, -L, _LINE_TOL),
     ]
 
 
@@ -134,17 +146,25 @@ def numerical_amplitudes(
     """ODE-integration scattering oracle, independent of the closed forms.
 
     K is one wave number or a 1-D array of them; every K must be finite and
-    at least SMALL_K_CUTOFF.  Starts from pure e^(iKx) waves at x = +L and
-    integrates psi'' = (U - K^2) psi backwards to -L for all K at once, as
-    one complex state [psi(K...), psi'(K...)] that evaluates U once per step.
-    There psi = P e^(iKx) + Q e^(-iKx) splits as
-    P = (psi + psi'/(iK)) e^(iKL)/2 and Q = (psi - psi'/(iK)) e^(-iKL)/2.
+    at least SMALL_K_CUTOFF.  Along each path segment z(s) the state is the
+    pair of free-wave coefficients in psi = P e^(iKz) + Q e^(-iKz),
+    psi' = iK (P e^(iKz) - Q e^(-iKz)), and psi'' = (U - K^2) psi becomes
+
+        P' = g e^(-iKz),  Q' = -g e^(iKz),  g = U(z) z'(s) psi / (2iK).
+
+    The start at z = +L is the pure wave P = 1, Q = 0; at z = -L, t = 1/P
+    and r = Q/P.  The right-hand side is proportional to U, so the stepper
+    takes long steps wherever the potential has decayed.  All K are one
+    complex state [P(K...), Q(K...)] that evaluates U once per step.
     Potentials flagged as singular are integrated along a complex semicircle
-    of the given radius around x = 0; the result is the meromorphic
-    continuation of the scattering state and is independent of which
-    half-plane the detour uses.  half_width must be positive and
-    detour_radius inside (0, half_width).  A scalar K gives scalar fields,
-    an array K arrays of the same length.
+    of the given radius around x = 0.  The result is the meromorphic
+    continuation of the scattering state.  In exact arithmetic it does not
+    depend on which half-plane the detour uses, but numerically it does: on
+    a lower arc the incoming wave grows like e^(K radius) and Q' like
+    e^(2K radius), and for h=1, seeds (2, 4) the result is off by 0.1 at
+    K = 30.  The detour therefore takes the upper half-plane.
+    half_width must be positive and detour_radius inside (0, half_width).
+    A scalar K gives scalar fields, an array K arrays of the same length.
     """
     from scipy.integrate import solve_ivp  # slow to import, and only this oracle uses it
 
@@ -157,8 +177,8 @@ def numerical_amplitudes(
             raise ValueError(f"wave number must be finite and positive, got K = {k}")
         if k < SMALL_K_CUTOFF:
             raise ValueError(
-                f"K = {k} below the {SMALL_K_CUTOFF} cutoff: the e^(+-iKx) decomposition "
-                "is too ill-conditioned to return a trustworthy result"
+                f"K = {k} below the {SMALL_K_CUTOFF} cutoff: the free-wave coefficients "
+                "grow like 1/K and cancel, too ill-conditioned for a trustworthy result"
             )
     L = float(half_width)
     if not L > 0:
@@ -171,23 +191,24 @@ def numerical_amplitudes(
     if getattr(potential, "is_singular", False):
         segments = _detour_segments(L, detour_radius)
     else:
-        segments = [(lambda s: s, lambda s: 1.0, L, -L)]
+        segments = [(lambda s: s, lambda s: 1.0, L, -L, _LINE_TOL)]
     f = getattr(potential, "evaluate_scalar", potential)
-    n, k2, ik = kv.size, kv * kv, 1j * kv
-    wave = np.exp(ik * L)
-    y = np.concatenate([wave, ik * wave])
-    for path, dpath, s0, s1 in segments:
+    n, ik = kv.size, 1j * kv
+    exponents, half_over_ik = np.concatenate([ik, -ik]), 0.5 / ik
+    y = np.concatenate([np.ones(n, dtype=complex), np.zeros(n, dtype=complex)])
+    for path, dpath, s0, s1, (rtol, atol) in segments:
         def rhs(s, yv):
-            dx = dpath(s)
-            return np.concatenate([yv[n:] * dx, (f(path(s)) - k2) * yv[:n] * dx])
+            z = path(s)
+            waves = np.exp(exponents * z)  # e^(iKz)..., e^(-iKz)...
+            terms = yv * waves
+            g = f(z) * dpath(s) * half_over_ik * (terms[:n] + terms[n:])
+            return np.concatenate([g * waves[n:], -g * waves[:n]])
 
-        sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", rtol=1e-10, atol=1e-12)
+        sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", rtol=rtol, atol=atol)
         if not sol.success:
             raise RuntimeError(f"scattering ODE stepper failed: {sol.message}")
         y = sol.y[:, -1]
-    psi, dpsi = y[:n], y[n:]
-    p = 0.5 * (psi + dpsi / ik) * wave
-    q = 0.5 * (psi - dpsi / ik) / wave
+    p, q = y[:n], y[n:]
     t, r = 1.0 / p, q / p
     if ks.ndim == 0:
         return ScatteringAmplitudes(K=float(ks), t=complex(t[0]), r=complex(r[0]))

@@ -197,6 +197,44 @@ class TestNumericalAmplitudes:
             assert abs(closed.t - t) <= 1e-6
             assert abs(closed.r - r) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "spec",
+        [SystemSpec(1.0), SystemSpec(1.5), SystemSpec(3.7, (4,)), SystemSpec(6.0, (2,))],
+        ids=str,
+    )
+    def test_regular_wells_accurate_to_1e9(self, spec):
+        K = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 20.0)
+        numeric = numerical_amplitudes(deformed_potential(spec), K)
+        for k, t, r in zip(K, numeric.t, numeric.r):
+            closed = deformed_amplitudes(spec, k)
+            assert abs(closed.t - t) <= 1e-9
+            assert abs(closed.r - r) <= 1e-9
+
+    @pytest.mark.parametrize("spec", [SystemSpec(1.0, (2, 4)), SystemSpec(2.5, (2, 4, 6))], ids=str)
+    def test_singular_wells_accurate_to_1e7(self, spec):
+        # the arc's tighter tolerance keeps K = 40 in line, where e^(2K radius) ~ 1e17
+        K = (0.5, 8.0, 20.0, 40.0)
+        numeric = numerical_amplitudes(deformed_potential(spec, allow_singular=True), K)
+        for k, t, r in zip(K, numeric.t, numeric.r):
+            closed = deformed_amplitudes(spec, k)
+            assert abs(closed.t - t) <= 1e-7
+            assert abs(closed.r - r) <= 1e-7
+
+    @pytest.mark.parametrize("spec", [s for s in ORACLE_SPECS if len(s.seeds) < 2], ids=str)
+    def test_tails_cost_few_potential_calls(self, spec, monkeypatch):
+        # the (P, Q) right-hand side vanishes with U, so the decayed tails take long steps
+        pot = deformed_potential(spec)
+        calls = []
+        evaluate_scalar = pot.evaluate_scalar
+
+        def counted(x):
+            calls.append(1)
+            return evaluate_scalar(x)
+
+        monkeypatch.setattr(pot, "evaluate_scalar", counted)
+        numerical_amplitudes(pot, ORACLE_K_GRID)
+        assert 0 < len(calls) <= 6000
+
     def test_scalar_k_gives_scalar_fields(self):
         amp = numerical_amplitudes(deformed_potential(SystemSpec(1.0, (2,))), 1.0)
         assert type(amp.K) is float
