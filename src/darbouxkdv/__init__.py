@@ -6,12 +6,8 @@ from .darboux import (
     NodalWronskianError,
     PotentialEvaluator,
     SystemSpec,
-    base_bound_state,
-    base_potential,
     bound_states,
     deformed_potential,
-    seed_exponents,
-    seed_function,
 )
 from .kdv import (
     AsymptoticSoliton,
@@ -20,14 +16,12 @@ from .kdv import (
     asymptotic_decomposition,
     conserved_quantities,
     field_u,
-    glm_matrix,
     kdv_residual,
     scattering_data_from_spec,
 )
 from .scattering import (
     ScatteringAmplitudes,
     base_amplitudes,
-    deformation_factor,
     deformed_amplitudes,
     numerical_amplitudes,
     transmission_poles,
@@ -39,7 +33,7 @@ from .specfun import (
     reciprocal_gamma,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AsymptoticSoliton",
@@ -54,16 +48,12 @@ __all__ = [
     "SystemSpec",
     "asymptotic_decomposition",
     "base_amplitudes",
-    "base_bound_state",
-    "base_potential",
     "bound_states",
     "conserved_quantities",
-    "deformation_factor",
     "deformed_amplitudes",
     "deformed_potential",
     "eigen_spectrum",
     "field_u",
-    "glm_matrix",
     "jacobi_coefficients",
     "kdv_residual",
     "log_gamma",
@@ -71,7 +61,5 @@ __all__ = [
     "oracle_norming_constants",
     "reciprocal_gamma",
     "scattering_data_from_spec",
-    "seed_exponents",
-    "seed_function",
     "transmission_poles",
 ]

@@ -1,11 +1,11 @@
 """Darboux-Crum deformations of the reflectionless sech^2 well.
 
-Builds the base potential U(x) = -h(h+1)/cosh^2 x, its pseudo-virtual seed
-functions phi_v(x) = (cosh x)^(h+1+v) P_v^(-h-1-v,-h-1-v)(tanh x), the
-deformed potentials U_D = U - 2 (log W[seeds])'' and their bound states with
-norming constants.  The norming constants are closed forms, the residues of
-the transmission amplitude's Gamma product at its bound-state poles; no
-numerical integration enters.
+Deforms the base well U(x) = -h(h+1)/cosh^2 x by the pseudo-virtual seed
+functions phi_v(x) = (cosh x)^(h+1+v) P_v^(-h-1-v,-h-1-v)(tanh x) into
+U_D = U - 2 (log W[seeds])'' (with no seeds, U_D is U itself) and builds the
+bound states of U_D with their norming constants.  The norming constants are
+closed forms, the residues of the transmission amplitude's Gamma product at
+its bound-state poles; no numerical integration enters.
 
 Every derivative is assembled analytically: higher derivatives of any closed
 form solution are reduced to (phi, phi') through phi'' = (U - E) phi.
@@ -38,10 +38,6 @@ __all__ = [
     "SystemSpec",
     "BoundState",
     "PotentialEvaluator",
-    "base_potential",
-    "base_bound_state",
-    "seed_function",
-    "seed_exponents",
     "deformed_potential",
     "bound_states",
 ]
@@ -165,10 +161,6 @@ class _Solution:
             )
         return self._row_polys[:nrows]
 
-    def value(self, x):
-        u = np.tanh(x)
-        return np.cosh(x) ** self.gamma * npoly.polyval(u, self.pcoef)
-
 
 def _seed_solution(h: float, v: int) -> _Solution:
     gamma = h + 1.0 + v
@@ -225,50 +217,6 @@ def _horner(coef: tuple, u):
     for c in reversed(coef):
         out = out * u + c
     return out
-
-
-def base_potential(h: float, x):
-    """The reflectionless well -h(h+1)/cosh^2 x."""
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
-    u = np.tanh(np.asarray(x))
-    out = -h * (h + 1.0) * (1.0 - u * u)
-    return float(out) if out.ndim == 0 else out
-
-
-def base_bound_state(h: float, n: int, x):
-    """Unnormalized n-th bound state of the undeformed well."""
-    n_max = math.ceil(h) - 1
-    if not 0 <= n <= n_max:
-        raise ValueError(f"level index {n} outside 0..{n_max} for h = {h}")
-    out = np.asarray(_base_solution(h, n).value(x))
-    return float(out) if out.ndim == 0 else out
-
-
-def seed_function(h: float, v: int, x):
-    """Seed phi_v(x) with its first and second logarithmic derivatives.
-
-    Only even v >= 2 is accepted: odd degrees produce a pole at x = 0 in the
-    deformed potential.  The second log-derivative comes from the equation
-    itself, (log phi)'' = (U - E) - ((log phi)')^2.
-    """
-    h, _ = _validated(h, (v,))
-    sol = _seed_solution(h, v)
-    x = np.asarray(x)
-    u = np.tanh(x)
-    value = sol.value(x)
-    dlog = npoly.polyval(u, sol.qcoef) / npoly.polyval(u, sol.pcoef)
-    d2log = base_potential(h, x) - sol.energy - dlog * dlog
-    if x.ndim == 0:
-        return float(value), float(dlog), float(d2log)
-    return value, dlog, d2log
-
-
-def seed_exponents(h: float, v: int):
-    """Growth exponents of phi_v at +inf and -inf: (h+1+v, -(h+1+v))."""
-    h, _ = _validated(h, (v,))
-    delta = h + 1.0 + v
-    return delta, -delta
 
 
 class PotentialEvaluator:

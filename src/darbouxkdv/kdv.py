@@ -43,14 +43,12 @@ __all__ = [
     "SolitonData",
     "AsymptoticSoliton",
     "scattering_data_from_spec",
-    "glm_matrix",
     "field_u",
     "kdv_residual",
     "asymptotic_decomposition",
     "conserved_quantities",
 ]
 
-RAW_EXPONENT_LIMIT = 700.0  # beyond this the unscaled GLM entries overflow
 RESIDUAL_DPS = 40
 QUADRATURE_MARGIN = 40.0  # window margin in decay lengths 1/kappa_min
 TRAPEZOID_STEP = 0.15     # grid step in units of 1/kappa_max
@@ -112,26 +110,6 @@ def _theta(data: SolitonData, x, t: float) -> np.ndarray:
     logc = np.log(data.c0)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     return logc + 4.0 * kap**3 * t - np.outer(xx, kap)
-
-
-def glm_matrix(data: SolitonData, x: float, t: float) -> np.ndarray:
-    """The symmetric GLM matrix A at one (x, t).
-
-    Entries delta_mn + c_m(t) c_n(t) e^(-(kappa_m+kappa_n)x)/(kappa_m+kappa_n);
-    the congruent symmetrization of the textbook asymmetric form, with the
-    same determinant.  Raises OverflowDomainError where the raw entries would
-    overflow; field evaluation itself uses the rescaled representation and has
-    no such restriction.
-    """
-    th = _theta(data, x, t)[0]
-    if 2.0 * float(th.max()) > RAW_EXPONENT_LIMIT:
-        raise OverflowDomainError(
-            f"raw GLM entries overflow at (x, t) = ({x}, {t}); "
-            "evaluate the field through field_u instead"
-        )
-    kap = np.asarray(data.kappas)
-    denom = kap[:, None] + kap[None, :]
-    return np.eye(data.n) + np.exp(th[:, None] + th[None, :]) / denom
 
 
 def field_u(data: SolitonData, x, t: float):

@@ -5,11 +5,12 @@ state: with the convention psi -> e^(iKx) as x -> +inf and
 psi -> (1/t) e^(iKx) + (r/t) e^(-iKx) as x -> -inf,
 
     t(K) = G(-iK-h) G(-iK+h+1) / (G(-iK+1) G(-iK))
-    r(K) = t(K) G(iK) G(1-iK) / (G(1+h) G(-h))
+    r(K) = t(K) G(iK) G(1-iK) / (G(1+h) G(-h)) = i t(K) sin(pi h) / sinh(pi K)
 
-and each deformation step multiplies t by the unimodular factor
-(K + i(h+1+v)) / (K - i(h+1+v)).  The 1/Gamma factors of r go through
-reciprocal_gamma, so integer h gives a floating-point-exact zero.  An
+by the reflection formula, and each deformation step multiplies t by the
+unimodular factor (K + i(h+1+v)) / (K - i(h+1+v)) and r by minus that
+factor.  sin(pi h) is taken about the nearest integer, so integer h gives a
+floating-point-exact zero, and r stays finite at every h.  An
 independent ODE-integration oracle checks both amplitudes.  It writes the
 scattering state as psi = P e^(iKx) + Q e^(-iKx) with varying coefficients
 (the variable-phase, or variation-of-constants, form), so P and Q change only
@@ -22,19 +23,17 @@ computes the meromorphic continuation of the deformed scattering state.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .darboux import SystemSpec, _validated
-from .specfun import log_gamma, reciprocal_gamma
+from .darboux import SystemSpec
+from .specfun import log_gamma
 
 __all__ = [
     "ScatteringAmplitudes",
     "base_amplitudes",
-    "deformation_factor",
     "deformed_amplitudes",
     "numerical_amplitudes",
     "transmission_poles",
@@ -60,12 +59,6 @@ class ScatteringAmplitudes:
         return abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
 
 
-@functools.lru_cache(maxsize=256)
-def _reflection_gammas(h: float):
-    """The K-independent factors 1/Gamma(1+h) and 1/Gamma(-h) of r."""
-    return reciprocal_gamma(1.0 + h), reciprocal_gamma(-h)
-
-
 def base_amplitudes(h: float, K: float) -> ScatteringAmplitudes:
     """Amplitudes of the undeformed well -h(h+1)/cosh^2 x."""
     if not 0 < K < math.inf:
@@ -74,31 +67,24 @@ def base_amplitudes(h: float, K: float) -> ScatteringAmplitudes:
         raise ValueError(f"h must be positive, got {h}")
     s = -1j * K
     t = cmath.exp(log_gamma(s - h) + log_gamma(s + h + 1.0) - log_gamma(s + 1.0) - log_gamma(s))
-    a, b = _reflection_gammas(float(h))
-    r = t * cmath.exp(log_gamma(1j * K) + log_gamma(1.0 - 1j * K)) * a * b
+    # r = (-i t / sinh(pi K)) (-sin(pi h)).  1/sinh(pi K) = 2 e^(-pi K) / (1 - e^(-2 pi K))
+    # underflows to 0 where sinh would overflow.  -sin(pi h) = (-1)^n sin(pi (n - h)) about
+    # the nearest integer n is exactly +0.0 at integer h (0.0 - s, not -s, for odd n).  r is
+    # then -i t times +0.0, whose signed zeros, which the CLI prints, are those of the Gamma
+    # form with 1/G(-h) = +0.0.
+    n = round(h)
+    minus_sin = math.sin(math.pi * (n - h))
+    if n % 2:
+        minus_sin = 0.0 - minus_sin
+    r = -1j * t * (2.0 * math.exp(-math.pi * K) / -math.expm1(-2.0 * math.pi * K)) * minus_sin
     return ScatteringAmplitudes(K=float(K), t=t, r=r)
-
-
-def deformation_factor(h: float, v: int, K: float):
-    """Unimodular one-step factors (t_factor, r_factor) for seed degree v.
-
-    t_factor = (K + i d)/(K - i d) and r_factor = -(K + i d)/(K - i d) with
-    d = h + 1 + v; the transmission factor carries the new bound-state pole at
-    K = i d on the positive imaginary axis.
-    """
-    _validated(h, (v,))
-    if not 0 < K < math.inf:
-        raise ValueError(f"wave number must be finite and positive, got K = {K}")
-    d = h + 1.0 + v
-    t_factor = (K + 1j * d) / (K - 1j * d)
-    return t_factor, -t_factor
 
 
 def deformed_amplitudes(spec: SystemSpec, K: float) -> ScatteringAmplitudes:
     """Amplitudes of the M-step deformed well: products of one-step factors."""
     amp = base_amplitudes(spec.h, K)
     t, r = amp.t, amp.r
-    for v in spec.seeds:  # deformation_factor's product, the spec already validated
+    for v in spec.seeds:
         d = spec.h + 1.0 + v
         tf = (K + 1j * d) / (K - 1j * d)
         t *= tf
@@ -140,7 +126,6 @@ def _detour_segments(L: float, radius: float):
 def numerical_amplitudes(
     potential,
     K,
-    half_width: float = ORACLE_HALF_WIDTH,
     detour_radius: float = DETOUR_RADIUS,
 ) -> ScatteringAmplitudes:
     """ODE-integration scattering oracle, independent of the closed forms.
@@ -152,10 +137,11 @@ def numerical_amplitudes(
 
         P' = g e^(-iKz),  Q' = -g e^(iKz),  g = U(z) z'(s) psi / (2iK).
 
-    The start at z = +L is the pure wave P = 1, Q = 0; at z = -L, t = 1/P
-    and r = Q/P.  The right-hand side is proportional to U, so the stepper
-    takes long steps wherever the potential has decayed.  All K are one
-    complex state [P(K...), Q(K...)] that evaluates U once per step.
+    The start at z = +L, L = ORACLE_HALF_WIDTH, is the pure wave P = 1,
+    Q = 0; at z = -L, t = 1/P and r = Q/P.  The right-hand side is
+    proportional to U, so the stepper takes long steps wherever the
+    potential has decayed.  All K are one complex state [P(K...), Q(K...)]
+    that evaluates U once per step.
     Potentials flagged as singular are integrated along a complex semicircle
     of the given radius around x = 0.  The result is the meromorphic
     continuation of the scattering state.  In exact arithmetic it does not
@@ -163,7 +149,8 @@ def numerical_amplitudes(
     a lower arc the incoming wave grows like e^(K radius) and Q' like
     e^(2K radius), and for h=1, seeds (2, 4) the result is off by 0.1 at
     K = 30.  The detour therefore takes the upper half-plane.
-    half_width must be positive and detour_radius inside (0, half_width).
+    The potential must have decayed below ORACLE_DECAY at +-L, and
+    detour_radius must lie inside (0, L).
     A scalar K gives scalar fields, an array K arrays of the same length.
     """
     from scipy.integrate import solve_ivp  # slow to import, and only this oracle uses it
@@ -180,11 +167,9 @@ def numerical_amplitudes(
                 f"K = {k} below the {SMALL_K_CUTOFF} cutoff: the free-wave coefficients "
                 "grow like 1/K and cancel, too ill-conditioned for a trustworthy result"
             )
-    L = float(half_width)
-    if not L > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    L = ORACLE_HALF_WIDTH
     if not 0 < detour_radius < L:
-        raise ValueError(f"detour_radius must lie in (0, half_width = {L}), got {detour_radius}")
+        raise ValueError(f"detour_radius must lie in (0, {L}), got {detour_radius}")
     edge = max(abs(complex(potential(L))), abs(complex(potential(-L))))
     if edge >= ORACLE_DECAY:
         raise ValueError(f"potential must decay below {ORACLE_DECAY} at +-{L}, got {edge:.2e}")

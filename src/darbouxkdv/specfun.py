@@ -1,12 +1,9 @@
 """Special-function kernel for the deformation and scattering machinery.
 
-Provides exactly what the rest of the package calls: monomial coefficients of
-the symmetric Jacobi polynomials P_n^(a,a) for any real a (including the
-negative range required by pseudo-virtual seed functions), and the
-principal-branch complex log-Gamma and entire reciprocal Gamma of
-scipy.special, under the names the scattering amplitudes use.
-rgamma is an exact 0.0 at the nonpositive integers, which keeps the
-reflection of integer-h wells a floating-point zero.
+Provides monomial coefficients of the symmetric Jacobi polynomials P_n^(a,a)
+for any real a (including the negative range required by pseudo-virtual seed
+functions), the principal-branch complex log-Gamma of scipy.special that the
+transmission amplitude uses, and its entire reciprocal Gamma.
 
 scipy.special takes longer to import than the rest of the package together,
 and only the amplitudes need it, so the module holds one lazily bound handle:

@@ -25,7 +25,7 @@ from .kdv import (
 from .scattering import deformed_amplitudes, numerical_amplitudes, transmission_poles
 from .spectral_oracle import GridSpec, eigen_spectrum, oracle_norming_constants
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_all"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -309,18 +309,9 @@ SUITES = {
 
 
 def run_suite(name: str) -> list:
+    """Results of one suite, or of every suite in SUITES order for 'all'."""
     if name == "all":
-        return run_all()
+        return [res for suite in SUITES for res in run_suite(suite)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    results = []
-    for fn in SUITES[name]:
-        results.extend(fn())
-    return results
-
-
-def run_all() -> list:
-    results = []
-    for name in ("spectra", "scattering", "glm", "kdv"):
-        results.extend(run_suite(name))
-    return results
+    return [res for fn in SUITES[name] for res in fn()]

@@ -11,12 +11,8 @@ from scipy.integrate import quad, trapezoid
 from darbouxkdv.darboux import (
     NodalWronskianError,
     SystemSpec,
-    base_bound_state,
-    base_potential,
     bound_states,
     deformed_potential,
-    seed_exponents,
-    seed_function,
 )
 
 RNG = np.random.default_rng(7)
@@ -48,87 +44,102 @@ class TestSystemSpec:
 
 
 class TestBasePotential:
+    # with no seeds the deformed potential is the base well -h(h+1)/cosh^2 x
     def test_depths(self):
-        assert base_potential(1.0, 0.0) == -2.0
-        assert base_potential(2.0, 0.0) == -6.0
+        assert deformed_potential(SystemSpec(1.0))(0.0) == -2.0
+        assert deformed_potential(SystemSpec(2.0))(0.0) == -6.0
 
     def test_decay(self):
-        assert abs(base_potential(1.0, 20.0)) < 1e-16
+        assert abs(deformed_potential(SystemSpec(1.0))(20.0)) < 1e-16
 
     def test_vectorized(self):
         xs = np.linspace(-3, 3, 7)
-        np.testing.assert_allclose(base_potential(1.0, xs), -2.0 / np.cosh(xs) ** 2, rtol=1e-14)
-
-    def test_bad_h(self):
-        with pytest.raises(ValueError):
-            base_potential(0.0, 1.0)
+        for h in (1.0, 2.5):
+            np.testing.assert_allclose(
+                deformed_potential(SystemSpec(h))(xs), -h * (h + 1) / np.cosh(xs) ** 2, rtol=1e-14
+            )
 
 
 class TestBaseBoundState:
+    # the undeformed well's levels are (cosh x)^(-kappa) P_n^(kappa,kappa)(tanh x), kappa = h - n
     def test_ground_state(self):
-        assert base_bound_state(1.0, 0, 0.0) == 1.0
+        # sech(x)/sqrt(2), unit-normalized
+        psi = bound_states(SystemSpec(1.0))[0].wavefunction
+        assert psi(0.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
         xs = np.linspace(-8, 8, 401)
-        vals = base_bound_state(1.0, 0, xs)
+        vals = psi(xs)
         assert np.all(vals > 0)  # nodeless
+        np.testing.assert_allclose(vals, 1.0 / (math.sqrt(2.0) * np.cosh(xs)), rtol=1e-13)
 
     def test_odd_state_vanishes_at_origin(self):
-        assert base_bound_state(2.0, 1, 0.0) == 0.0
+        states = {s.kappa: s for s in bound_states(SystemSpec(2.0))}
+        assert states[1.0].wavefunction(0.0) == 0.0
 
     def test_index_range(self):
-        with pytest.raises(ValueError):
-            base_bound_state(1.0, 1, 0.0)
-        with pytest.raises(ValueError):
-            base_bound_state(2.5, -1, 0.0)
-        base_bound_state(2.5, 2, 0.0)  # ceil(2.5)-1 = 2 is allowed
+        # levels n = 0 .. ceil(h)-1, kappa = h - n
+        assert [s.kappa for s in bound_states(SystemSpec(1.0))] == [1.0]
+        assert [s.kappa for s in bound_states(SystemSpec(2.5))] == [2.5, 1.5, 0.5]
+
+
+def seed_state(h, v):
+    """The bound state that seed v adds: A/phi_v with tail +c e^(-(h+1+v) x)."""
+    (state,) = [s for s in bound_states(SystemSpec(h, (v,))) if s.kappa == h + 1.0 + v]
+    return state
+
+
+def phi_2(h, x):
+    """phi_2 = (h+1)/4 cosh(x)^(h+3) (1 + (2h+3) tanh(x)^2)."""
+    return (h + 1) / 4 * np.cosh(x) ** (h + 3) * (1 + (2 * h + 3) * np.tanh(x) ** 2)
 
 
 class TestSeedFunction:
+    # seed phi_v reaches the public surface as its bound state A/phi_v; as
+    # x -> inf phi_2 -> (h+1)(2h+4)/4 e^(gamma x)/2^gamma, so A = c (h+1)(2h+4)/2^(gamma+2)
     def test_value_at_origin(self):
-        value, dlog, _ = seed_function(1.0, 2, 0.0)
-        assert value == 0.5
-        assert dlog == 0.0
+        # phi_2(0) = (h+1)/4 gives psi(0) = c (2h+4)/2^gamma, and psi is even
+        s = seed_state(1.0, 2)
+        assert s.wavefunction(0.0) == pytest.approx(s.norming_constant * 6.0 / 16.0, rel=1e-14)
+        assert s.wavefunction(0.3) == s.wavefunction(-0.3)
 
     @pytest.mark.parametrize("h", [1.0, 2.0, 1.5])
     def test_v2_closed_form(self, h):
-        # phi_2 = (h+1)/4 cosh(x)^(h+3) (1 + (2h+3) tanh(x)^2)
         xs = np.linspace(-4, 4, 81)
-        value, _, _ = seed_function(h, 2, xs)
-        ref = (h + 1) / 4 * np.cosh(xs) ** (h + 3) * (1 + (2 * h + 3) * np.tanh(xs) ** 2)
-        np.testing.assert_allclose(value, ref, rtol=1e-13)
+        s = seed_state(h, 2)
+        amplitude = s.norming_constant * (h + 1) * (2 * h + 4) / 2 ** (h + 5)
+        np.testing.assert_allclose(s.wavefunction(xs) * phi_2(h, xs), amplitude, rtol=1e-13)
 
     def test_asymptotic_log_derivative(self):
-        _, dlog, _ = seed_function(1.0, 2, 8.0)
-        assert dlog == pytest.approx(4.0, abs=1e-5)
+        # (log phi_2)' -> h + 3 = 4, so psi = A/phi_2 decays like e^(-4x)
+        psi, eps = seed_state(1.0, 2).wavefunction, 1e-4
+        dlog = (math.log(psi(8.0 + eps)) - math.log(psi(8.0 - eps))) / (2 * eps)
+        assert dlog == pytest.approx(-4.0, abs=1e-5)
 
     def test_second_log_derivative_vs_finite_differences(self):
-        h, v, eps = 1.5, 4, 1e-5
+        # phi'' = (U - E) phi turns into (log psi)'' = (E - U) + ((log psi)')^2 for psi = A/phi
+        h, v, eps = 1.5, 4, 1e-3
+        s = seed_state(h, v)
+        base = deformed_potential(SystemSpec(h))
         for x in (-1.3, 0.2, 2.7):
-            _, _, d2 = seed_function(h, v, x)
-            _, dp, _ = seed_function(h, v, x + eps)
-            _, dm, _ = seed_function(h, v, x - eps)
-            assert d2 == pytest.approx((dp - dm) / (2 * eps), rel=1e-7, abs=1e-7)
+            f = [math.log(s.wavefunction(x + k * eps)) for k in (-2, -1, 0, 1, 2)]
+            d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * eps)
+            d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * eps * eps)
+            assert d2 == pytest.approx(s.energy - base(x) + d1 * d1, rel=1e-7, abs=1e-7)
 
     def test_nodeless(self):
+        # A/phi_v is finite and positive exactly where phi_v has no node
         xs = np.linspace(-10, 10, 2001)
         for h, v in [(1.0, 2), (2.0, 4), (0.7, 6)]:
-            value, _, _ = seed_function(h, v, xs)
-            assert np.all(value > 0)
-
-    def test_odd_degree_rejected(self):
-        with pytest.raises(ValueError):
-            seed_function(1.0, 3, 0.0)
-        with pytest.raises(ValueError):
-            seed_function(1.0, 0, 0.0)
-        for h in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                seed_function(h, 2, 0.0)
-            with pytest.raises(ValueError):
-                seed_exponents(h, 2)
+            assert not deformed_potential(SystemSpec(h, (v,))).is_singular
+            assert np.all(seed_state(h, v).wavefunction(xs) > 0)
 
     def test_exponents(self):
-        assert seed_exponents(1.0, 2) == (4.0, -4.0)
-        assert seed_exponents(2.0, 2) == (5.0, -5.0)
-        assert seed_exponents(1.0, 4) == (6.0, -6.0)
+        # phi_v grows like e^(+-(h+1+v) x) at +-inf, so its state decays like c e^(-(h+1+v)|x|)
+        for h, v, d in [(1.0, 2, 4.0), (2.0, 2, 5.0), (1.0, 4, 6.0)]:
+            s = seed_state(h, v)
+            assert s.kappa == d
+            for x in (-14.0, 14.0):
+                tail = s.wavefunction(x) * math.exp(d * abs(x))
+                assert tail == pytest.approx(s.norming_constant, rel=1e-9)
 
 
 def profile_h1(x):

@@ -7,12 +7,10 @@ import pytest
 
 from darbouxkdv.darboux import SystemSpec, deformed_potential
 from darbouxkdv.kdv import (
-    OverflowDomainError,
     SolitonData,
     asymptotic_decomposition,
     conserved_quantities,
     field_u,
-    glm_matrix,
     kdv_residual,
     scattering_data_from_spec,
 )
@@ -70,35 +68,54 @@ class TestScatteringDataFromSpec:
             scattering_data_from_spec(SystemSpec(1.5, (2,)))
 
 
+def glm_field_mp(data, x, t):
+    """-2 (log det A)'' from the textbook GLM matrix
+    A_mn = delta_mn + c_m(t) c_n(t) e^(-(kappa_m+kappa_n) x)/(kappa_m+kappa_n), in mpmath."""
+    kap = [mp.mpf(k) for k in data.kappas]
+    c = [mp.mpf(c0) * mp.exp(4 * k**3 * t) for c0, k in zip(data.c0, kap)]
+
+    def log_det(y):
+        return mp.log(mp.det(mp.matrix([
+            [(m == n) + c[m] * c[n] * mp.exp(-(kap[m] + kap[n]) * y) / (kap[m] + kap[n])
+             for n in range(data.n)] for m in range(data.n)
+        ])))
+
+    return -2 * mp.diff(log_det, mp.mpf(x), 2)
+
+
 class TestGlmMatrix:
+    # field_u solves a rescaled copy of the GLM matrix A; these check the field against A itself
     def test_reference_determinant(self):
-        # A = [[8/3, 8/3], [2/3, 8/3]] in the asymmetric form; det = 16/3
-        a = glm_matrix(TWO_SOLITON, 0.0, 0.0)
-        assert a.shape == (2, 2)
-        np.testing.assert_allclose(a, a.T, rtol=0, atol=1e-15)
-        assert np.linalg.det(a) == pytest.approx(16.0 / 3.0, rel=1e-12)
+        with mp.workdps(40):
+            for x, t in [(-1.0, 0.0), (0.0, 0.0), (0.5, 0.02), (2.0, -0.03)]:
+                ref = float(glm_field_mp(TWO_SOLITON, x, t))
+                assert field_u(TWO_SOLITON, x, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_identity_limit(self):
-        a = glm_matrix(TWO_SOLITON, 30.0, 0.0)
-        assert np.max(np.abs(a - np.eye(2))) < 1e-20
+        # A -> I far right, log det A -> tr(A - I) = sum c_n^2 e^(-2 kappa_n x)/(2 kappa_n)
+        ref = -4.0 * sum(k * c * c * math.exp(-2.0 * k * 30.0)
+                         for k, c in zip(TWO_SOLITON.kappas, TWO_SOLITON.c0))
+        assert field_u(TWO_SOLITON, 30.0, 0.0) == pytest.approx(ref, rel=1e-12)
 
     def test_ggkm_time_scaling(self):
-        # off-diagonal entries scale by e^(4(k_m^3+k_n^3) dt) under the flow
+        # the flow only rescales c_n(t) = c_n(0) e^(4 kappa_n^3 t)
         dt = 0.01
-        a0 = glm_matrix(TWO_SOLITON, 0.5, 0.0) - np.eye(2)
-        a1 = glm_matrix(TWO_SOLITON, 0.5, dt) - np.eye(2)
-        kap = np.array(TWO_SOLITON.kappas)
-        scale = np.exp(4.0 * (kap[:, None] ** 3 + kap[None, :] ** 3) * dt)
-        np.testing.assert_allclose(a1, a0 * scale, rtol=1e-12)
-
-    def test_positive_definite(self):
-        for x in (-3.0, 0.0, 2.0):
-            a = glm_matrix(TWO_SOLITON, x, 0.01)
-            assert np.all(np.linalg.eigvalsh(a) > 0)
+        moved = SolitonData(
+            TWO_SOLITON.kappas,
+            tuple(c * math.exp(4.0 * k**3 * dt) for k, c in zip(TWO_SOLITON.kappas, TWO_SOLITON.c0)),
+        )
+        xs = np.linspace(-3.0, 3.0, 25)
+        np.testing.assert_allclose(field_u(TWO_SOLITON, xs, dt), field_u(moved, xs, 0.0), rtol=1e-12)
 
     def test_overflow_domain(self):
-        with pytest.raises(OverflowDomainError):
-            glm_matrix(TWO_SOLITON, -200.0, 0.0)
+        # at x = -200 the raw entries e^(2 theta) ~ e^800 overflow; the rescaled
+        # field has no overflow or nan on the way and returns the vacuum to
+        # rounding (|u| reaches 30 at x = 0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            u = field_u(TWO_SOLITON, -200.0, 0.0)
+            arr = field_u(TWO_SOLITON, np.array([-200.0, -100.0]), 0.0)
+        assert abs(u) <= 1e-12
+        assert np.all(np.abs(arr) <= 1e-12)
 
 
 class TestFieldU:

@@ -19,6 +19,14 @@ def test_public_names_resolve():
         assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
+def test_package_exports_exactly_the_library_modules():
+    # a name removed from one list and not the other would leave a stale export
+    union = set()
+    for name in ("specfun", "darboux", "spectral_oracle", "scattering", "kdv"):
+        union.update(importlib.import_module(f"darbouxkdv.{name}").__all__)
+    assert sorted(darbouxkdv.__all__) == sorted(union)
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")

@@ -1,14 +1,15 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from darbouxkdv.cli import main
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.scattering import (
+    ORACLE_HALF_WIDTH,
     base_amplitudes,
-    deformation_factor,
     deformed_amplitudes,
     numerical_amplitudes,
     transmission_poles,
@@ -16,6 +17,16 @@ from darbouxkdv.scattering import (
 from darbouxkdv.verification import ORACLE_K_GRID, ORACLE_SPECS, check_oracle_agreement
 
 RNG = np.random.default_rng(11)
+
+
+def amplitudes_mp(h, K):
+    """(t, r) from the Gamma products, in 50-digit mpmath."""
+    with mp.workdps(50):
+        h, K = mp.mpf(h), mp.mpf(K)
+        s = -1j * K
+        t = mp.gamma(s - h) * mp.gamma(s + h + 1) / (mp.gamma(s + 1) * mp.gamma(s))
+        r = t * mp.gamma(1j * K) * mp.gamma(1 - 1j * K) / (mp.gamma(1 + h) * mp.gamma(-h))
+        return complex(t), complex(r)
 
 
 class TestBaseAmplitudes:
@@ -31,8 +42,8 @@ class TestBaseAmplitudes:
             assert abs(amp.t - (1j * K - 1) / (1j * K + 1)) <= 1e-12
 
     def test_integer_h_reflectionless(self):
-        for h in (1.0, 2.0, 3.0):
-            for K in (0.5, 1.0, 4.0):
+        for h in (1.0, 2.0, 3.0, 7.0, 171.0):
+            for K in (0.05, 0.5, 1.0, 4.0, 24.96, 300.0):
                 amp = base_amplitudes(h, K)
                 assert amp.r == 0.0
                 assert abs(abs(amp.t) - 1.0) <= 1e-12
@@ -62,34 +73,61 @@ class TestBaseAmplitudes:
             with pytest.raises(ValueError):
                 base_amplitudes(1.0, K)
             with pytest.raises(ValueError):
-                deformation_factor(1.0, 2, K)
+                deformed_amplitudes(SystemSpec(1.0, (2,)), K)
+
+    @pytest.mark.parametrize("h", [162.47, 171.5, 200.5, 1000.3])
+    def test_reflection_at_large_h_matches_mpmath(self, h):
+        # past h ~ 171, 1/Gamma(1+h) underflows and 1/Gamma(-h) overflows, so the Gamma
+        # form of r is 0 * inf = nan; before that it keeps no digit of r ~ 1e-34 at
+        # h = 162.47, K = 24.96
+        for K in (0.3, 1.0, 7.3, 24.96):
+            amp = base_amplitudes(h, K)
+            t, r = amplitudes_mp(h, K)
+            assert abs(amp.r / amp.t - r / t) <= 1e-14 * abs(r / t)
+            # r carries t's own loggamma error (1.2e-12 at h = 1000.3) and no more
+            t_error = abs(amp.t - t) / abs(t)
+            assert abs(amp.r - r) <= (t_error + 1e-14) * abs(r)
+            assert amp.unitarity_defect <= 1e-11
+
+    def test_high_k_reflection_underflows_to_zero(self):
+        # sinh(pi K) overflows past K ~ 226; r = 0, not nan
+        for h in (1.5, 200.5):
+            amp = base_amplitudes(h, 300.0)
+            assert amp.r == 0.0 and abs(abs(amp.t) - 1.0) <= 1e-12
 
 
 class TestDeformationFactor:
+    # each seed multiplies t by (K + i d)/(K - i d), d = h + 1 + v, and r by minus that factor
+    @staticmethod
+    def factors(h, v, K):
+        """(t_D/t, r_D/r); the r ratio is nan at integer h, where r = 0."""
+        deformed = deformed_amplitudes(SystemSpec(h, (v,)), K)
+        base = base_amplitudes(h, K)
+        rf = deformed.r / base.r if base.r else complex(math.nan, math.nan)
+        return deformed.t / base.t, rf
+
     def test_reference_value(self):
-        tf, rf = deformation_factor(1.0, 2, 1.0)
+        tf, _ = self.factors(1.0, 2, 1.0)
         assert abs(tf - (1 + 4j) / (1 - 4j)) <= 1e-15
-        assert rf == -tf
+        tf, rf = self.factors(1.5, 2, 1.0)
+        assert abs(tf - (1 + 4.5j) / (1 - 4.5j)) <= 1e-15
+        assert abs(rf + tf) <= 1e-15
 
     def test_unit_modulus(self):
         for _ in range(50):
             h = float(RNG.uniform(0.2, 5.0))
+            if abs(h - round(h)) < 1e-3:
+                continue
             v = int(RNG.choice([2, 4, 6]))
             K = float(RNG.uniform(0.05, 20.0))
-            tf, rf = deformation_factor(h, v, K)
+            tf, rf = self.factors(h, v, K)
             assert abs(abs(tf) - 1.0) <= 1e-14
             assert abs(abs(rf) - 1.0) <= 1e-14
+            assert abs(rf + tf) <= 1e-14
 
     def test_high_energy_transparency(self):
-        tf, _ = deformation_factor(1.0, 2, 1e8)
+        tf, _ = self.factors(1.0, 2, 1e8)
         assert abs(tf - 1.0) <= 1e-7
-
-    def test_odd_degree_rejected(self):
-        with pytest.raises(ValueError):
-            deformation_factor(1.0, 3, 1.0)
-        for h in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                deformation_factor(h, 2, 1.0)
 
 
 class TestDeformedAmplitudes:
@@ -278,21 +316,14 @@ class TestNumericalAmplitudes:
             numerical_amplitudes(deformed_potential(SystemSpec(1.0)), -1.0)
 
     def test_decay_precondition(self):
+        # -2/cosh^2(x/4) is still near 3e-5 at the window edge +-ORACLE_HALF_WIDTH
         with pytest.raises(ValueError):
-            numerical_amplitudes(deformed_potential(SystemSpec(1.0)), 1.0, half_width=6.0)
-        # a window of no width or a detour outside (0, half_width) would give wrong numbers
-        regular = deformed_potential(SystemSpec(1.0, (2,)))
+            numerical_amplitudes(lambda x: -2.0 / math.cosh(x / 4.0) ** 2, 1.0)
+        # a detour outside (0, ORACLE_HALF_WIDTH) would give wrong numbers
         singular = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
-        for pot, kwargs in [
-            (regular, {"half_width": -25.0}),
-            (regular, {"half_width": 0.0}),
-            (singular, {"detour_radius": 30.0}),
-            (singular, {"detour_radius": 0.0}),
-            (singular, {"detour_radius": -0.5}),
-            (singular, {"half_width": 0.3}),
-        ]:
+        for radius in (ORACLE_HALF_WIDTH, 30.0, 0.0, -0.5):
             with pytest.raises(ValueError):
-                numerical_amplitudes(pot, 1.0, **kwargs)
+                numerical_amplitudes(singular, 1.0, detour_radius=radius)
 
     def test_plain_callable_potential(self):
         amp = numerical_amplitudes(lambda x: -2.0 / math.cosh(x) ** 2, 1.0)
