@@ -4,7 +4,10 @@ fields and the verification suites, as reproducible file outputs.
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 closed-form/oracle mismatch beyond tolerance, 4 numeric-domain violation.
 All floats are written with 17 significant digits and no locale dependence,
-so identical configurations produce byte-identical outputs.
+so identical configurations produce byte-identical outputs.  Tables are
+formatted and written in blocks of TABLE_BLOCK rows.  A soliton table is
+written one time slice at a time, after every field value is computed; each
+distinct t and x is formatted once, and per row only u is.
 """
 
 from __future__ import annotations
@@ -94,6 +97,48 @@ def _table_blocks(header, columns, fmt: str):
     for start in range(0, min(map(len, columns)), TABLE_BLOCK):
         rows = zip(*(map(float, col[start:start + TABLE_BLOCK]) for col in columns))
         yield "\n".join([row % values for values in rows]) + "\n"
+
+
+def _grid_blocks(ts, xs, us, fmt: str):
+    """The (t, x, u) table of the t-major product grid ts x xs, us[i, j] = u(xs[j], ts[i]).
+
+    The same bytes as _table_blocks over the columns (repeat(ts), tile(xs),
+    us.ravel()), but each t and each x is formatted once: per time slice only
+    u is formatted, one block of at most TABLE_BLOCK values at a time.  The
+    x text is kept for the later slices only when there are any.
+    """
+    tstrs = ["%.17g" % t for t in ts.tolist()]
+    spans = [(i, min(i + TABLE_BLOCK, xs.size)) for i in range(0, xs.size, TABLE_BLOCK)]
+
+    def values(col, start, stop):
+        return ", ".join(["%.17g"] * (stop - start)) % tuple(col[start:stop].tolist())
+
+    if fmt == "json":
+        yield '{\n  "t": ['
+        for i, tstr in enumerate(tstrs):
+            for j, (start, stop) in enumerate(spans):
+                yield (", " if i or j else "") + ", ".join([tstr] * (stop - start))
+        yield '],\n  "x": ['
+        xtexts = [values(xs, *span) for span in spans] if len(tstrs) > 1 else None
+        for i in range(len(tstrs)):
+            for j, span in enumerate(spans):
+                yield (", " if i or j else "") + (xtexts[j] if xtexts else values(xs, *span))
+        yield '],\n  "u": ['
+        for i, row in enumerate(us):
+            for j, span in enumerate(spans):
+                yield (", " if i or j else "") + values(row, *span)
+        yield "]\n}\n"
+        return
+
+    def tails(start, stop):  # ",x,%.17g\n" per row, for u; the t text goes in front
+        return [",%.17g,%%.17g\n" % x for x in xs[start:stop].tolist()]
+
+    kept = [tails(*span) for span in spans] if len(tstrs) > 1 else None
+    yield "t,x,u\n"
+    for tstr, row in zip(tstrs, us):
+        for j, (start, stop) in enumerate(spans):
+            rows = kept[j] if kept else tails(start, stop)
+            yield tstr + tstr.join(map(str.__mod__, rows, row[start:stop].tolist()))
 
 
 def cmd_potential(args) -> int:
@@ -194,10 +239,10 @@ def cmd_soliton(args) -> int:
         raise OverflowDomainError(
             f"{ti.size} grid point(s) outside the numeric stability domain: {listing}"
         )
-    tcol = np.repeat(ts, xs.size)
-    xcol = np.tile(xs, ts.size)
-    ucol = np.concatenate([field_u(data, xs, float(t)) for t in ts])
-    _write(_table_blocks(("t", "x", "u"), (tcol, xcol, ucol), args.format), args.output)
+    us = np.empty((ts.size, xs.size))
+    for i, t in enumerate(ts):  # every field value before the first byte is written
+        us[i] = field_u(data, xs, float(t))
+    _write(_grid_blocks(ts, xs, us, args.format), args.output)
     return EXIT_OK
 
 

@@ -14,14 +14,15 @@ factors e^(kappa_n a) absorbed at the matrix level.  The x-derivatives of A
 have rank one and two, so one linear solve with one right-hand side per point
 gives u.  Array points are evaluated in blocks of FIELD_BLOCK, so the
 per-point work arrays stay bounded however many points one call asks for;
-every matrix is solved on its own, so a point's value does not depend on its
-block.
+each block's matrices are built in place, and every matrix is solved on its
+own, so a point's value does not depend on its block.
 The KdV residual check re-evaluates the field in high precision through the
 principal-minor (Cauchy determinant) expansion of det A, an algebraically
-independent route whose x- and t-derivatives are exact, term by term.
-mpmath is imported by the two functions that use it, _tau_sums and
-kdv_residual, so it loads with the first residual check, not with the
-package.
+independent route whose x- and t-derivatives are exact, term by term.  The
+expansion's float constants are converted to mpf once per precision and
+cached.  mpmath is imported by the functions that use it, _mp_terms,
+_tau_sums and kdv_residual, so it loads with the first residual check, not
+with the package.
 The conserved mass and momentum are trapezoid sums over one uniform grid,
 evaluated in one vector call: the step is set by the largest kappa, the
 window by the smallest.
@@ -143,14 +144,18 @@ def field_u(data: SolitonData, x, t: float):
 def _field_block(data: SolitonData, xs: np.ndarray, t: float) -> np.ndarray:
     """The one-solve formula of field_u on one block of points, shape (npts,).
 
-    The dot products are per-row sums, whose order does not depend on npts.
+    The (npts, N, N) matrices are built in place: w w^T, divided by the
+    (N, N) sums kappa_m + kappa_n, then S^2 added through a strided view of
+    the diagonals.  The dot products are per-row sums, whose order does not
+    depend on npts.
     """
     th = _theta(data, xs, t)  # (npts, N)
     kap = np.asarray(data.kappas)
     th_hat = np.minimum(th, 0.0)
     w = np.exp(th_hat)  # bounded by 1
-    a = w[:, :, None] * w[:, None, :] / (kap[:, None] + kap[None, :])
-    a[:, np.arange(data.n), np.arange(data.n)] += np.exp(2.0 * (th_hat - th))  # S^2 <= 1
+    a = w[:, :, None] * w[:, None, :]
+    a /= kap[:, None] + kap[None, :]
+    a.reshape(len(th), -1)[:, ::data.n + 1] += np.exp(2.0 * (th_hat - th))  # S^2 <= 1
     y = np.linalg.solve(a, w[:, :, None])[:, :, 0]
     wy = (w * y).sum(axis=1)
     return -2.0 * (2.0 * (kap * w * y).sum(axis=1) - wy * wy)
@@ -182,12 +187,25 @@ def _tau_terms(kappas: tuple, c0: tuple):
     return tuple(terms)
 
 
+@lru_cache(maxsize=64)
+def _mp_terms(terms: tuple, prec: int) -> tuple:
+    """The float triples of _tau_terms as mpf triples, converted at precision prec.
+
+    Keyed by the terms tuple itself, not by the data it came from, and by the
+    precision, since below 53 bits the conversion rounds.
+    """
+    import mpmath as mp
+
+    with mp.workprec(prec):
+        return tuple(tuple(mp.mpf(v) for v in term) for term in terms)
+
+
 def _tau_sums(data: SolitonData, x, t, nx: int, nt: int):
     """Exact derivatives of det A = f = sum_S exp(alpha_S + beta_S t + gamma_S x).
 
     Returns [d^k f/dx^k for k < nx] and [d/dt d^k f/dx^k for k < nt], the sums
     of gamma^k e and beta gamma^k e over the principal-minor expansion, in the
-    caller's mpmath precision.
+    caller's mpmath precision, from the cached mpf terms of _mp_terms.
     """
     import mpmath as mp
 
@@ -195,8 +213,8 @@ def _tau_sums(data: SolitonData, x, t, nx: int, nt: int):
     t = mp.mpf(t)
     fx = [mp.mpf(0)] * nx
     ft = [mp.mpf(0)] * nt
-    for log_c, beta, gamma in _tau_terms(data.kappas, data.c0):
-        e = mp.exp(mp.mpf(log_c) + mp.mpf(beta) * t + mp.mpf(gamma) * x)
+    for log_c, beta, gamma in _mp_terms(_tau_terms(data.kappas, data.c0), mp.mp.prec):
+        e = mp.exp(log_c + beta * t + gamma * x)
         for k in range(nx):
             fx[k] += e
             if k < nt:

@@ -10,6 +10,7 @@ import pytest
 import darbouxkdv
 from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, main
 from darbouxkdv.darboux import SystemSpec, deformed_potential
+from darbouxkdv.kdv import SolitonData, field_u, scattering_data_from_spec
 
 
 def run(capsys, *argv):
@@ -216,6 +217,58 @@ def test_streamed_grid_matches_per_cell_format(fmt, tmp_path):
     us = deformed_potential(SystemSpec(1.5, (2,)))(xs)
     assert path.read_text() == _per_cell_text(("x", "u"), (xs, us), fmt)
     assert len(list(_table_blocks(("x", "u"), (xs, us), fmt))) > 3
+
+
+SOLITON_DATA = ("--kappas", "1,4", "--c0", "1.8257418583505536,3.6514837167011076")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("data, grid", [
+    # three time slices of two full blocks and a partial one each
+    (SOLITON_DATA, ("--tmin", "-0.05", "--tmax", "0.05", "--nt", "3",
+                    "--xmin", "-6", "--xmax", "6", "--n", str(2 * TABLE_BLOCK + 3))),
+    (("--from-spec", "--h", "2", "--seeds", "2"),
+     ("--tmin", "0", "--tmax", "0.02", "--nt", "4", "--xmin", "-3", "--xmax", "3", "--n", "9")),
+    (SOLITON_DATA, ("--tmin", "-0.1", "--tmax", "0.1", "--nt", "5", "--x", "0.25")),
+    (SOLITON_DATA, ("--t", "0.01", "--xmin", "-2", "--xmax", "2", "--n", "7")),
+    (("--from-spec", "--h", "1", "--seeds", "2"), ("--t", "-0.0", "--x", "-0.0")),
+], ids=["multi-block-slices", "from-spec", "single-x", "single-t", "negative-zero"])
+def test_soliton_table_matches_per_cell_format(fmt, data, grid, tmp_path):
+    path = tmp_path / f"u.{fmt}"
+    assert main(["soliton", *data, *grid, "--format", fmt, "--output", str(path)]) == 0
+    opts = dict(zip(grid[::2], grid[1::2]))
+    ts = (np.array([float(opts["--t"])]) if "--t" in opts else
+          np.linspace(float(opts["--tmin"]), float(opts["--tmax"]), int(opts["--nt"])))
+    xs = (np.array([float(opts["--x"])]) if "--x" in opts else
+          np.linspace(float(opts["--xmin"]), float(opts["--xmax"]), int(opts["--n"])))
+    if data[0] == "--from-spec":
+        sol = scattering_data_from_spec(SystemSpec(float(data[2]), (int(data[4]),)))
+    else:
+        sol = SolitonData(*(tuple(map(float, data[i].split(","))) for i in (1, 3)))
+    columns = (np.repeat(ts, xs.size), np.tile(xs, ts.size),
+               np.concatenate([field_u(sol, xs, float(t)) for t in ts]))
+    expected = _per_cell_text(("t", "x", "u"), columns, fmt)
+    assert path.read_text() == expected
+    if opts.get("--t") == "-0.0":  # the signs of t and x survive
+        assert expected.count("-0," if fmt == "csv" else "[-0]") == 2
+
+
+def test_failed_field_evaluation_writes_nothing(capsys, tmp_path, monkeypatch):
+    # every field_u call runs before the first byte is written
+    import darbouxkdv.cli as cli
+
+    def field_u_failing_last(data, xs, t):
+        if t == 0.1:
+            raise OverflowError("field evaluation failed")
+        return field_u(data, xs, t)
+
+    monkeypatch.setattr(cli, "field_u", field_u_failing_last)
+    path = tmp_path / "u.csv"
+    code, out, err = run(capsys, "soliton", *SOLITON_DATA, "--tmin", "0", "--tmax", "0.1",
+                         "--nt", "3", "--n", str(2 * TABLE_BLOCK), "--output", str(path))
+    assert code == 4
+    assert out == "" and not path.exists()
+    assert err == "error: field evaluation failed\n"
 
 
 def test_failed_check_writes_nothing(capsys, tmp_path):

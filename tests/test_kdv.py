@@ -214,10 +214,30 @@ class TestKdvResidual:
         # Cauchy structure: the field is no longer a KdV solution
         import darbouxkdv.kdv as kdv
 
+        # an unpatched call first fills the cache of mpf terms; the bent terms
+        # are another tuple, so they must not be served from it
+        assert kdv_residual(TWO_SOLITON, 0.3, 0.0) <= 1e-5
         terms = kdv._tau_terms(TWO_SOLITON.kappas, TWO_SOLITON.c0)
         bent = terms[:-1] + ((terms[-1][0] + 1.0,) + terms[-1][1:],)
         monkeypatch.setattr(kdv, "_tau_terms", lambda kappas, c0: bent)
         assert kdv_residual(TWO_SOLITON, 0.3, 0.0) > 1.0
+
+    def test_cached_terms_serve_every_precision(self):
+        # the mpf terms are cached per precision: a field evaluated first at 10,
+        # 15 or 60 digits on the same data leaves the 40-digit residual unchanged
+        import darbouxkdv.kdv as kdv
+
+        data = scattering_data_from_spec(SystemSpec(2.0, (2,)))
+        before = kdv_residual(data, -0.4, 0.01)
+        fields = {}
+        for dps in (10, 15, 60):
+            kdv._mp_terms.cache_clear()
+            with mp.workdps(dps):
+                fields[dps] = kdv._field_mp(data, -0.4, 0.01)
+            assert kdv_residual(data, -0.4, 0.01) == before
+        assert fields[60] == pytest.approx(float(fields[15]), rel=1e-12)
+        with mp.workdps(60):  # a warm cache gives the same 60-digit field
+            assert kdv._field_mp(data, -0.4, 0.01) == fields[60]
 
 
 class TestAsymptoticDecomposition:

@@ -8,6 +8,7 @@ import pytest
 from darbouxkdv.cli import main
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.scattering import (
+    AMPLITUDE_ERROR_LIMIT,
     ORACLE_HALF_WIDTH,
     base_amplitudes,
     deformed_amplitudes,
@@ -88,6 +89,26 @@ class TestBaseAmplitudes:
             t_error = abs(amp.t - t) / abs(t)
             assert abs(amp.r - r) <= (t_error + 1e-14) * abs(r)
             assert amp.unitarity_defect <= 1e-11
+
+    @pytest.mark.parametrize("h", [1e9 + 0.5, 1e10 + 0.5])
+    def test_unresolvable_large_h_raises(self, h):
+        # four log-Gammas of size h log h cancel in t: the rounding bound passes
+        # AMPLITUDE_ERROR_LIMIT (the measured unitarity defect at h = 1e10 + 0.5
+        # was 3.7e-5); h = 1e7 + 0.5 is still accepted, as its bound of 6.7e-8 is
+        # below the 1.4e-7 of K = 1e8, h = 1 in test_high_energy_transparency
+        for K in (1.0, 20.0):
+            with pytest.raises(OverflowError, match="rounding error bound"):
+                base_amplitudes(h, K)
+            with pytest.raises(OverflowError):
+                deformed_amplitudes(SystemSpec(h, (2,)), K)
+        assert base_amplitudes(1e7 + 0.5, 20.0).unitarity_defect <= AMPLITUDE_ERROR_LIMIT
+
+    def test_unresolvable_large_h_exit_code(self, capsys):
+        code = main(["scattering", "--h", "1000000000.5", "--k", "1"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "rounding" in err
 
     def test_high_k_reflection_underflows_to_zero(self):
         # sinh(pi K) overflows past K ~ 226; r = 0, not nan
