@@ -277,6 +277,23 @@ class PotentialEvaluator:
 
     evaluate_scalar = _scalar  # the ODE oracle's one call per step, real line and detour alike
 
+    def poles(self) -> np.ndarray:
+        """Poles of U_D in the strip |Im x| < pi/2: x = artanh(u) over the roots u of W~.
+
+        M even seeds are even functions, so their Wronskian vanishes to order
+        at least M(M-1)/2 at x = 0 (each column's lowest Taylor powers are
+        distinct even ones), and so does W~ at u = 0.  Those lowest
+        coefficients are zero in exact arithmetic; computed ones are rounding
+        noise (-2.8e-14 at u^1 for h = 2.5, seeds (2, 4, 6)) that would split
+        the multiple root into tiny spurious ones.  They are dropped, and the
+        root at u = 0 is the pole x = 0, once.  Noise in the top coefficients
+        adds roots far outside the unit disk, whose artanh lie near +-i pi/2.
+        The other poles of U_D, at x = i pi/2 + i pi n, lie outside the strip.
+        """
+        m = self.spec.n_steps * (self.spec.n_steps - 1) // 2
+        poles = np.arctanh(npoly.polyroots(self._w[m:]).astype(complex))
+        return np.concatenate([[0.0], poles]) if m else poles
+
     def __call__(self, x):
         if not isinstance(x, (int, float, complex)):
             x = np.asarray(x)

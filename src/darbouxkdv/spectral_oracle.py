@@ -2,8 +2,10 @@
 
 Discretizes -psi'' + U psi = E psi with Dirichlet walls at +-L on a uniform
 grid (the fourth-order central stencil) and extracts every eigenvalue below
-the continuum edge with a shift-invert Lanczos solve.  Used purely as an
-oracle against the closed-form spectra and norming constants.
+the continuum edge.  One unpivoted sparse LDL^T factorization of
+H + CONTINUUM_EPS I counts those levels (Sylvester's law of inertia), and one
+shift-invert Lanczos solve then computes exactly that many.  Used purely as
+an oracle against the closed-form spectra and norming constants.
 
 scipy.sparse and its eigsh are imported by the functions that use them, so
 they load only when an FD spectrum is asked for (the spectrum subcommand and
@@ -74,34 +76,61 @@ def _hamiltonian(potential, grid: GridSpec):
     return ham, uu
 
 
+def _level_count(ham) -> int:
+    """Number of eigenvalues of the symmetric matrix ham below -CONTINUUM_EPS.
+
+    By Sylvester's law of inertia, H + CONTINUUM_EPS I = L D L^T has as many
+    negative eigenvalues as D has negative entries.  SuperLU in symmetric mode
+    with the natural ordering and no row pivoting (diag_pivot_thresh = 0) makes
+    exactly that factorization, D being the diagonal of its U.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    lu = splu(
+        ham + CONTINUUM_EPS * sparse.identity(ham.shape[0], format="csc"),
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError("the inertia count needs a symmetric permutation, and SuperLU pivoted")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
 def eigen_spectrum(potential, grid: GridSpec) -> list:
     """Bound spectrum of -d2/dx2 + U: list of (energy, eigenvector) pairs.
 
-    Returns every eigenvalue below -1e-3, sorted ascending, with eigenvectors
-    normalized in the discrete inner product sum(psi^2) dx = 1.  The lowest 12
-    eigenpairs are computed first, and their number doubles until one of them
-    lies in the continuum.  A warning is emitted for eigenvalues within a
-    factor of ten of the continuum cutoff.
+    Returns every eigenvalue below -CONTINUUM_EPS = -1e-3, sorted ascending,
+    with eigenvectors normalized in the discrete inner product
+    sum(psi^2) dx = 1.  The levels are counted first, by the inertia of an
+    LDL^T factorization, and one shift-invert Lanczos solve below the well
+    bottom then asks for exactly that many: no eigenpair of the box continuum
+    is computed.  A count of zero returns [] with no Lanczos solve.  If the
+    solve returns another number of levels, or one at or above
+    -CONTINUUM_EPS, RuntimeError is raised.  A warning is emitted for
+    eigenvalues within a factor of ten of the continuum cutoff.
     """
     from scipy.sparse.linalg import eigsh
 
     ham, uu = _hamiltonian(potential, grid)
-    sigma = float(uu.min()) - 1.0
+    count = _level_count(ham)
+    if count == 0:
+        return []
     n = ham.shape[0]
-    k = min(12, n - 2)
     v0 = np.full(n, 1.0 / math.sqrt(n))
-    while True:
-        try:
-            w, vecs = eigsh(ham, k=k, sigma=sigma, which="LM", v0=v0, tol=0)
-        except Exception as exc:  # pragma: no cover - ARPACK failures are rare
-            raise RuntimeError(f"eigen-decomposition failed: {exc}") from exc
-        if w.max() >= -CONTINUUM_EPS or k == n - 2:
-            break
-        k = min(2 * k, n - 2)
+    try:
+        w, vecs = eigsh(ham, k=count, sigma=float(uu.min()) - 1.0, which="LM", v0=v0, tol=0)
+    except Exception as exc:  # pragma: no cover - ARPACK failures are rare
+        raise RuntimeError(f"eigen-decomposition failed: {exc}") from exc
+    if w.size != count or not w.max() < -CONTINUUM_EPS:
+        raise RuntimeError(
+            f"the Lanczos solve returned {w.size} levels up to {w.max():.3e}, but the "
+            f"inertia count finds {count} below {-CONTINUUM_EPS}"
+        )
     order = np.argsort(w)
     w, vecs = w[order], vecs[:, order]
-    keep = w < -CONTINUUM_EPS
-    near_edge = w[(w >= -10.0 * CONTINUUM_EPS) & keep]
+    near_edge = w[w >= -10.0 * CONTINUUM_EPS]
     if near_edge.size:
         warnings.warn(
             f"eigenvalue(s) {near_edge} sit within a factor 10 of the continuum cutoff",
@@ -109,7 +138,7 @@ def eigen_spectrum(potential, grid: GridSpec) -> list:
             stacklevel=2,
         )
     scale = 1.0 / math.sqrt(grid.dx)
-    return [(float(wi), vecs[:, i] * scale) for i, wi in enumerate(w) if keep[i]]
+    return [(float(wi), vecs[:, i] * scale) for i, wi in enumerate(w)]
 
 
 def _tail_fit(xi: np.ndarray, psi: np.ndarray, kappa: float, grid: GridSpec) -> float:

@@ -152,6 +152,21 @@ def profile_h2(x):
     return -4.0 * (144 * c**4 - 280 * c**2 + 147) / (c**2 * (64 * c**4 - 112 * c**2 + 49))
 
 
+def seed_derivatives_mp(h, seeds, x, n):
+    """[phi_v(x), phi_v'(x), ..., phi_v^(n)(x)] per seed v, by mpmath differentiation."""
+    out = []
+    for v in seeds:
+        g = mp.mpf(h) + 1 + v
+        out.append(list(mp.diffs(lambda y: mp.cosh(y) ** g * mp.jacobi(v, -g, -g, mp.tanh(y)), x, n)))
+    return out
+
+
+def wronskian_mp(h, seeds, x):
+    """W[phi_v for v in seeds](x), in mpmath."""
+    d = seed_derivatives_mp(h, seeds, mp.mpmathify(x), len(seeds) - 1)
+    return mp.det(mp.matrix([[dj[i] for dj in d] for i in range(len(seeds))]))
+
+
 def u_d_mp(h, seeds, x):
     """U - 2 (log W)'' at real or complex x from the seed definition, in mpmath.
 
@@ -161,10 +176,7 @@ def u_d_mp(h, seeds, x):
     """
     h, x = mp.mpf(h), mp.mpmathify(x)
     m = len(seeds)
-    d = []
-    for v in seeds:
-        g = h + 1 + v
-        d.append(list(mp.diffs(lambda y: mp.cosh(y) ** g * mp.jacobi(v, -g, -g, mp.tanh(y)), x, m + 1)))
+    d = seed_derivatives_mp(h, seeds, x, m + 1)
 
     def det(rows):
         return mp.det(mp.matrix([[d[j][i] for j in range(m)] for i in rows]))
@@ -273,6 +285,22 @@ class TestDeformedPotential:
             ref = [complex(u_d_mp(1.0, (2, 4), z)) for z in zs]
         scale = max(abs(r) for r in ref)
         assert max(abs(pot(z) - r) for z, r in zip(zs, ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("h, seeds", [(1.0, (2,)), *MULTI_SEED_SETS, (2.5, (2, 4, 6))])
+    def test_poles_are_zeros_of_the_mpmath_wronskian(self, h, seeds):
+        poles = deformed_potential(SystemSpec(h, seeds), allow_singular=True).poles()
+        # the multiple root of W~ at u = 0 is the one pole x = 0, not a cluster of
+        # tiny roots split off by the rounding noise of its lowest coefficients
+        centre = [z for z in poles if abs(z) < 0.2]
+        assert centre == ([0.0] if len(seeds) > 1 else [])
+        # every pole inside |x| < 1 (the rest sit near +-i pi/2) is a zero of W; a
+        # misplaced pole would leave |W| at the size of its value 0.05 away
+        inner = [complex(z) for z in poles if 0.0 < abs(z) < 1.0]
+        assert inner
+        with mp.workdps(30):
+            for z in inner:
+                near = abs(wronskian_mp(h, seeds, z + 0.05))
+                assert abs(wronskian_mp(h, seeds, z)) <= 1e-6 * near
 
     def test_exact_wronskian_zero_is_nan(self):
         # W~(0) is exactly zero for the even set [2,4]; no ZeroDivisionError

@@ -70,6 +70,55 @@ class TestEigenSpectrum:
         energies = [e for e, _ in levels]
         np.testing.assert_allclose(energies, [-((15 - n) ** 2) for n in range(15)], atol=1e-3)
 
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            (SystemSpec(1.0, (2,)), GridSpec(20.0, 4001)),
+            (SystemSpec(2.0, (2,)), GridSpec(20.0, 6001)),
+            (SystemSpec(15.0), GridSpec(20.0, 2001)),
+        ],
+        ids=str,
+    )
+    def test_one_lanczos_solve_per_spectrum(self, spec, grid, monkeypatch):
+        # the inertia count fixes k before the solve: no eigenpair of the continuum
+        import scipy.sparse.linalg
+
+        ks = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counted(*args, **kwargs):
+            ks.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+        levels = eigen_spectrum(deformed_potential(spec), grid)
+        assert ks == [len(levels)]
+
+    def test_barrier_has_no_levels_and_no_lanczos_solve(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigsh called for a spectrum with no bound state")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refused)
+        assert eigen_spectrum(lambda x: 1.0 / np.cosh(x) ** 2, GridSpec(20.0, 2001)) == []
+
+    @pytest.mark.parametrize("fault", ["drops a level", "returns a continuum level"])
+    def test_lanczos_result_checked_against_the_count(self, fault, monkeypatch):
+        import scipy.sparse.linalg
+
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def faulty(*args, **kwargs):
+            w, vecs = eigsh(*args, **kwargs)
+            if fault == "drops a level":
+                return w[1:], vecs[:, 1:]
+            return np.append(w[:-1], 0.0), vecs
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", faulty)
+        with pytest.raises(RuntimeError, match="inertia count"):
+            eigen_spectrum(deformed_potential(SystemSpec(2.0, (2,))), GridSpec(20.0, 2001))
+
     def test_grid_doubling_stability(self):
         pot = deformed_potential(SystemSpec(1.0, (2,)))
         coarse = [e for e, _ in eigen_spectrum(pot, GridSpec(20.0, 4001))]
