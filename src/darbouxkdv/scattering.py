@@ -14,13 +14,16 @@ floating-point-exact zero, and r stays finite at every h.  Where the
 log-Gamma sum of t cannot be resolved in double precision (h beyond about
 1e8), the amplitudes raise OverflowError instead of losing digits.  An
 independent ODE-integration oracle checks both amplitudes.  It writes the
-scattering state as psi = P e^(iKx) + Q e^(-iKx) with varying coefficients
-(the variable-phase, or variation-of-constants, form), so P and Q change only
-where U does and t = 1/P, r = Q/P can be read off at the far end.  It
-integrates a whole K grid as one complex system; for singular multi-step
-potentials it detours around the x = 0 pole on a complex semicircle, whose
-radius keeps clear of the other poles of U_D, and so computes the
-meromorphic continuation of the deformed scattering state.
+Jost solutions f(x; +-K) -> e^(+-iKx) as P e^(ikx) + Q e^(-ikx) with varying
+coefficients (the variable-phase, or variation-of-constants, form), so P and
+Q change only where U does.  As every U_D is even and real, it integrates
+only from x = +25 to the mirror point of its path, x = 0, and reads t and r
+off two Wronskians there: the left Jost solutions are the mirror images of
+f(.; +-K).  It integrates a whole K grid as one complex system; for singular
+multi-step potentials the path turns onto a complex quarter circle around the
+x = 0 pole, whose radius keeps clear of the other poles of U_D, and ends at
+its mirror point on the imaginary axis, so it computes the meromorphic
+continuation of the deformed scattering state.
 """
 
 from __future__ import annotations
@@ -132,8 +135,8 @@ def transmission_poles(spec: SystemSpec) -> list:
     return sorted(poles)
 
 
-# (rtol, atol) per path segment; an error made on the arc grows like
-# e^(2K radius) by the time the path is back on the real axis, so the arc runs tighter
+# (rtol, atol) per path segment; at z0 = i radius an error made on the arc is
+# e^(2K radius) times larger than the decayed wave e^(iKz), so the arc runs tighter
 _LINE_TOL = (1e-10, 1e-13)
 _ARC_TOL = (1e-12, 1e-14)
 
@@ -141,14 +144,15 @@ _ARC_TOL = (1e-12, 1e-14)
 def _detour_radius(potential) -> float:
     """Midpoint of the widest interval of DETOUR_BAND free of pole moduli |x_p|.
 
-    Near a pole the stepper crawls: with DETOUR_RADIUS the arc of h=1,
-    seeds (2, 4) passes 0.014 from the poles at |x| = 0.514 and takes 3,698
-    of the spec's 8,058 potential calls.  The band stops at 0.5 because an
+    Near a pole the stepper crawls: with DETOUR_RADIUS the quarter arc of
+    h=1, seeds (2, 4) passes 0.014 from the poles at |x| = 0.514 and takes
+    1,922 of the spec's 4,144 potential calls on the verify K grid, against
+    734 of 3,016 at the chosen radius 0.35.  The band stops at 0.5 because an
     error made on the arc grows like e^(2K radius): at radius 0.75, t at
-    K = 40 was off by 0.02 to 0.17 on five singular sets.  It starts at 0.2
+    K = 40 was off by 0.03 to 0.19 on five singular sets.  It starts at 0.2
     because U_D grows like 1/x^2 towards the pole at x = 0: at radius 0.1
-    the verify K grid of h=1, seeds (2, 4) is off by 1.5e-10, against
-    2.5e-11 at 0.2.  A potential without a poles() method gets DETOUR_RADIUS.
+    the verify K grid of h=1, seeds (2, 4) is off by 1.9e-10, against
+    3.6e-11 at 0.2.  A potential without a poles() method gets DETOUR_RADIUS.
     """
     if not hasattr(potential, "poles"):
         return DETOUR_RADIUS
@@ -159,6 +163,8 @@ def _detour_radius(potential) -> float:
 
 
 def _detour_segments(L: float, radius: float):
+    """Half of the detour path: the real line from L to radius, then the upper
+    quarter arc to its mirror point i radius."""
     def arc(theta):
         return radius * cmath.exp(1j * theta)
 
@@ -167,9 +173,14 @@ def _detour_segments(L: float, radius: float):
 
     return [
         (lambda s: s, lambda s: 1.0, L, radius, _LINE_TOL),
-        (arc, darc, 0.0, math.pi, _ARC_TOL),
-        (lambda s: s, lambda s: 1.0, -radius, -L, _LINE_TOL),
+        (arc, darc, 0.0, 0.5 * math.pi, _ARC_TOL),
     ]
+
+
+# the readout needs U(x) = U(-x), real, checked at these points to this relative
+# tolerance; they keep clear of x = 0, the one real pole of a singular U_D
+_EVEN_PROBES = (0.375, 1.25, 3.0)
+_EVEN_TOL = 1e-10
 
 
 def numerical_amplitudes(
@@ -180,29 +191,40 @@ def numerical_amplitudes(
     """ODE-integration scattering oracle, independent of the closed forms.
 
     K is one wave number or a 1-D array of them; every K must be finite and
-    at least SMALL_K_CUTOFF.  Along each path segment z(s) the state is the
-    pair of free-wave coefficients in psi = P e^(iKz) + Q e^(-iKz),
-    psi' = iK (P e^(iKz) - Q e^(-iKz)), and psi'' = (U - K^2) psi becomes
+    at least SMALL_K_CUTOFF.  The potential U must be even and real on the
+    real line, so U(-z) = U(z) and U(conj z) = conj U(z), and the path runs
+    only from z = +L, L = ORACLE_HALF_WIDTH, to its mirror point z0 under
+    z -> -conj z: z0 = 0 on the real line.  For k = +K and k = -K the right
+    Jost solution f(z; k) -> e^(ikz) is carried as the pair of free-wave
+    coefficients in f = P e^(ikz) + Q e^(-ikz), f' = ik (P e^(ikz) -
+    Q e^(-ikz)); along each path segment z(s), f'' = (U - k^2) f becomes
 
-        P' = g e^(-iKz),  Q' = -g e^(iKz),  g = U(z) z'(s) psi / (2iK).
+        P' = g e^(-ikz),  Q' = -g e^(ikz),  g = U(z) z'(s) f / (2ik),
 
-    The start at z = +L, L = ORACLE_HALF_WIDTH, is the pure wave P = 1,
-    Q = 0; at z = -L, t = 1/P and r = Q/P.  The right-hand side is
+    from the pure wave P = 1, Q = 0 at z = +L.  The right-hand side is
     proportional to U, so the stepper takes long steps wherever the
-    potential has decayed.  All K are one complex state [P(K...), Q(K...)]
-    that evaluates U once per step.
-    Potentials flagged as singular are integrated along a complex semicircle
-    around x = 0.  Its radius is detour_radius if given, else the midpoint
+    potential has decayed.  k = +K and -K for every K of the array are one
+    complex state that evaluates U once per step.  By the two symmetries, the left Jost
+    solution g(z) = f(-z; K), which is e^(-iKx) at -inf, has
+    g(z0) = conj f(z0; -K) and g'(z0) = -conj f'(z0; -K), and the solution
+    conj f(-conj z; K), which is e^(iKx) at -inf, has the values conj f(z0; K)
+    and -conj f'(z0; K).  With W[a, b] = a b' - a' b, the Wronskians give
+
+        t = -2iK / W[f, g](z0),   r = t W[f, conj f(-conj z; K)](z0) / (2iK).
+
+    Potentials flagged as singular are integrated along the real line to
+    the detour radius and then on the upper quarter circle around x = 0 to
+    z0 = i radius.  The radius is detour_radius if given, else the midpoint
     of the widest interval of DETOUR_BAND = [0.2, 0.5] that no pole modulus
     of U_D falls in (DETOUR_RADIUS for a potential that does not report its
     poles): the stepper crawls near a pole.  The result is the meromorphic
-    continuation of the scattering state.  In exact arithmetic it does not
-    depend on which half-plane the detour uses, but numerically it does: on
-    a lower arc the incoming wave grows like e^(K radius) and Q' like
-    e^(2K radius), and for h=1, seeds (2, 4) the result at radius 0.5 is
-    off by 0.1 at K = 30.  The detour therefore takes the upper half-plane.
-    The potential must have decayed below ORACLE_DECAY at +-L, and
-    detour_radius must lie inside (0, L).
+    continuation of the scattering state.  The arc takes the upper
+    half-plane; a lower one would give the same numbers, because
+    f(conj z; K) = conj f(z; -K) makes its state the conjugate of this one
+    with +K and -K swapped.
+    The potential must have decayed below ORACLE_DECAY at +-L and be even
+    and real at a few probe points (ValueError otherwise), and detour_radius
+    must lie inside (0, L).
     A scalar K gives scalar fields, an array K arrays of the same length.
     """
     from scipy.integrate import solve_ivp  # slow to import, and only this oracle uses it
@@ -225,20 +247,28 @@ def numerical_amplitudes(
     edge = max(abs(complex(potential(L))), abs(complex(potential(-L))))
     if edge >= ORACLE_DECAY:
         raise ValueError(f"potential must decay below {ORACLE_DECAY} at +-{L}, got {edge:.2e}")
+    for x in _EVEN_PROBES:
+        a, b = complex(potential(x)), complex(potential(-x))
+        if not max(abs(a - b), abs(a.imag)) <= _EVEN_TOL * max(abs(a), abs(b)):
+            raise ValueError(
+                f"potential must be even and real on the real line, got U({x}) = {a:.6g}, "
+                f"U({-x}) = {b:.6g}"
+            )
     if getattr(potential, "is_singular", False):
         if detour_radius is None:
             detour_radius = _detour_radius(potential)
-        segments = _detour_segments(L, detour_radius)
+        segments, z0 = _detour_segments(L, detour_radius), 1j * detour_radius
     else:
-        segments = [(lambda s: s, lambda s: 1.0, L, -L, _LINE_TOL)]
+        segments, z0 = [(lambda s: s, lambda s: 1.0, L, 0.0, _LINE_TOL)], 0.0
     f = getattr(potential, "evaluate_scalar", potential)
-    n, ik = kv.size, 1j * kv
+    ik = 1j * np.concatenate([kv, -kv])  # f(.; +K), then f(.; -K)
+    n = ik.size
     exponents, half_over_ik = np.concatenate([ik, -ik]), 0.5 / ik
     y = np.concatenate([np.ones(n, dtype=complex), np.zeros(n, dtype=complex)])
     for path, dpath, s0, s1, (rtol, atol) in segments:
         def rhs(s, yv):
             z = path(s)
-            waves = np.exp(exponents * z)  # e^(iKz)..., e^(-iKz)...
+            waves = np.exp(exponents * z)  # e^(ikz)..., e^(-ikz)...
             terms = yv * waves
             g = f(z) * dpath(s) * half_over_ik * (terms[:n] + terms[n:])
             return np.concatenate([g * waves[n:], -g * waves[:n]])
@@ -247,8 +277,12 @@ def numerical_amplitudes(
         if not sol.success:
             raise RuntimeError(f"scattering ODE stepper failed: {sol.message}")
         y = sol.y[:, -1]
-    p, q = y[:n], y[n:]
-    t, r = 1.0 / p, q / p
+    terms = y * np.exp(exponents * z0)
+    fp, fm = np.split(terms[:n] + terms[n:], 2)  # f(z0; +K), f(z0; -K)
+    dfp, dfm = np.split(ik * (terms[:n] - terms[n:]), 2)
+    # W[f, g] = -(f conj f'(-K) + f' conj f(-K)); W[f, conj f(-conj z)] = -2 Re(f conj f')
+    t = 2j * kv / (fp * dfm.conj() + dfp * fm.conj())
+    r = t * (fp * dfp.conj()).real / (-1j * kv)
     if ks.ndim == 0:
         return ScatteringAmplitudes(K=float(ks), t=complex(t[0]), r=complex(r[0]))
     return ScatteringAmplitudes(K=kv, t=t, r=r)

@@ -164,6 +164,20 @@ class TestScatteringCommand:
         assert cols["re_t_oracle"] == pytest.approx(cols["re_t"], abs=1e-5)
         assert cols["im_t_oracle"] == pytest.approx(cols["im_t"], abs=1e-5)
 
+    @pytest.mark.parametrize("seeds", ["2", "2,4"])
+    def test_oracle_columns_on_default_grid(self, capsys, seeds):
+        # 32 K from 0.25 to 8; h=1 [2,4] takes the detour around its pole
+        h = "1.5" if seeds == "2" else "1"
+        code, out, _ = run(capsys, "scattering", "--h", h, "--seeds", seeds, "--oracle")
+        assert code == 0
+        header, *rows = out.strip().split("\n")
+        assert len(rows) == 32
+        names = header.split(",")
+        for row in rows:
+            cols = dict(zip(names, (float(v) for v in row.split(","))))
+            for part in ("re_t", "im_t", "re_r", "im_r"):
+                assert abs(cols[part + "_oracle"] - cols[part]) <= 1e-10
+
     def test_nonpositive_grid_rejected(self, capsys):
         code, _, _ = run(capsys, "scattering", "--h", "1", "--kmin", "-1",
                          "--kmax", "2", "--nk", "4")

@@ -278,7 +278,8 @@ class TestDeformedPotential:
         assert max(abs(pot(float(x)) - r) for x, r in zip(xs, ref)) <= 1e-12 * scale
 
     def test_complex_detour_matches_mpmath(self):
-        # the ODE oracle's semicircle |x| = 0.5 around the pole of h=1 [2,4]
+        # complex x on the circle |x| = 0.5 around the pole of h=1 [2,4], as on the
+        # ODE oracle's detour arc
         pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
         zs = [0.5 * cmath.exp(1j * th) for th in np.linspace(0.0, np.pi, 9)]
         with mp.workdps(30):

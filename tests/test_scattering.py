@@ -283,10 +283,9 @@ class TestNumericalAmplitudes:
             assert abs(closed.t - t) <= 1e-7
             assert abs(closed.r - r) <= 1e-7
 
-    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
-    def test_tails_cost_few_potential_calls(self, spec, monkeypatch):
-        # the (P, Q) right-hand side vanishes with U, so the decayed tails take long
-        # steps; the detour of h=1 [2,4] took 8,058 calls on an arc 0.014 from two poles
+    @staticmethod
+    def oracle_potential_calls(spec, monkeypatch) -> int:
+        """evaluate_scalar calls of one numerical_amplitudes on ORACLE_K_GRID."""
         pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
         calls = []
         evaluate_scalar = pot.evaluate_scalar
@@ -297,7 +296,20 @@ class TestNumericalAmplitudes:
 
         monkeypatch.setattr(pot, "evaluate_scalar", counted)
         numerical_amplitudes(pot, ORACLE_K_GRID)
-        assert 0 < len(calls) <= (6500 if pot.is_singular else 6000)
+        return len(calls)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+    def test_tails_cost_few_potential_calls(self, spec, monkeypatch):
+        # the (P, Q) right-hand side vanishes with U, so the decayed tails take long
+        # steps; the detour of h=1 [2,4] took 8,058 calls on an arc 0.014 from two poles
+        calls = self.oracle_potential_calls(spec, monkeypatch)
+        assert 0 < calls <= (6500 if len(spec.seeds) > 1 else 6000)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+    def test_half_path_halves_the_potential_calls(self, spec, monkeypatch):
+        # the path ends at the mirror point of the even well; the full path to
+        # x = -25 took 4,646 to 5,742 calls per spec on this grid
+        assert 0 < self.oracle_potential_calls(spec, monkeypatch) <= 3500
 
     @pytest.mark.parametrize("spec", [SystemSpec(1.0, (2, 4)), SystemSpec(2.5, (2, 4, 6))], ids=str)
     def test_singular_wells_at_the_small_k_cutoff(self, spec):
@@ -371,7 +383,7 @@ class TestNumericalAmplitudes:
 
     def test_one_ode_solve_per_spec(self, monkeypatch, capsys):
         # every K of a spec shares one solve_ivp per path segment: one on the
-        # real line, three on the detour around a singular set's pole
+        # real line, two (the line and the quarter arc) around a singular set's pole
         import scipy.integrate
 
         calls = []
@@ -384,10 +396,10 @@ class TestNumericalAmplitudes:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
         assert main(["scattering", "--h", "1", "--seeds", "2,4", "--oracle", "--nk", "32"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 33
-        assert len(calls) == 3
+        assert len(calls) == 2
         calls.clear()
         assert all(res.passed for res in check_oracle_agreement())
-        assert len(calls) == sum(3 if len(s.seeds) > 1 else 1 for s in ORACLE_SPECS)
+        assert len(calls) == sum(2 if len(s.seeds) > 1 else 1 for s in ORACLE_SPECS)
 
     def test_small_k_declined(self):
         with pytest.raises(ValueError):
@@ -406,6 +418,16 @@ class TestNumericalAmplitudes:
         for radius in (ORACLE_HALF_WIDTH, 30.0, 0.0, -0.5):
             with pytest.raises(ValueError):
                 numerical_amplitudes(singular, 1.0, detour_radius=radius)
+
+    def test_even_precondition(self):
+        # the readout mirrors the path about z0, which holds for an even well,
+        # real on the real line, only
+        for potential in (
+            lambda x: -2.0 / math.cosh(x - 1.0) ** 2,
+            lambda x: -2.0j / math.cosh(x) ** 2,
+        ):
+            with pytest.raises(ValueError, match="even and real"):
+                numerical_amplitudes(potential, 1.0)
 
     def test_plain_callable_potential(self):
         amp = numerical_amplitudes(lambda x: -2.0 / math.cosh(x) ** 2, 1.0)
