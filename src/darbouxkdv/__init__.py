@@ -26,7 +26,7 @@ from .scattering import (
     numerical_amplitudes,
     transmission_poles,
 )
-from .spectral_oracle import GridSpec, OracleWindowError, eigen_spectrum, oracle_norming_constants
+from .spectral_oracle import GridSpec, eigen_spectrum, oracle_norming_constants
 from .specfun import (
     jacobi_coefficients,
     log_gamma,
@@ -40,7 +40,6 @@ __all__ = [
     "BoundState",
     "GridSpec",
     "NodalWronskianError",
-    "OracleWindowError",
     "OverflowDomainError",
     "PotentialEvaluator",
     "ScatteringAmplitudes",

@@ -21,7 +21,7 @@ import numpy as np
 from .darboux import NodalWronskianError, SystemSpec, bound_states, deformed_potential
 from .kdv import OverflowDomainError, SolitonData, field_u, scattering_data_from_spec
 from .scattering import deformed_amplitudes, numerical_amplitudes
-from .spectral_oracle import GridSpec, OracleWindowError, oracle_norming_constants
+from .spectral_oracle import GridSpec, oracle_norming_constants
 from .verification import run_suite
 
 __all__ = ["main"]
@@ -284,10 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(func=cmd_potential)
 
-    p = sub.add_parser("spectrum", help="bound states: closed form vs FD oracle")
+    p = sub.add_parser("spectrum", help="bound states: closed form vs sinc-collocation oracle")
     add_spec(p)
     p.add_argument("--grid-l", type=float, default=20.0)
-    p.add_argument("--grid-n", type=int, default=4001)
+    p.add_argument("--grid-n", type=int, default=801)
     p.add_argument("--tol-energy", type=float, default=1e-5)
     p.add_argument("--tol-norming", type=float, default=1e-3)
     p.add_argument("--output", type=str, default=None)
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OverflowDomainError, OverflowError, OracleWindowError) as exc:
+    except (OverflowDomainError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC_DOMAIN
     except (NodalWronskianError, ValueError) as exc:

@@ -7,16 +7,16 @@ bound states of U_D with their norming constants.  The norming constants are
 closed forms, the residues of the transmission amplitude's Gamma product at
 its bound-state poles; no numerical integration enters.
 
-Every derivative is assembled analytically: higher derivatives of any closed
-form solution are reduced to (phi, phi') through phi'' = (U - E) phi.
-Wronskian matrix columns rescaled by their cosh powers have entries that are
-polynomials in u = tanh x, so every Wronskian is one polynomial in u.  The
-seed Wronskian W~(u) is built once and U_D follows from W~, W~' and W~''.
-Regularity is a closed form: one even seed is nodeless, two or more have a
-node at x = 0.  Each bound state is the Crum ratio of two such polynomials,
-a Wronskian with one column added to or removed from the seeds over W~,
-times a cosh power.  The cosh factors cancel in every ratio, so evaluations
-extend to complex x.
+Every derivative is assembled analytically: each closed form solution is a
+cosh power times a polynomial in u = tanh x, and differentiating it gives
+the same cosh power times another polynomial in u.  Wronskian matrix columns
+rescaled by their cosh powers therefore have polynomial entries, so every
+Wronskian is one polynomial in u.  The seed Wronskian W~(u) is built once
+and U_D follows from W~, W~' and W~''.  Regularity is a closed form: one
+even seed is nodeless, two or more have a node at x = 0.  Each bound state
+is the Crum ratio of two such polynomials, a Wronskian with one column
+added to or removed from the seeds over W~, times a cosh power.  The cosh
+factors cancel in every ratio, so evaluations extend to complex x.
 """
 
 from __future__ import annotations
@@ -116,62 +116,38 @@ def _poly_dx(coef: np.ndarray) -> np.ndarray:
 
 
 class _Solution:
-    """Closed-form base solution (cosh x)^gamma P(tanh x) at energy E.
+    """Closed-form base solution (cosh x)^gamma P(tanh x).
 
-    Derivative rows are generated through the equation phi'' = (U - E) phi:
-    phi^(i) = A_i(u) phi + B_i(u) phi' with A_(k+1) = A_k' + B_k (U - E) and
-    B_(k+1) = A_k + B_k'.  Dividing a whole column of a Wronskian matrix by
-    the strictly positive cosh power leaves the entries
-
-        phi^(i)/cosh^gamma = A_i P + B_i (gamma u P + (1 - u^2) P')
-
-    which are polynomials in u = tanh x: entire, bounded on the real line and
-    free of spurious poles at the nodes of P.  The cosh factors cancel in
-    every determinant ratio used downstream.
+    Dividing a whole column of a Wronskian matrix by the strictly positive
+    cosh power leaves entries that are polynomials in u = tanh x, entire,
+    bounded on the real line and free of spurious poles at the nodes of P:
+    row_0 = P and, as d/dx [cosh^gamma p(u)] = cosh^gamma (gamma u p +
+    (1 - u^2) p'(u)), row_(i+1) = gamma u row_i + (1 - u^2) row_i'.  The cosh
+    factors cancel in every determinant ratio used downstream.
     """
 
-    def __init__(self, h: float, gamma: float, energy: float, pcoef: np.ndarray):
-        self.h = h
+    def __init__(self, gamma: float, pcoef: np.ndarray):
         self.gamma = gamma
-        self.energy = energy
-        self.pcoef = np.asarray(pcoef, dtype=float)
-        self.dpcoef = npoly.polyder(self.pcoef) if len(self.pcoef) > 1 else np.array([0.0])
-        # (log phi)' numerator: gamma u P + (1 - u^2) P'
-        self.qcoef = npoly.polyadd(
-            npoly.polymul(np.array([0.0, gamma]), self.pcoef),
-            npoly.polymul(_DU_FACTOR, self.dpcoef),
-        )
-        self._ab: list = []
-        self._row_polys: list = []
+        self._row_polys = [np.asarray(pcoef, dtype=float)]
 
     def row_polys(self, nrows: int) -> list:
         """phi^(i)(x)/(cosh x)^gamma, i = 0..nrows-1, as polynomials in u."""
-        if not self._ab:
-            self._ab.append((np.array([1.0]), np.array([0.0])))
-        ue = np.array([-self.h * (self.h + 1.0) - self.energy, 0.0, self.h * (self.h + 1.0)])
-        while len(self._ab) < nrows:
-            a, b = self._ab[-1]
-            self._ab.append(
-                (npoly.polyadd(_poly_dx(a), npoly.polymul(b, ue)), npoly.polyadd(a, _poly_dx(b)))
-            )
         while len(self._row_polys) < nrows:
-            a, b = self._ab[len(self._row_polys)]
+            row = self._row_polys[-1]
             self._row_polys.append(
-                npoly.polyadd(npoly.polymul(a, self.pcoef), npoly.polymul(b, self.qcoef))
+                npoly.polyadd(npoly.polymul(np.array([0.0, self.gamma]), row), _poly_dx(row))
             )
         return self._row_polys[:nrows]
 
 
 def _seed_solution(h: float, v: int) -> _Solution:
     gamma = h + 1.0 + v
-    pcoef = jacobi_coefficients(v, -gamma)
-    return _Solution(h, gamma, -gamma * gamma, pcoef)
+    return _Solution(gamma, jacobi_coefficients(v, -gamma))
 
 
 def _base_solution(h: float, n: int) -> _Solution:
     kappa = h - n
-    pcoef = jacobi_coefficients(n, kappa)
-    return _Solution(h, -kappa, -kappa * kappa, pcoef)
+    return _Solution(-kappa, jacobi_coefficients(n, kappa))
 
 
 def _wronskian_poly(sols: list, magnitude: bool = False) -> np.ndarray:
@@ -237,7 +213,7 @@ class PotentialEvaluator:
     * One even seed is nodeless.  With gamma = h+1+v = h+1+2m, the even-power
       coefficients of P_v^(-gamma,-gamma) are positive: the lowest is
       prod_i (gamma-m-1-i)/(4(i+1)) with gamma-m-1-i >= h+1 > 0, and the
-      ratio (j-v)(j-v-2h-1)/((j+1)(j+2)) of _symmetric_coefficients is
+      ratio (j-v)(j-v-2h-1)/((j+1)(j+2)) of jacobi_coefficients is
       positive for j < v.  So W~ = P >= P(0) > 0, in floats too.
     * Two or more even seeds have a node.  The first-derivative row of the
       scaled matrix, gamma u P + (1-u^2) P', is odd, so W~(0) = 0 exactly.

@@ -278,8 +278,6 @@ class AsymptoticSoliton:
 def asymptotic_decomposition(data: SolitonData) -> list:
     """Phase shifts chi_n = 1/2 sum_{m!=n} sgn(k_n-k_m) log|(k_n-k_m)/(k_n+k_m)|."""
     kap = data.kappas
-    if len(set(kap)) != len(kap):
-        raise ValueError("kappas must be distinct")
     out = []
     for n, kn in enumerate(kap):
         chi = 0.0

@@ -50,7 +50,6 @@ AMPLITUDE_ERROR_LIMIT = 1e-6  # relative, on t and r
 _EPS = math.ulp(1.0)  # double-precision epsilon, 2^-52
 ORACLE_HALF_WIDTH = 25.0
 ORACLE_DECAY = 1e-12
-DETOUR_RADIUS = 0.5  # for singular potentials that do not report their poles
 DETOUR_BAND = (0.2, 0.5)
 
 
@@ -144,7 +143,7 @@ _ARC_TOL = (1e-12, 1e-14)
 def _detour_radius(potential) -> float:
     """Midpoint of the widest interval of DETOUR_BAND free of pole moduli |x_p|.
 
-    Near a pole the stepper crawls: with DETOUR_RADIUS the quarter arc of
+    Near a pole the stepper crawls: with the radius 0.5 the quarter arc of
     h=1, seeds (2, 4) passes 0.014 from the poles at |x| = 0.514 and takes
     1,922 of the spec's 4,144 potential calls on the verify K grid, against
     734 of 3,016 at the chosen radius 0.35.  The band stops at 0.5 because an
@@ -152,10 +151,8 @@ def _detour_radius(potential) -> float:
     K = 40 was off by 0.03 to 0.19 on five singular sets.  It starts at 0.2
     because U_D grows like 1/x^2 towards the pole at x = 0: at radius 0.1
     the verify K grid of h=1, seeds (2, 4) is off by 1.9e-10, against
-    3.6e-11 at 0.2.  A potential without a poles() method gets DETOUR_RADIUS.
+    3.6e-11 at 0.2.
     """
-    if not hasattr(potential, "poles"):
-        return DETOUR_RADIUS
     lo, hi = DETOUR_BAND
     edges = sorted({lo, hi, *(float(m) for m in np.abs(potential.poles()) if lo < m < hi)})
     a, b = max(zip(edges, edges[1:]), key=lambda gap: gap[1] - gap[0])
@@ -177,17 +174,24 @@ def _detour_segments(L: float, radius: float):
     ]
 
 
-# the readout needs U(x) = U(-x), real, checked at these points to this relative
+# both oracles need U(x) = U(-x), real, checked at these points to this relative
 # tolerance; they keep clear of x = 0, the one real pole of a singular U_D
 _EVEN_PROBES = (0.375, 1.25, 3.0)
 _EVEN_TOL = 1e-10
 
 
-def numerical_amplitudes(
-    potential,
-    K,
-    detour_radius: float | None = None,
-) -> ScatteringAmplitudes:
+def _require_even_real(potential) -> None:
+    """ValueError unless U is even and real at the _EVEN_PROBES points."""
+    for x in _EVEN_PROBES:
+        a, b = complex(potential(x)), complex(potential(-x))
+        if not max(abs(a - b), abs(a.imag)) <= _EVEN_TOL * max(abs(a), abs(b)):
+            raise ValueError(
+                f"potential must be even and real on the real line, got U({x}) = {a:.6g}, "
+                f"U({-x}) = {b:.6g}"
+            )
+
+
+def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
     """ODE-integration scattering oracle, independent of the closed forms.
 
     K is one wave number or a 1-D array of them; every K must be finite and
@@ -212,19 +216,17 @@ def numerical_amplitudes(
 
         t = -2iK / W[f, g](z0),   r = t W[f, conj f(-conj z; K)](z0) / (2iK).
 
-    Potentials flagged as singular are integrated along the real line to
-    the detour radius and then on the upper quarter circle around x = 0 to
-    z0 = i radius.  The radius is detour_radius if given, else the midpoint
-    of the widest interval of DETOUR_BAND = [0.2, 0.5] that no pole modulus
-    of U_D falls in (DETOUR_RADIUS for a potential that does not report its
-    poles): the stepper crawls near a pole.  The result is the meromorphic
+    Potentials flagged as singular, which report their poles, are integrated
+    along the real line to the detour radius and then on the upper quarter
+    circle around x = 0 to z0 = i radius.  The radius is the midpoint of the
+    widest interval of DETOUR_BAND = [0.2, 0.5] that no pole modulus of U_D
+    falls in: the stepper crawls near a pole.  The result is the meromorphic
     continuation of the scattering state.  The arc takes the upper
     half-plane; a lower one would give the same numbers, because
     f(conj z; K) = conj f(z; -K) makes its state the conjugate of this one
     with +K and -K swapped.
     The potential must have decayed below ORACLE_DECAY at +-L and be even
-    and real at a few probe points (ValueError otherwise), and detour_radius
-    must lie inside (0, L).
+    and real at a few probe points (ValueError otherwise).
     A scalar K gives scalar fields, an array K arrays of the same length.
     """
     from scipy.integrate import solve_ivp  # slow to import, and only this oracle uses it
@@ -242,22 +244,13 @@ def numerical_amplitudes(
                 "grow like 1/K and cancel, too ill-conditioned for a trustworthy result"
             )
     L = ORACLE_HALF_WIDTH
-    if detour_radius is not None and not 0 < detour_radius < L:
-        raise ValueError(f"detour_radius must lie in (0, {L}), got {detour_radius}")
     edge = max(abs(complex(potential(L))), abs(complex(potential(-L))))
     if edge >= ORACLE_DECAY:
         raise ValueError(f"potential must decay below {ORACLE_DECAY} at +-{L}, got {edge:.2e}")
-    for x in _EVEN_PROBES:
-        a, b = complex(potential(x)), complex(potential(-x))
-        if not max(abs(a - b), abs(a.imag)) <= _EVEN_TOL * max(abs(a), abs(b)):
-            raise ValueError(
-                f"potential must be even and real on the real line, got U({x}) = {a:.6g}, "
-                f"U({-x}) = {b:.6g}"
-            )
+    _require_even_real(potential)
     if getattr(potential, "is_singular", False):
-        if detour_radius is None:
-            detour_radius = _detour_radius(potential)
-        segments, z0 = _detour_segments(L, detour_radius), 1j * detour_radius
+        radius = _detour_radius(potential)
+        segments, z0 = _detour_segments(L, radius), 1j * radius
     else:
         segments, z0 = [(lambda s: s, lambda s: 1.0, L, 0.0, _LINE_TOL)], 0.0
     f = getattr(potential, "evaluate_scalar", potential)

@@ -49,14 +49,22 @@ def reciprocal_gamma(z):
     return (_special or _bind_special()).rgamma(z)
 
 
-def _symmetric_coefficients(n: int, a: float) -> np.ndarray:
-    """Monomial coefficients of P_n^(a,a), each one a product of exact factors.
+def jacobi_coefficients(n: int, a: float) -> np.ndarray:
+    """Monomial coefficients (lowest degree first) of P_n^(a,a).
 
-    P_n^(a,a) has the parity of n.  Its lowest coefficient, with n = 2m + k,
-    is (-1)^m (b+m+1)_m / (4^m m!) with b = a + k, times (n+2a+1)/2 when n is
-    odd (the derivative rule P_n' = (n+2a+1)/2 P_(n-1)^(a+1,a+1)); the Jacobi
-    equation then gives c_(j+2) = (j-n)(j+n+2a+1)/((j+1)(j+2)) c_j.
+    Every caller asks for equal parameters: the seeds P_v^(-gamma,-gamma),
+    with gamma any real above 3, and the base states P_n^(kappa,kappa).
+    Each coefficient is a product of exact factors, free of cancellation for
+    every real a.  P_n^(a,a) has the parity of n.  Its lowest coefficient,
+    with n = 2m + k, is (-1)^m (b+m+1)_m / (4^m m!) with b = a + k, times
+    (n+2a+1)/2 when n is odd (the derivative rule
+    P_n' = (n+2a+1)/2 P_(n-1)^(a+1,a+1)); the Jacobi equation then gives
+    c_(j+2) = (j-n)(j+n+2a+1)/((j+1)(j+2)) c_j.
     """
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"Jacobi degree must be a nonnegative integer, got {n}")
+    if not math.isfinite(a):
+        raise ValueError(f"Jacobi parameter must be finite, got {a}")
     m, k = divmod(n, 2)
     c = (n + 2.0 * a + 1.0) / 2.0 if k else 1.0
     for i in range(m):
@@ -66,18 +74,3 @@ def _symmetric_coefficients(n: int, a: float) -> np.ndarray:
     for j in range(k, n - 1, 2):
         out[j + 2] = out[j] * (j - n) * (j + n + 2.0 * a + 1.0) / ((j + 1) * (j + 2))
     return out
-
-
-def jacobi_coefficients(n: int, a: float) -> np.ndarray:
-    """Monomial coefficients (lowest degree first) of P_n^(a,a).
-
-    Every caller asks for equal parameters: the seeds P_v^(-gamma,-gamma),
-    with gamma any real above 3, and the base states P_n^(kappa,kappa).
-    The coefficients come from the recurrence of _symmetric_coefficients,
-    which is free of cancellation for every real a.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"Jacobi degree must be a nonnegative integer, got {n}")
-    if not math.isfinite(a):
-        raise ValueError(f"Jacobi parameter must be finite, got {a}")
-    return _symmetric_coefficients(n, a)

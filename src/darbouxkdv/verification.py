@@ -70,16 +70,16 @@ def two_soliton_closed_form(x, t):
     return num / den
 
 
-# --- criterion 1: spectrum of the h=1, seeds=[2] well from the FD oracle ---
+# --- criterion 1: spectrum of the h=1, seeds=[2] well from the sinc oracle ---
 
 def check_spectrum_h1() -> list:
     pot = deformed_potential(SystemSpec(1.0, (2,)))
-    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=4001))
+    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=801))
     energies = [e for e, _ in levels]
     defect = max(abs(a - b) for a, b in zip(energies, (-16.0, -1.0)))
     if len(energies) != 2:
         defect = math.inf
-    return [CheckResult("spectrum h=1 [2] vs {-16,-1} (n=4001, L=20)", defect, 1e-6)]
+    return [CheckResult("spectrum h=1 [2] vs {-16,-1} (sinc oracle, n=801, L=20)", defect, 1e-6)]
 
 
 # --- criterion 2: norming constants, closed form and oracle ---
@@ -91,12 +91,12 @@ def check_norming_h1() -> list:
         abs(by_kappa[1] - C0_TWO_SOLITON), abs(by_kappa[4] - C1_TWO_SOLITON)
     )
     pot = deformed_potential(SystemSpec(1.0, (2,)))
-    oracle = oracle_norming_constants(pot, GridSpec(L=20.0, n_points=6001))
+    oracle = oracle_norming_constants(pot, GridSpec(L=20.0, n_points=801))
     om = {round(k): c for k, c in oracle}
     odefect = max(abs(om[1] - C0_TWO_SOLITON), abs(om[4] - C1_TWO_SOLITON))
     return [
         CheckResult("norming constants h=1 [2], closed form", closed, 1e-6),
-        CheckResult("norming constants h=1 [2], FD oracle", odefect, 1e-3),
+        CheckResult("norming constants h=1 [2], sinc oracle (n=801, L=20)", odefect, 1e-3),
     ]
 
 
@@ -133,7 +133,7 @@ def check_explicit_formula() -> list:
 def check_h2_chain() -> list:
     spec = SystemSpec(2.0, (2,))
     pot = deformed_potential(spec)
-    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=6001))
+    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=801))
     energies = [e for e, _ in levels]
     sdefect = max(abs(a - b) for a, b in zip(energies, (-25.0, -4.0, -1.0)))
     if len(energies) != 3:
@@ -143,7 +143,7 @@ def check_h2_chain() -> list:
     xs = np.linspace(-8.0, 8.0, 1601)
     rdefect = float(np.max(np.abs(field_u(data, xs, 0.0) - pot(xs))))
     return [
-        CheckResult("spectrum h=2 [2] vs {-25,-4,-1} (n=6001, L=20)", sdefect, 1e-6),
+        CheckResult("spectrum h=2 [2] vs {-25,-4,-1} (sinc oracle, n=801, L=20)", sdefect, 1e-6),
         CheckResult("h=2 profile spot value u(0,0) = -44", spot, 1e-8),
         CheckResult("reconstruction h=2: max |u(x,0) - U_D(x)| on [-8,8]", rdefect, 1e-6),
     ]

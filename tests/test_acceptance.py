@@ -14,12 +14,12 @@ def _report(results):
 
 
 def test_c01_spectrum_reproduction():
-    """h=1, seeds=[2]: FD oracle spectrum {-16, -1} within 1e-6 on n=4001, L=20."""
+    """h=1, seeds=[2]: sinc oracle spectrum {-16, -1} within 1e-6 on n=801, L=20."""
     _report(ver.check_spectrum_h1())
 
 
 def test_c02_norming_constants():
-    """Closed-form c = sqrt(10/3), sqrt(40/3) within 1e-6; FD oracle within 1e-3."""
+    """Closed-form c = sqrt(10/3), sqrt(40/3) within 1e-6; sinc oracle within 1e-3."""
     _report(ver.check_norming_h1())
 
 

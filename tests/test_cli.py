@@ -122,17 +122,21 @@ class TestSpectrumCommand:
         assert doc["levels"][0]["energy"] == -1.0
 
     def test_oracle_mismatch_exit_code(self, capsys):
+        # the sinc oracle's energy defect here is near 3e-13, a few ulps of E = -16
         code, _, err = run(capsys, "spectrum", "--h", "1", "--seeds", "2",
-                           "--tol-energy", "1e-12")
+                           "--tol-energy", "1e-15")
         assert code == 3
         assert "divergence" in err
 
-    def test_unresolvable_level_exit_code(self, capsys):
-        # kappa = 9 decays below the oracle's noise floor: the oracle cannot judge
-        code, _, err = run(capsys, "spectrum", "--h", "6", "--seeds", "2")
-        assert code == 4
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("spec", [("6", "2"), ("15", ""), ("1.5", "4")], ids="-".join)
+    def test_deep_and_shallow_levels_pass_at_default_flags(self, capsys, spec):
+        # kappa = 9 of h=6 [2] and 15 of h=15 decay fast; kappa = 0.5 of h=1.5 slowly
+        h, seeds = spec
+        code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
+        assert code == 0, err
+        levels = json.loads(out)["levels"]
+        assert all(lvl["energy_defect"] <= 1e-8 for lvl in levels)
+        assert all(lvl["norming_defect"] <= 1e-6 * lvl["norming_constant"] for lvl in levels)
 
 
 class TestScatteringCommand:

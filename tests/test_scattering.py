@@ -11,8 +11,6 @@ from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.scattering import (
     AMPLITUDE_ERROR_LIMIT,
     DETOUR_BAND,
-    DETOUR_RADIUS,
-    ORACLE_HALF_WIDTH,
     SMALL_K_CUTOFF,
     base_amplitudes,
     deformed_amplitudes,
@@ -233,19 +231,17 @@ class TestNumericalAmplitudes:
         assert abs(closed.t - numeric.t) <= 1e-6
         assert abs(numeric.r) <= 1e-6
 
-    def test_contour_is_path_independent(self):
+    def test_contour_is_path_independent(self, monkeypatch):
         # the deformed scattering state is meromorphic at the Wronskian zero,
         # so different detour radii must give the same amplitudes
         pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
-        a = numerical_amplitudes(pot, 2.0, detour_radius=0.4)
-        b = numerical_amplitudes(pot, 2.0, detour_radius=0.7)
+        a, b = (self.at_radius(monkeypatch, radius, pot, 2.0) for radius in (0.4, 0.7))
         assert abs(a.t - b.t) <= 1e-7
 
-    def test_contour_is_path_independent_for_k_array(self):
+    def test_contour_is_path_independent_for_k_array(self, monkeypatch):
         pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
         K = np.array([0.5, 2.0, 8.0])
-        a = numerical_amplitudes(pot, K, detour_radius=0.4)
-        b = numerical_amplitudes(pot, K, detour_radius=0.7)
+        a, b = (self.at_radius(monkeypatch, radius, pot, K) for radius in (0.4, 0.7))
         assert np.max(np.abs(a.t - b.t)) <= 1e-7
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
@@ -321,6 +317,12 @@ class TestNumericalAmplitudes:
         assert abs(closed.r - numeric.r) <= 1e-9
 
     @staticmethod
+    def at_radius(monkeypatch, radius, potential, K):
+        """numerical_amplitudes(potential, K) on a detour of the given radius."""
+        monkeypatch.setattr(scattering, "_detour_radius", lambda potential: radius)
+        return numerical_amplitudes(potential, K)
+
+    @staticmethod
     def record_radii(monkeypatch) -> list:
         """The detour radius of every later numerical_amplitudes call, in order."""
         used = []
@@ -353,19 +355,6 @@ class TestNumericalAmplitudes:
         assert np.min(np.abs(np.abs(pot.poles()) - r)) >= 0.05
         if radius is not None:
             assert r == pytest.approx(radius, abs=5e-3)
-
-    def test_detour_radius_given_or_defaulted(self, monkeypatch):
-        used = self.record_radii(monkeypatch)
-        pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
-        numerical_amplitudes(pot, 1.0, detour_radius=0.6)
-
-        # a singular potential that does not report its poles keeps DETOUR_RADIUS
-        def plain(x):
-            return pot(x)
-
-        plain.is_singular = True
-        numerical_amplitudes(plain, 1.0)
-        assert used == [0.6, DETOUR_RADIUS]
 
     def test_scalar_k_gives_scalar_fields(self):
         amp = numerical_amplitudes(deformed_potential(SystemSpec(1.0, (2,))), 1.0)
@@ -413,11 +402,6 @@ class TestNumericalAmplitudes:
         # -2/cosh^2(x/4) is still near 3e-5 at the window edge +-ORACLE_HALF_WIDTH
         with pytest.raises(ValueError):
             numerical_amplitudes(lambda x: -2.0 / math.cosh(x / 4.0) ** 2, 1.0)
-        # a detour outside (0, ORACLE_HALF_WIDTH) would give wrong numbers
-        singular = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
-        for radius in (ORACLE_HALF_WIDTH, 30.0, 0.0, -0.5):
-            with pytest.raises(ValueError):
-                numerical_amplitudes(singular, 1.0, detour_radius=radius)
 
     def test_even_precondition(self):
         # the readout mirrors the path about z0, which holds for an even well,
