@@ -72,7 +72,7 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     finite = math.isfinite(lo) and math.isfinite(hi)
     if not finite or n < 1 or (n > 1 and not lo < hi) or (n == 1 and lo != hi):
         raise ValueError(f"bad grid: [{lo}, {hi}] with {n} points")
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, n) if n > 1 else np.array([lo])  # linspace drops -0.0's sign
 
 
 def _table_blocks(header, columns, fmt: str):
@@ -198,7 +198,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scattering(args) -> int:
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
-    ks = _grid(args.kmin, args.kmax, args.nk) if args.k is None else np.array([args.k])
+    ks = _grid(args.kmin, args.kmax, args.nk) if args.k is None else _grid(args.k, args.k, 1)
     if np.any(ks <= 0):
         raise ValueError("K grid must be positive")
     header = ["K", "re_t", "im_t", "re_r", "im_r", "abs_t", "abs_r", "unitarity_defect"]
@@ -227,8 +227,8 @@ def _soliton_data(args) -> SolitonData:
 
 def cmd_soliton(args) -> int:
     data = _soliton_data(args)
-    ts = np.array([args.t]) if args.t is not None else _grid(args.tmin, args.tmax, args.nt)
-    xs = np.array([args.x]) if args.x is not None else _grid(args.xmin, args.xmax, args.n)
+    ts = _grid(args.tmin, args.tmax, args.nt) if args.t is None else _grid(args.t, args.t, 1)
+    xs = _grid(args.xmin, args.xmax, args.n) if args.x is None else _grid(args.x, args.x, 1)
     # |4 k^3 t| + k |x| above the limit for some kappa, per (t, x), one kappa at a time
     outside = np.zeros((ts.size, xs.size), dtype=bool)
     for k in data.kappas:

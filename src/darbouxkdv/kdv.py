@@ -128,7 +128,7 @@ def field_u(data: SolitonData, x, t: float):
     (log det A)' = -w.y and (log det A)'' = 2 (kappa w).y - (w.y)^2.
     No numeric differentiation is used.  Array points go through in blocks
     of FIELD_BLOCK, which bounds the (npts, N, N) work arrays without
-    changing any value.
+    changing any value, and u comes back in the shape of x.
     """
     xarr = np.asarray(x, dtype=float)
     if xarr.ndim == 0:
@@ -138,7 +138,7 @@ def field_u(data: SolitonData, x, t: float):
     for start in range(0, flat.size, FIELD_BLOCK):
         stop = start + FIELD_BLOCK
         u[start:stop] = _field_block(data, flat[start:stop], t)
-    return u
+    return u.reshape(xarr.shape)
 
 
 def _field_block(data: SolitonData, xs: np.ndarray, t: float) -> np.ndarray:

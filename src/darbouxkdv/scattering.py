@@ -14,16 +14,17 @@ floating-point-exact zero, and r stays finite at every h.  Where the
 log-Gamma sum of t cannot be resolved in double precision (h beyond about
 1e8), the amplitudes raise OverflowError instead of losing digits.  An
 independent ODE-integration oracle checks both amplitudes.  It writes the
-Jost solutions f(x; +-K) -> e^(+-iKx) as P e^(ikx) + Q e^(-ikx) with varying
-coefficients (the variable-phase, or variation-of-constants, form), so P and
-Q change only where U does.  As every U_D is even and real, it integrates
-only from x = +25 to the mirror point of its path, x = 0, and reads t and r
-off two Wronskians there: the left Jost solutions are the mirror images of
-f(.; +-K).  It integrates a whole K grid as one complex system; for singular
-multi-step potentials the path turns onto a complex quarter circle around the
-x = 0 pole, whose radius keeps clear of the other poles of U_D, and ends at
-its mirror point on the imaginary axis, so it computes the meromorphic
-continuation of the deformed scattering state.
+Jost solutions f(x; +-K) -> e^(+-iKx) as h e^(+-iKx), whose h'' = -+2iK h'
++ U h has h' = 0 wherever U has decayed, with no exponential in the
+right-hand side; spectral_oracle integrates the same form at k = i kappa.
+As every U_D is even and real, it integrates only from x = +25 to the mirror
+point of its path, x = 0, and reads t and r off two Wronskians there: the
+left Jost solutions are the mirror images of f(.; +-K).  It integrates a
+whole K grid as one complex system; for singular multi-step potentials the
+path turns onto a complex quarter circle around the x = 0 pole, whose radius
+keeps clear of the other poles of U_D, and ends at its mirror point on the
+imaginary axis, so it computes the meromorphic continuation of the deformed
+scattering state.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def transmission_poles(spec: SystemSpec) -> list:
 
 # (rtol, atol) per path segment; at z0 = i radius an error made on the arc is
 # e^(2K radius) times larger than the decayed wave e^(iKz), so the arc runs tighter
-_LINE_TOL = (1e-10, 1e-13)
+_LINE_TOL = (1e-10, 1e-12)
 _ARC_TOL = (1e-12, 1e-14)
 
 
@@ -145,8 +146,8 @@ def _detour_radius(potential) -> float:
 
     Near a pole the stepper crawls: with the radius 0.5 the quarter arc of
     h=1, seeds (2, 4) passes 0.014 from the poles at |x| = 0.514 and takes
-    1,922 of the spec's 4,144 potential calls on the verify K grid, against
-    734 of 3,016 at the chosen radius 0.35.  The band stops at 0.5 because an
+    1,862 of the spec's 4,288 potential calls on the verify K grid, against
+    638 of 3,148 at the chosen radius 0.35.  The band stops at 0.5 because an
     error made on the arc grows like e^(2K radius): at radius 0.75, t at
     K = 40 was off by 0.03 to 0.19 on five singular sets.  It starts at 0.2
     because U_D grows like 1/x^2 towards the pole at x = 0: at radius 0.1
@@ -168,10 +169,41 @@ def _detour_segments(L: float, radius: float):
     def darc(theta):
         return 1j * radius * cmath.exp(1j * theta)
 
-    return [
-        (lambda s: s, lambda s: 1.0, L, radius, _LINE_TOL),
-        (arc, darc, 0.0, 0.5 * math.pi, _ARC_TOL),
-    ]
+    return [_line(L, radius), (arc, darc, 0.0, 0.5 * math.pi, _ARC_TOL)]
+
+
+def _line(s0: float, s1: float):
+    """The real-line path segment from x = s0 to x = s1."""
+    return (lambda s: s, lambda s: 1.0, s0, s1, _LINE_TOL)
+
+
+def _jost(potential, ik, segments, t_eval=None) -> np.ndarray:
+    """(h..., h'...) of h = f e^(-ikz), f the right Jost solution -> e^(ikz), per ik.
+
+    f'' = (U - k^2) f becomes h'' = -2ik h' + U h.  From h = 1, h' = 0 at the
+    start of the path, each segment z(s) is one DOP853 solve of
+    [z' h', z' (-2ik h' + U(z) h)] for every k at once.  The right-hand side
+    needs no exponential, and h' stays near 0 where U has decayed.  A real
+    ik = -kappa keeps the state real.  Returns the state at the end of the
+    path or, with t_eval (points of the last segment, in path order), one
+    column per point.
+    """
+    from scipy import integrate  # slow to import, and only the oracles use it
+
+    u = getattr(potential, "evaluate_scalar", potential)
+    n, minus_2ik = ik.size, -2.0 * ik
+    y = np.concatenate([np.ones_like(ik), np.zeros_like(ik)])
+    for i, (path, dpath, s0, s1, (rtol, atol)) in enumerate(segments, 1):
+        def rhs(s, state):
+            dh = state[n:]
+            return dpath(s) * np.concatenate([dh, minus_2ik * dh + u(path(s)) * state[:n]])
+
+        sol = integrate.solve_ivp(rhs, (s0, s1), y, method="DOP853", rtol=rtol, atol=atol,
+                                  t_eval=t_eval if i == len(segments) else None)
+        if not sol.success:
+            raise RuntimeError(f"Jost ODE stepper failed: {sol.message}")
+        y = sol.y[:, -1]
+    return y if t_eval is None else sol.y
 
 
 # both oracles need U(x) = U(-x), real, checked at these points to this relative
@@ -180,8 +212,11 @@ _EVEN_PROBES = (0.375, 1.25, 3.0)
 _EVEN_TOL = 1e-10
 
 
-def _require_even_real(potential) -> None:
-    """ValueError unless U is even and real at the _EVEN_PROBES points."""
+def _require_oracle_potential(potential, L: float, decay: float) -> None:
+    """ValueError unless |U| < decay at +-L and U is even and real at the _EVEN_PROBES."""
+    edge = max(abs(complex(potential(L))), abs(complex(potential(-L))))
+    if not edge < decay:
+        raise ValueError(f"potential must decay below {decay} at +-{L}, got {edge:.2e}")
     for x in _EVEN_PROBES:
         a, b = complex(potential(x)), complex(potential(-x))
         if not max(abs(a - b), abs(a.imag)) <= _EVEN_TOL * max(abs(a), abs(b)):
@@ -199,20 +234,16 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
     real line, so U(-z) = U(z) and U(conj z) = conj U(z), and the path runs
     only from z = +L, L = ORACLE_HALF_WIDTH, to its mirror point z0 under
     z -> -conj z: z0 = 0 on the real line.  For k = +K and k = -K the right
-    Jost solution f(z; k) -> e^(ikz) is carried as the pair of free-wave
-    coefficients in f = P e^(ikz) + Q e^(-ikz), f' = ik (P e^(ikz) -
-    Q e^(-ikz)); along each path segment z(s), f'' = (U - k^2) f becomes
-
-        P' = g e^(-ikz),  Q' = -g e^(ikz),  g = U(z) z'(s) f / (2ik),
-
-    from the pure wave P = 1, Q = 0 at z = +L.  The right-hand side is
-    proportional to U, so the stepper takes long steps wherever the
-    potential has decayed.  k = +K and -K for every K of the array are one
-    complex state that evaluates U once per step.  By the two symmetries, the left Jost
-    solution g(z) = f(-z; K), which is e^(-iKx) at -inf, has
-    g(z0) = conj f(z0; -K) and g'(z0) = -conj f'(z0; -K), and the solution
-    conj f(-conj z; K), which is e^(iKx) at -inf, has the values conj f(z0; K)
-    and -conj f'(z0; K).  With W[a, b] = a b' - a' b, the Wronskians give
+    Jost solution f(z; k) -> e^(ikz) is carried as f = h e^(ikz) from h = 1,
+    h' = 0 at z = +L (see _jost), and read off as f(z0) = h e^(ikz0),
+    f'(z0) = (h' + ik h) e^(ikz0).  h' stays near 0 wherever U has decayed,
+    so the stepper takes long steps in the tails.  k = +K and -K for every K
+    of the array are one complex state that evaluates U once per step.  By
+    the two symmetries, the left Jost solution g(z) = f(-z; K), which is
+    e^(-iKx) at -inf, has g(z0) = conj f(z0; -K) and g'(z0) =
+    -conj f'(z0; -K), and the solution conj f(-conj z; K), which is e^(iKx)
+    at -inf, has the values conj f(z0; K) and -conj f'(z0; K).  With
+    W[a, b] = a b' - a' b, the Wronskians give
 
         t = -2iK / W[f, g](z0),   r = t W[f, conj f(-conj z; K)](z0) / (2iK).
 
@@ -229,8 +260,6 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
     and real at a few probe points (ValueError otherwise).
     A scalar K gives scalar fields, an array K arrays of the same length.
     """
-    from scipy.integrate import solve_ivp  # slow to import, and only this oracle uses it
-
     ks = np.array(K, dtype=float)
     kv = np.atleast_1d(ks)
     if ks.ndim > 1 or kv.size == 0:
@@ -240,39 +269,21 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
             raise ValueError(f"wave number must be finite and positive, got K = {k}")
         if k < SMALL_K_CUTOFF:
             raise ValueError(
-                f"K = {k} below the {SMALL_K_CUTOFF} cutoff: the free-wave coefficients "
-                "grow like 1/K and cancel, too ill-conditioned for a trustworthy result"
+                f"K = {k} below the {SMALL_K_CUTOFF} cutoff: the Wronskians that give t "
+                "and r cancel as K -> 0, too ill-conditioned for a trustworthy result"
             )
     L = ORACLE_HALF_WIDTH
-    edge = max(abs(complex(potential(L))), abs(complex(potential(-L))))
-    if edge >= ORACLE_DECAY:
-        raise ValueError(f"potential must decay below {ORACLE_DECAY} at +-{L}, got {edge:.2e}")
-    _require_even_real(potential)
+    _require_oracle_potential(potential, L, ORACLE_DECAY)
     if getattr(potential, "is_singular", False):
         radius = _detour_radius(potential)
         segments, z0 = _detour_segments(L, radius), 1j * radius
     else:
-        segments, z0 = [(lambda s: s, lambda s: 1.0, L, 0.0, _LINE_TOL)], 0.0
-    f = getattr(potential, "evaluate_scalar", potential)
+        segments, z0 = [_line(L, 0.0)], 0.0
     ik = 1j * np.concatenate([kv, -kv])  # f(.; +K), then f(.; -K)
-    n = ik.size
-    exponents, half_over_ik = np.concatenate([ik, -ik]), 0.5 / ik
-    y = np.concatenate([np.ones(n, dtype=complex), np.zeros(n, dtype=complex)])
-    for path, dpath, s0, s1, (rtol, atol) in segments:
-        def rhs(s, yv):
-            z = path(s)
-            waves = np.exp(exponents * z)  # e^(ikz)..., e^(-ikz)...
-            terms = yv * waves
-            g = f(z) * dpath(s) * half_over_ik * (terms[:n] + terms[n:])
-            return np.concatenate([g * waves[n:], -g * waves[:n]])
-
-        sol = solve_ivp(rhs, (s0, s1), y, method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError(f"scattering ODE stepper failed: {sol.message}")
-        y = sol.y[:, -1]
-    terms = y * np.exp(exponents * z0)
-    fp, fm = np.split(terms[:n] + terms[n:], 2)  # f(z0; +K), f(z0; -K)
-    dfp, dfm = np.split(ik * (terms[:n] - terms[n:]), 2)
+    h, dh = np.split(_jost(potential, ik, segments), 2)
+    wave = np.exp(ik * z0)
+    fp, fm = np.split(h * wave, 2)  # f(z0; +K), f(z0; -K)
+    dfp, dfm = np.split((dh + ik * h) * wave, 2)
     # W[f, g] = -(f conj f'(-K) + f' conj f(-K)); W[f, conj f(-conj z)] = -2 Re(f conj f')
     t = 2j * kv / (fp * dfm.conj() + dfp * fm.conj())
     r = t * (fp * dfp.conj()).real / (-1j * kv)

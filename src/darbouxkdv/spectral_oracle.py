@@ -5,11 +5,12 @@ Lund, J. Comput. Phys. 69 (1987) 209) on the uniform grid of [-L, L].  U is
 even, so each parity sector is one dense symmetric matrix on the points
 x >= 0, and one eigh per sector returns every eigenvalue below the continuum
 edge.  Each norming constant matches the eigenvector at its peak to the Jost
-solution f ~ e^(-kappa x), integrated inward from x = L.  Used purely as an
+solution f ~ e^(-kappa x), integrated inward from x = L by the Jost
+integrator of the scattering oracle at k = i kappa.  Used purely as an
 oracle against the closed-form spectra and norming constants.
 
-scipy.linalg and scipy.integrate are imported by the functions that use
-them, so they load only when a spectrum is asked for (the spectrum
+scipy.linalg is imported by eigen_spectrum and scipy.integrate by the Jost
+integrator, so they load only when a spectrum is asked for (the spectrum
 subcommand and the spectra suite of verify), not with the package.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import _require_even_real
+from .scattering import _jost, _line, _require_oracle_potential
 
 __all__ = ["GridSpec", "eigen_spectrum", "oracle_norming_constants"]
 
@@ -80,18 +81,13 @@ def eigen_spectrum(potential, grid: GridSpec) -> list:
     Returns every eigenvalue below -CONTINUUM_EPS = -1e-3, sorted ascending,
     with eigenvectors on grid.points normalized in the discrete inner product
     sum(psi^2) dx = 1.  U must be even and real (ValueError otherwise, as it
-    is if |U| reaches DECAY_REQUIREMENT at the walls): one dense eigh per
+    is if |U| reaches DECAY_REQUIREMENT at +-grid.L): one dense eigh per
     parity sector computes only the levels below the cutoff.  A warning is
     emitted for eigenvalues within a factor of ten of the continuum cutoff.
     """
     from scipy import linalg
 
-    _require_even_real(potential)
-    edge = max(abs(float(potential(-grid.L))), abs(float(potential(grid.L))))
-    if edge >= DECAY_REQUIREMENT:
-        raise ValueError(
-            f"potential does not decay below {DECAY_REQUIREMENT} at the walls (|U| = {edge:.2e})"
-        )
+    _require_oracle_potential(potential, grid.L, DECAY_REQUIREMENT)
     mid = grid.n_points // 2
     uu = np.asarray(potential(grid.points[mid:]), dtype=float)
     even, odd = _sector_matrices(uu, grid.dx)
@@ -120,33 +116,23 @@ def oracle_norming_constants(potential, grid: GridSpec) -> list:
     """(kappa, c) for each discrete bound state, by matching the Jost solution.
 
     With f(x) = e^(-kappa x) g(x) the Jost solution, c = |psi(x0)| / |f(x0)|
-    at the grid point x0 >= 0 of largest |psi|.  g'' = 2 kappa g' + U g runs
-    from g = 1, g' = 0 at x = L inward, its stable direction, in one DOP853
-    solve for every kappa at once.
+    at the grid point x0 >= 0 of largest |psi|.  g is the h of
+    scattering._jost at ik = -kappa: g'' = 2 kappa g' + U g runs from g = 1,
+    g' = 0 at x = L inward, its stable direction, in one real solve for
+    every kappa at once.
     """
-    from scipy.integrate import solve_ivp
-
     levels = eigen_spectrum(potential, grid)
     if not levels:
         return []
     mid = grid.n_points // 2
-    xs = grid.points[mid:]
+    xs = np.maximum(grid.points[mid:], 0.0)  # linspace can round x = 0 below the solve's end
     kappas = np.sqrt([-e for e, _ in levels])
-    f = getattr(potential, "evaluate_scalar", potential)
-    n = len(kappas)
-
-    def rhs(x, y):
-        return np.concatenate([y[n:], 2.0 * kappas * y[n:] + float(f(x)) * y[:n]])
-
-    y0 = np.concatenate([np.ones(n), np.zeros(n)])
-    sol = solve_ivp(rhs, (grid.L, 0.0), y0, method="DOP853", rtol=1e-10, atol=1e-13,
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"Jost ODE stepper failed: {sol.message}")
-    out = []
-    for i, (kappa, (_, psi)) in enumerate(zip(kappas, levels)):
-        half = np.abs(psi[mid:])
-        j = int(np.argmax(half))
-        g = sol.sol(xs[j])[i]
-        out.append((float(kappa), float(half[j] * math.exp(kappa * xs[j]) / abs(g))))
-    return out
+    halves = [np.abs(psi[mid:]) for _, psi in levels]
+    peaks = [int(np.argmax(half)) for half in halves]
+    reads = sorted(set(peaks), reverse=True)  # in path order, from x = L inward
+    states = _jost(potential, -kappas, [_line(grid.L, 0.0)], t_eval=xs[reads])
+    g = dict(zip(reads, states.T))  # (g..., g'...) at each peak point
+    return [
+        (float(kappa), float(half[j] * math.exp(kappa * xs[j]) / abs(g[j][i])))
+        for i, (kappa, half, j) in enumerate(zip(kappas, halves, peaks))
+    ]

@@ -70,31 +70,23 @@ def two_soliton_closed_form(x, t):
     return num / den
 
 
-# --- criterion 1: spectrum of the h=1, seeds=[2] well from the sinc oracle ---
+# --- criteria 1 and 2: spectrum and norming constants of h=1 [2], one sinc oracle solve ---
 
-def check_spectrum_h1() -> list:
-    pot = deformed_potential(SystemSpec(1.0, (2,)))
-    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=801))
-    energies = [e for e, _ in levels]
-    defect = max(abs(a - b) for a, b in zip(energies, (-16.0, -1.0)))
+def check_bound_states_h1() -> list:
+    spec = SystemSpec(1.0, (2,))
+    oracle = oracle_norming_constants(deformed_potential(spec), GridSpec(L=20.0, n_points=801))
+    energies = [-kappa * kappa for kappa, _ in oracle]
+    sdefect = max(abs(a - b) for a, b in zip(energies, (-16.0, -1.0)))
     if len(energies) != 2:
-        defect = math.inf
-    return [CheckResult("spectrum h=1 [2] vs {-16,-1} (sinc oracle, n=801, L=20)", defect, 1e-6)]
-
-
-# --- criterion 2: norming constants, closed form and oracle ---
-
-def check_norming_h1() -> list:
-    states = bound_states(SystemSpec(1.0, (2,)))
-    by_kappa = {round(s.kappa): s.norming_constant for s in states}
+        sdefect = math.inf
+    by_kappa = {round(s.kappa): s.norming_constant for s in bound_states(spec)}
     closed = max(
         abs(by_kappa[1] - C0_TWO_SOLITON), abs(by_kappa[4] - C1_TWO_SOLITON)
     )
-    pot = deformed_potential(SystemSpec(1.0, (2,)))
-    oracle = oracle_norming_constants(pot, GridSpec(L=20.0, n_points=801))
     om = {round(k): c for k, c in oracle}
     odefect = max(abs(om[1] - C0_TWO_SOLITON), abs(om[4] - C1_TWO_SOLITON))
     return [
+        CheckResult("spectrum h=1 [2] vs {-16,-1} (sinc oracle, n=801, L=20)", sdefect, 1e-6),
         CheckResult("norming constants h=1 [2], closed form", closed, 1e-6),
         CheckResult("norming constants h=1 [2], sinc oracle (n=801, L=20)", odefect, 1e-3),
     ]
@@ -301,7 +293,7 @@ def check_conservation() -> list:
 
 
 SUITES = {
-    "spectra": (check_spectrum_h1, check_norming_h1, check_h2_chain, check_pole_duality),
+    "spectra": (check_bound_states_h1, check_h2_chain, check_pole_duality),
     "scattering": (check_unitarity, check_oracle_agreement),
     "glm": (check_reconstruction_h1, check_explicit_formula),
     "kdv": (check_kdv_residuals, check_asymptotic_phase_shifts, check_conservation),

@@ -15,12 +15,29 @@ def _report(results):
 
 def test_c01_spectrum_reproduction():
     """h=1, seeds=[2]: sinc oracle spectrum {-16, -1} within 1e-6 on n=801, L=20."""
-    _report(ver.check_spectrum_h1())
+    _report(ver.check_bound_states_h1()[:1])
 
 
 def test_c02_norming_constants():
     """Closed-form c = sqrt(10/3), sqrt(40/3) within 1e-6; sinc oracle within 1e-3."""
-    _report(ver.check_norming_h1())
+    _report(ver.check_bound_states_h1()[1:])
+
+
+def test_spectra_suite_solves_each_system_once(monkeypatch):
+    # C01 and C02 read h=1 [2] off one oracle solve; C05 solves h=2 [2]
+    from darbouxkdv import spectral_oracle
+
+    solved = []
+    eigen_spectrum = spectral_oracle.eigen_spectrum
+
+    def counted(potential, grid):
+        solved.append(potential(0.0))
+        return eigen_spectrum(potential, grid)
+
+    monkeypatch.setattr(spectral_oracle, "eigen_spectrum", counted)
+    monkeypatch.setattr(ver, "eigen_spectrum", counted)
+    _report(ver.run_suite("spectra"))
+    assert solved == pytest.approx([-30.0, -44.0])
 
 
 def test_c03_glm_reconstruction_h1():

@@ -192,6 +192,9 @@ class TestScatteringCommand:
     ("scattering", "--h", "1", "--seeds", "2", "--k", "inf"),
     ("scattering", "--h", "1", "--seeds", "2", "--k", "nan", "--oracle"),
     ("scattering", "--h", "1", "--kmax", "inf"),
+    ("soliton", "--from-spec", "--h", "1", "--seeds", "2", "--t", "nan"),
+    ("soliton", "--from-spec", "--h", "1", "--seeds", "2", "--x", "nan"),
+    ("soliton", "--kappas", "1", "--c0", "1.4", "--t", "0", "--x", "inf"),
     ("spectrum", "--h", "1", "--grid-l", "inf"),
     ("spectrum", "--h", "1", "--tol-energy", "nan"),
     ("spectrum", "--h", "1", "--tol-norming", "inf"),

@@ -191,6 +191,14 @@ class TestFieldU:
         assert np.array_equal(whole, halves)
         assert type(field_u(data, 0.5, 0.01)) is float
 
+    def test_array_keeps_its_shape(self):
+        # as U_D and BoundState.wavefunction do
+        xs = np.linspace(-3.0, 3.0, 6)
+        grid = field_u(TWO_SOLITON, xs.reshape(2, 3), 0.01)
+        assert grid.shape == (2, 3)
+        assert np.array_equal(grid, field_u(TWO_SOLITON, xs, 0.01).reshape(2, 3))
+        assert field_u(TWO_SOLITON, xs[:1], 0.01).shape == (1,)
+
 
 class TestKdvResidual:
     def test_one_soliton(self):

@@ -198,6 +198,26 @@ class TestTransmissionPoles:
         assert poles == kappas
 
 
+class TestJostIntegrator:
+    @pytest.mark.parametrize(
+        "ik",
+        [1j * np.array([0.05, -0.05, 0.5, -0.5, 2.0, -2.0, 8.0, -8.0]),
+         -np.array([0.3, 1.0, 3.0, 7.5])],
+        ids=["real k", "k = i kappa"],
+    )
+    def test_exact_jost_solution_of_the_h1_well(self, ik):
+        # U = -2 sech^2 x has f = e^(ikx) (k + i tanh x) / (k + i), so
+        # h = (k + i tanh x) / (k + i) and h' = i sech^2 x / (k + i)
+        xs = np.array([5.0, 2.0, 0.7, 0.0])
+        path = [scattering._line(scattering.ORACLE_HALF_WIDTH, 0.0)]
+        h, dh = np.split(scattering._jost(deformed_potential(SystemSpec(1.0)), ik, path, xs), 2)
+        assert h.shape == dh.shape == (ik.size, xs.size)
+        assert np.isrealobj(h) == np.isrealobj(ik)
+        k = (ik / 1j)[:, None]
+        assert np.max(np.abs(h - (k + 1j * np.tanh(xs)) / (k + 1j))) <= 1e-10
+        assert np.max(np.abs(dh - 1j / np.cosh(xs) ** 2 / (k + 1j))) <= 1e-10
+
+
 class TestNumericalAmplitudes:
     def test_base_h1(self):
         amp = numerical_amplitudes(deformed_potential(SystemSpec(1.0)), 1.0)
@@ -296,7 +316,7 @@ class TestNumericalAmplitudes:
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
     def test_tails_cost_few_potential_calls(self, spec, monkeypatch):
-        # the (P, Q) right-hand side vanishes with U, so the decayed tails take long
+        # h' stays near 0 where U has decayed, so the tails take long
         # steps; the detour of h=1 [2,4] took 8,058 calls on an arc 0.014 from two poles
         calls = self.oracle_potential_calls(spec, monkeypatch)
         assert 0 < calls <= (6500 if len(spec.seeds) > 1 else 6000)

@@ -147,6 +147,14 @@ class TestOracleNormingConstants:
         assert kappa == pytest.approx(1.0, abs=1e-10)
         assert c == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
+    def test_middle_point_rounded_below_zero(self):
+        # linspace puts the x = 0 point of this grid at -3.6e-15; the ground
+        # state peaks there, at the end of the inward Jost solve
+        grid = GridSpec(20.0, 607)
+        assert grid.points[grid.n_points // 2] < 0.0
+        (out,) = oracle_norming_constants(deformed_potential(SystemSpec(1.0)), grid)
+        assert out[1] == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
     def test_deformed_well_matches_closed_form(self):
         spec = SystemSpec(1.0, (2,))
         closed = {round(s.kappa): s.norming_constant for s in bound_states(spec)}
