@@ -2,7 +2,8 @@
 fields and the verification suites, as reproducible file outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 closed-form/oracle mismatch beyond tolerance, 4 numeric-domain violation.
+3 closed-form/oracle mismatch beyond tolerance, 4 numeric-domain violation
+(including a spectrum oracle box too narrow for a shallow level).
 All floats are written with 17 significant digits and no locale dependence,
 so identical configurations produce byte-identical outputs.  Tables are
 formatted and written in blocks of TABLE_BLOCK rows.  A soliton table is
@@ -21,7 +22,7 @@ import numpy as np
 from .darboux import NodalWronskianError, SystemSpec, bound_states, deformed_potential
 from .kdv import OverflowDomainError, SolitonData, field_u, scattering_data_from_spec
 from .scattering import deformed_amplitudes, numerical_amplitudes
-from .spectral_oracle import GridSpec, oracle_norming_constants
+from .spectral_oracle import CONTINUUM_EPS, GridSpec, oracle_norming_constants
 from .verification import run_suite
 
 __all__ = ["main"]
@@ -37,6 +38,14 @@ EXIT_NUMERIC_DOMAIN = 4
 THETA_PRECISION_LIMIT = 1e12
 
 TABLE_BLOCK = 4096  # rows (csv) or values (json) formatted and written at a time
+
+# The box [-L, L] of the sinc oracle moves a level (kappa, c) by about
+# 4 kappa c^2 e^(-2 kappa L) in E and by L c^2 e^(-2 kappa L) relative in c:
+# fits to h = 0.3-3.4 with seeds (), (2,) and (4,) at L = 15, 20, 25 (step
+# 0.05) held to 0.95-1.15 and 1.0-1.75 times these forms.  The estimates take
+# the factors 5 and 2.
+BOX_ENERGY_FACTOR = 5.0
+BOX_NORMING_FACTOR = 2.0
 
 
 def _fmt(v: float) -> str:
@@ -150,14 +159,48 @@ def cmd_potential(args) -> int:
     return EXIT_OK
 
 
+def _box_defects(states, L: float) -> tuple:
+    """The largest (energy, norming-constant) defects the box [-L, L] should cause."""
+    worst_e = worst_c = 0.0
+    for s in states:
+        tail = s.norming_constant**2 * math.exp(-2.0 * s.kappa * L)
+        worst_e = max(worst_e, BOX_ENERGY_FACTOR * s.kappa * tail)
+        worst_c = max(worst_c, BOX_NORMING_FACTOR * L * s.norming_constant * tail)
+    return worst_e, worst_c
+
+
 def cmd_spectrum(args) -> int:
     for flag, tol in (("--tol-energy", args.tol_energy), ("--tol-norming", args.tol_norming)):
         if not 0 < tol < math.inf:  # a nan tolerance would pass every comparison
             raise ValueError(f"{flag} must be finite and positive, got {tol}")
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
     states = bound_states(spec)
+    grid = GridSpec(L=args.grid_l, n_points=args.grid_n)
+    edge = [s.energy for s in states if s.energy >= -CONTINUUM_EPS]
+    if edge:
+        sys.stderr.write(
+            f"level(s) E = {edge} above the oracle's continuum cutoff {-CONTINUUM_EPS:g}: "
+            "no box resolves them\n"
+        )
+        return EXIT_NUMERIC_DOMAIN
+
+    def too_narrow(L):
+        e, c = _box_defects(states, L)
+        return e > args.tol_energy or c > args.tol_norming
+
+    if too_narrow(grid.L):
+        need = grid.L
+        while too_narrow(need):
+            need = math.ceil(1.1 * need)
+        e, c = _box_defects(states, grid.L)
+        sys.stderr.write(
+            f"oracle box --grid-l {grid.L:g} too narrow for kappa = "
+            f"{min(s.kappa for s in states):.6g}: estimated defects {e:.1e} in E, {c:.1e} in c; "
+            f"use --grid-l {need:g} --grid-n {2 * math.ceil(need / grid.dx) + 1}\n"
+        )
+        return EXIT_NUMERIC_DOMAIN
     pot = deformed_potential(spec)
-    oracle = oracle_norming_constants(pot, GridSpec(L=args.grid_l, n_points=args.grid_n))
+    oracle = oracle_norming_constants(pot, grid)
     if len(oracle) != len(states):
         sys.stderr.write(
             f"oracle found {len(oracle)} bound states, closed form has {len(states)}\n"

@@ -16,7 +16,9 @@ log-Gamma sum of t cannot be resolved in double precision (h beyond about
 independent ODE-integration oracle checks both amplitudes.  It writes the
 Jost solutions f(x; +-K) -> e^(+-iKx) as h e^(+-iKx), whose h'' = -+2iK h'
 + U h has h' = 0 wherever U has decayed, with no exponential in the
-right-hand side; spectral_oracle integrates the same form at k = i kappa.
+right-hand side, and steps it with VODE's variable-order Adams method, about
+two right-hand sides per step; spectral_oracle integrates the same form at
+k = i kappa.
 As every U_D is even and real, it integrates only from x = +25 to the mirror
 point of its path, x = 0, and reads t and r off two Wronskians there: the
 left Jost solutions are the mirror images of f(.; +-K).  It integrates a
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +138,11 @@ def transmission_poles(spec: SystemSpec) -> list:
     return sorted(poles)
 
 
-# (rtol, atol) per path segment; at z0 = i radius an error made on the arc is
-# e^(2K radius) times larger than the decayed wave e^(iKz), so the arc runs tighter
-_LINE_TOL = (1e-10, 1e-12)
-_ARC_TOL = (1e-12, 1e-14)
+# (rtol, atol) per path segment of the Adams solve; at z0 = i radius an error made
+# on the arc is e^(2K radius) times larger than the decayed wave e^(iKz), so the
+# arc runs tighter
+_LINE_TOL = (1e-13, 1e-15)
+_ARC_TOL = (1e-15, 1e-17)
 
 
 def _detour_radius(potential) -> float:
@@ -146,13 +150,14 @@ def _detour_radius(potential) -> float:
 
     Near a pole the stepper crawls: with the radius 0.5 the quarter arc of
     h=1, seeds (2, 4) passes 0.014 from the poles at |x| = 0.514 and takes
-    1,862 of the spec's 4,288 potential calls on the verify K grid, against
-    638 of 3,148 at the chosen radius 0.35.  The band stops at 0.5 because an
+    5,478 of the spec's 6,971 potential calls on the verify K grid, against
+    956 of 2,548 at the chosen radius 0.35.  The band stops at 0.5 because an
     error made on the arc grows like e^(2K radius): at radius 0.75, t at
-    K = 40 was off by 0.03 to 0.19 on five singular sets.  It starts at 0.2
-    because U_D grows like 1/x^2 towards the pole at x = 0: at radius 0.1
-    the verify K grid of h=1, seeds (2, 4) is off by 1.9e-10, against
-    3.6e-11 at 0.2.
+    K = 40 was off by 8e-4 to 2.2e-3 on five singular sets (0.03 to 0.19 with
+    the earlier DOP853 stepper).  It starts at 0.2 because U_D grows like
+    1/x^2 towards the pole at x = 0: at radius 0.1 the verify K grid of
+    h=1, seeds (2, 4) is off by 2.1e-12, against 1.3e-12 at 0.2 (1.9e-10
+    against 3.6e-11 with DOP853).
     """
     lo, hi = DETOUR_BAND
     edges = sorted({lo, hi, *(float(m) for m in np.abs(potential.poles()) if lo < m < hi)})
@@ -173,37 +178,76 @@ def _detour_segments(L: float, radius: float):
 
 
 def _line(s0: float, s1: float):
-    """The real-line path segment from x = s0 to x = s1."""
-    return (lambda s: s, lambda s: 1.0, s0, s1, _LINE_TOL)
+    """The real-line path segment from x = s0 to x = s1: z = s, no z' factor."""
+    return (None, None, s0, s1, _LINE_TOL)
+
+
+# Adams starts from h' = 0, where the right-hand side is near 0 too; with no step
+# bound it stepped over the whole well from x = 30 and returned h = 1, h' = 0
+_MAX_STEP = 1.0
+_MAX_STEPS = 100_000  # per segment; K = 400 takes 33,000 on the real line
+# scipy does not promise that VODE is re-entrant (the Fortran original keeps its
+# state in SAVE variables), so one Jost solve runs at a time
+_JOST_LOCK = threading.Lock()
 
 
 def _jost(potential, ik, segments, t_eval=None) -> np.ndarray:
     """(h..., h'...) of h = f e^(-ikz), f the right Jost solution -> e^(ikz), per ik.
 
     f'' = (U - k^2) f becomes h'' = -2ik h' + U h.  From h = 1, h' = 0 at the
-    start of the path, each segment z(s) is one DOP853 solve of
-    [z' h', z' (-2ik h' + U(z) h)] for every k at once.  The right-hand side
-    needs no exponential, and h' stays near 0 where U has decayed.  A real
-    ik = -kappa keeps the state real.  Returns the state at the end of the
-    path or, with t_eval (points of the last segment, in path order), one
-    column per point.
+    start of the path, each segment z(s) is one solve of
+    [z' h', z' (-2ik h' + U(z) h)] for every k at once, by the variable-order
+    Adams method of VODE (Brown, Byrne and Hindmarsh, SIAM J. Sci. Stat.
+    Comput. 10 (1989) 1038) through scipy.integrate.ode, with steps of at
+    most _MAX_STEP.  The right-hand side needs no exponential, and h' stays
+    near 0 where U has decayed.  A real ik = -kappa keeps the state real; a
+    complex state goes to VODE as its float view.  Returns the state at the
+    end of the path or, with t_eval (points of the last segment, in path
+    order), one column per point.  RuntimeError if U is not finite at a point
+    of the path or VODE fails.
     """
     from scipy import integrate  # slow to import, and only the oracles use it
 
     u = getattr(potential, "evaluate_scalar", potential)
     n, minus_2ik = ik.size, -2.0 * ik
     y = np.concatenate([np.ones_like(ik), np.zeros_like(ik)])
-    for i, (path, dpath, s0, s1, (rtol, atol)) in enumerate(segments, 1):
-        def rhs(s, state):
-            dh = state[n:]
-            return dpath(s) * np.concatenate([dh, minus_2ik * dh + u(path(s)) * state[:n]])
+    dtype, out = y.dtype, np.empty_like(y)  # every right-hand side is written here
+    dh_out, d2h_out, flat_out = out[:n], out[n:], out.view(float)
+    nonfinite = []
+    with _JOST_LOCK:
+        for i, (path, dpath, s0, s1, (rtol, atol)) in enumerate(segments, 1):
+            def rhs(s, flat, path=path, dpath=dpath):
+                state = flat.view(dtype)
+                z = s if path is None else path(s)
+                uz = u(z)
+                if not cmath.isfinite(uz):
+                    nonfinite.append((z, uz))
+                    uz = 0.0  # VODE would step on a nan until _MAX_STEPS; refused below
+                dh_out[:] = state[n:]
+                np.multiply(minus_2ik, dh_out, out=d2h_out)
+                d2h_out[:] += uz * state[:n]
+                if dpath is not None:
+                    out[:] *= dpath(s)
+                return flat_out
 
-        sol = integrate.solve_ivp(rhs, (s0, s1), y, method="DOP853", rtol=rtol, atol=atol,
-                                  t_eval=t_eval if i == len(segments) else None)
-        if not sol.success:
-            raise RuntimeError(f"Jost ODE stepper failed: {sol.message}")
-        y = sol.y[:, -1]
-    return y if t_eval is None else sol.y
+            solver = integrate.ode(rhs).set_integrator(
+                "vode", method="adams", rtol=rtol, atol=atol, max_step=_MAX_STEP,
+                nsteps=_MAX_STEPS,
+            )
+            solver.set_initial_value(y.view(float), s0)
+            columns = []
+            for s in (t_eval if i == len(segments) and t_eval is not None else (s1,)):
+                columns.append(solver.integrate(s).view(dtype))
+                if nonfinite:
+                    z, uz = nonfinite[0]
+                    raise RuntimeError(f"Jost ODE stepper failed: U({z:.6g}) = {uz}")
+                if not solver.successful():
+                    raise RuntimeError(
+                        f"Jost ODE stepper failed: VODE return code "
+                        f"{solver.get_return_code()} at s = {solver.t:.6g}"
+                    )
+            y = columns[-1]
+    return y if t_eval is None else np.stack(columns, axis=1)
 
 
 # both oracles need U(x) = U(-x), real, checked at these points to this relative

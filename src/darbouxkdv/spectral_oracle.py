@@ -6,8 +6,10 @@ even, so each parity sector is one dense symmetric matrix on the points
 x >= 0, and one eigh per sector returns every eigenvalue below the continuum
 edge.  Each norming constant matches the eigenvector at its peak to the Jost
 solution f ~ e^(-kappa x), integrated inward from x = L by the Jost
-integrator of the scattering oracle at k = i kappa.  Used purely as an
-oracle against the closed-form spectra and norming constants.
+integrator of the scattering oracle (VODE's Adams method) at k = i kappa.
+The box [-L, L] moves a level (kappa, c) by about 4 kappa c^2 e^(-2 kappa L)
+in E, so shallow levels need a wide box.  Used purely as an oracle against
+the closed-form spectra and norming constants.
 
 scipy.linalg is imported by eigen_spectrum and scipy.integrate by the Jost
 integrator, so they load only when a spectrum is asked for (the spectrum

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -137,6 +138,26 @@ class TestSpectrumCommand:
         levels = json.loads(out)["levels"]
         assert all(lvl["energy_defect"] <= 1e-8 for lvl in levels)
         assert all(lvl["norming_defect"] <= 1e-6 * lvl["norming_constant"] for lvl in levels)
+
+    @pytest.mark.parametrize("spec", [("1.2", ""), ("2.2", "2"), ("1.05", "")], ids="-".join)
+    def test_shallow_level_names_the_box_it_needs(self, capsys, spec):
+        # the box [-20, 20] moves kappa = 0.2 by about 1e-4 in E, above the 1e-5
+        # tolerance: the oracle's box is at fault, not the closed form
+        h, seeds = spec
+        code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
+        assert code == 4 and out == ""
+        grid_l, grid_n = re.search(r"--grid-l (\S+) --grid-n (\d+)", err).groups()
+        assert float(grid_l) > 20.0
+        if h != "1.05":  # E = -0.0025 of h = 1.05 is near the continuum edge and warns
+            code, _, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds,
+                               "--grid-l", grid_l, "--grid-n", grid_n)
+            assert code == 0, err
+
+    def test_level_above_the_continuum_cutoff(self, capsys):
+        # E = -1e-4 of h = 1.01 lies above the oracle's cutoff -1e-3 at every box
+        code, _, err = run(capsys, "spectrum", "--h", "1.01")
+        assert code == 4
+        assert "cutoff" in err and "--grid-l" not in err
 
 
 class TestScatteringCommand:

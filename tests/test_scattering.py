@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +19,7 @@ from darbouxkdv.scattering import (
     numerical_amplitudes,
     transmission_poles,
 )
+from darbouxkdv.spectral_oracle import GridSpec, oracle_norming_constants
 from darbouxkdv.verification import ORACLE_K_GRID, ORACLE_SPECS, check_oracle_agreement
 
 RNG = np.random.default_rng(11)
@@ -198,24 +201,87 @@ class TestTransmissionPoles:
         assert poles == kappas
 
 
+JOST_IKS = pytest.mark.parametrize(
+    "ik",
+    [1j * np.array([0.05, -0.05, 0.5, -0.5, 2.0, -2.0, 8.0, -8.0]),
+     -np.array([0.3, 1.0, 3.0, 7.5])],
+    ids=["real k", "k = i kappa"],
+)
+
+
+class NanInsideTheWell:
+    """-2 sech^2 x on grids and probes, but nan from the scalar path at |x| < 1."""
+
+    def __call__(self, x):
+        return -2.0 / np.cosh(x) ** 2
+
+    def evaluate_scalar(self, z):
+        return math.nan if abs(z) < 1.0 else -2.0 / np.cosh(z) ** 2
+
+
 class TestJostIntegrator:
-    @pytest.mark.parametrize(
-        "ik",
-        [1j * np.array([0.05, -0.05, 0.5, -0.5, 2.0, -2.0, 8.0, -8.0]),
-         -np.array([0.3, 1.0, 3.0, 7.5])],
-        ids=["real k", "k = i kappa"],
-    )
-    def test_exact_jost_solution_of_the_h1_well(self, ik):
+    @staticmethod
+    def assert_exact_h1_solution(ik, L):
         # U = -2 sech^2 x has f = e^(ikx) (k + i tanh x) / (k + i), so
         # h = (k + i tanh x) / (k + i) and h' = i sech^2 x / (k + i)
         xs = np.array([5.0, 2.0, 0.7, 0.0])
-        path = [scattering._line(scattering.ORACLE_HALF_WIDTH, 0.0)]
+        path = [scattering._line(L, 0.0)]
         h, dh = np.split(scattering._jost(deformed_potential(SystemSpec(1.0)), ik, path, xs), 2)
         assert h.shape == dh.shape == (ik.size, xs.size)
         assert np.isrealobj(h) == np.isrealobj(ik)
         k = (ik / 1j)[:, None]
         assert np.max(np.abs(h - (k + 1j * np.tanh(xs)) / (k + 1j))) <= 1e-10
         assert np.max(np.abs(dh - 1j / np.cosh(xs) ** 2 / (k + 1j))) <= 1e-10
+
+    @JOST_IKS
+    def test_exact_jost_solution_of_the_h1_well(self, ik):
+        self.assert_exact_h1_solution(ik, scattering.ORACLE_HALF_WIDTH)
+
+    @JOST_IKS
+    @pytest.mark.parametrize("L", [30.0, 40.0])
+    def test_far_start_does_not_step_over_the_well(self, ik, L):
+        # h' = 0 and U ~ 0 at the start: with no step bound, Adams stepped from
+        # x = 30 over the whole well and returned h = 1, h' = 0
+        self.assert_exact_h1_solution(ik, L)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [lambda pot: numerical_amplitudes(pot, [0.5, 2.0]),
+         lambda pot: oracle_norming_constants(pot, GridSpec(20.0, 801))],
+        ids=["numerical_amplitudes", "oracle_norming_constants"],
+    )
+    def test_nan_inside_the_well_raises(self, oracle):
+        with pytest.raises(RuntimeError, match="Jost ODE stepper failed"):
+            oracle(NanInsideTheWell())
+
+    def test_two_threads_match_the_serial_results(self):
+        singular = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
+        regular = deformed_potential(SystemSpec(2.0, (2,)))
+        grid = GridSpec(20.0, 801)
+
+        def both_oracles():
+            amp = numerical_amplitudes(singular, ORACLE_K_GRID)
+            return amp.t.tolist(), amp.r.tolist(), oracle_norming_constants(regular, grid)
+
+        serial = both_oracles()
+        results = [[], []]
+
+        def work(i):
+            for _ in range(4):
+                results[i].append(both_oracles())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[serial] * 4] * 2
 
 
 class TestNumericalAmplitudes:
@@ -325,7 +391,7 @@ class TestNumericalAmplitudes:
     def test_half_path_halves_the_potential_calls(self, spec, monkeypatch):
         # the path ends at the mirror point of the even well; the full path to
         # x = -25 took 4,646 to 5,742 calls per spec on this grid
-        assert 0 < self.oracle_potential_calls(spec, monkeypatch) <= 3500
+        assert 0 < self.oracle_potential_calls(spec, monkeypatch) <= 3000
 
     @pytest.mark.parametrize("spec", [SystemSpec(1.0, (2, 4)), SystemSpec(2.5, (2, 4, 6))], ids=str)
     def test_singular_wells_at_the_small_k_cutoff(self, spec):
@@ -391,24 +457,24 @@ class TestNumericalAmplitudes:
             numerical_amplitudes(deformed_potential(SystemSpec(1.0)), K)
 
     def test_one_ode_solve_per_spec(self, monkeypatch, capsys):
-        # every K of a spec shares one solve_ivp per path segment: one on the
+        # every K of a spec shares one integrator per path segment: one on the
         # real line, two (the line and the quarter arc) around a singular set's pole
         import scipy.integrate
 
-        calls = []
-        solve_ivp = scipy.integrate.solve_ivp
+        made = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve_ivp(*args, **kwargs)
+        class CountedOde(scipy.integrate.ode):
+            def set_integrator(self, name, **params):
+                made.append(name)
+                return super().set_integrator(name, **params)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+        monkeypatch.setattr(scipy.integrate, "ode", CountedOde)
         assert main(["scattering", "--h", "1", "--seeds", "2,4", "--oracle", "--nk", "32"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 33
-        assert len(calls) == 2
-        calls.clear()
+        assert made == ["vode"] * 2
+        made.clear()
         assert all(res.passed for res in check_oracle_agreement())
-        assert len(calls) == sum(2 if len(s.seeds) > 1 else 1 for s in ORACLE_SPECS)
+        assert len(made) == sum(2 if len(s.seeds) > 1 else 1 for s in ORACLE_SPECS)
 
     def test_small_k_declined(self):
         with pytest.raises(ValueError):

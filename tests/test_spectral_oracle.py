@@ -208,5 +208,5 @@ class TestOracleNormingConstants:
         def refused(*args, **kwargs):
             raise AssertionError("Jost solve for a spectrum with no bound state")
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", refused)
+        monkeypatch.setattr(scipy.integrate, "ode", refused)
         assert oracle_norming_constants(lambda x: 1.0 / np.cosh(x) ** 2, GridSpec(20.0, 501)) == []
