@@ -3,7 +3,9 @@ fields and the verification suites, as reproducible file outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 closed-form/oracle mismatch beyond tolerance, 4 numeric-domain violation
-(including a spectrum oracle box too narrow for a shallow level).
+(including a spectrum oracle box too narrow for a shallow level and an ODE
+oracle stepper that fails).  Errors and warnings go to stderr as one
+"error: ..." or "warning: ..." line each.
 All floats are written with 17 significant digits and no locale dependence,
 so identical configurations produce byte-identical outputs.  Tables are
 formatted and written in blocks of TABLE_BLOCK rows.  A soliton table is
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -373,17 +376,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (OverflowDomainError, OverflowError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC_DOMAIN
-    except (NodalWronskianError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            return args.func(args)
+        except (OverflowDomainError, OverflowError, RuntimeError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_NUMERIC_DOMAIN
+        except (NodalWronskianError, ValueError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -23,10 +23,9 @@ As every U_D is even and real, it integrates only from x = +25 to the mirror
 point of its path, x = 0, and reads t and r off two Wronskians there: the
 left Jost solutions are the mirror images of f(.; +-K).  It integrates a
 whole K grid as one complex system; for singular multi-step potentials the
-path turns onto a complex quarter circle around the x = 0 pole, whose radius
-keeps clear of the other poles of U_D, and ends at its mirror point on the
-imaginary axis, so it computes the meromorphic continuation of the deformed
-scattering state.
+path is the line at a constant height above the real axis, clear of the
+poles of U_D, from x = +25 to its mirror point on the imaginary axis, so it
+computes the meromorphic continuation of the deformed scattering state.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,116 +138,96 @@ def transmission_poles(spec: SystemSpec) -> list:
     return sorted(poles)
 
 
-# (rtol, atol) per path segment of the Adams solve; at z0 = i radius an error made
-# on the arc is e^(2K radius) times larger than the decayed wave e^(iKz), so the
-# arc runs tighter
-_LINE_TOL = (1e-13, 1e-15)
-_ARC_TOL = (1e-15, 1e-17)
+_TOL = (1e-13, 1e-15)  # (rtol, atol) of the Adams solve
 
 
-def _detour_radius(potential) -> float:
-    """Midpoint of the widest interval of DETOUR_BAND free of pole moduli |x_p|.
+def _detour_height(potential) -> float:
+    """Midpoint of the widest interval of DETOUR_BAND free of pole heights |Im x_p|.
 
-    Near a pole the stepper crawls: with the radius 0.5 the quarter arc of
-    h=1, seeds (2, 4) passes 0.014 from the poles at |x| = 0.514 and takes
-    5,478 of the spec's 6,971 potential calls on the verify K grid, against
-    956 of 2,548 at the chosen radius 0.35.  The band stops at 0.5 because an
-    error made on the arc grows like e^(2K radius): at radius 0.75, t at
-    K = 40 was off by 8e-4 to 2.2e-3 on five singular sets (0.03 to 0.19 with
-    the earlier DOP853 stepper).  It starts at 0.2 because U_D grows like
-    1/x^2 towards the pole at x = 0: at radius 0.1 the verify K grid of
-    h=1, seeds (2, 4) is off by 2.1e-12, against 1.3e-12 at 0.2 (1.9e-10
-    against 3.6e-11 with DOP853).
+    The line z = s + i c passes no closer than |Im x_p - c| to a pole x_p,
+    and near a pole the stepper crawls: at c = 0.45 the line of h=1,
+    seeds (2, 4) passes 0.011 below its poles at Im x = 0.461, takes 3,755
+    potential calls on the verify K grid and is off by 1.3e-9, against 2,451
+    calls and 2.2e-12 at the chosen height 0.331.  The band starts at 0.2
+    because U_D grows like 1/x^2 towards the pole at x = 0: at c = 0.05 that
+    grid is off by 7.7e-12 (8.1e-11 for h=2.5, seeds (2, 4, 6)), against
+    2.4e-12 (1.0e-12) at 0.2.  It stops at 0.5, well below the poles near
+    Im x = pi/2 that every U_D inherits from the sech^2 well.
     """
     lo, hi = DETOUR_BAND
-    edges = sorted({lo, hi, *(float(m) for m in np.abs(potential.poles()) if lo < m < hi)})
+    heights = np.abs(potential.poles().imag)
+    edges = sorted({lo, hi, *(float(m) for m in heights if lo < m < hi)})
     a, b = max(zip(edges, edges[1:]), key=lambda gap: gap[1] - gap[0])
     return 0.5 * (a + b)
-
-
-def _detour_segments(L: float, radius: float):
-    """Half of the detour path: the real line from L to radius, then the upper
-    quarter arc to its mirror point i radius."""
-    def arc(theta):
-        return radius * cmath.exp(1j * theta)
-
-    def darc(theta):
-        return 1j * radius * cmath.exp(1j * theta)
-
-    return [_line(L, radius), (arc, darc, 0.0, 0.5 * math.pi, _ARC_TOL)]
-
-
-def _line(s0: float, s1: float):
-    """The real-line path segment from x = s0 to x = s1: z = s, no z' factor."""
-    return (None, None, s0, s1, _LINE_TOL)
 
 
 # Adams starts from h' = 0, where the right-hand side is near 0 too; with no step
 # bound it stepped over the whole well from x = 30 and returned h = 1, h' = 0
 _MAX_STEP = 1.0
-_MAX_STEPS = 100_000  # per segment; K = 400 takes 33,000 on the real line
+_MAX_STEPS = 100_000  # K = 400 takes 33,000 on the real line
 # scipy does not promise that VODE is re-entrant (the Fortran original keeps its
 # state in SAVE variables), so one Jost solve runs at a time
 _JOST_LOCK = threading.Lock()
 
 
-def _jost(potential, ik, segments, t_eval=None) -> np.ndarray:
+def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarray:
     """(h..., h'...) of h = f e^(-ikz), f the right Jost solution -> e^(ikz), per ik.
 
-    f'' = (U - k^2) f becomes h'' = -2ik h' + U h.  From h = 1, h' = 0 at the
-    start of the path, each segment z(s) is one solve of
-    [z' h', z' (-2ik h' + U(z) h)] for every k at once, by the variable-order
-    Adams method of VODE (Brown, Byrne and Hindmarsh, SIAM J. Sci. Stat.
-    Comput. 10 (1989) 1038) through scipy.integrate.ode, with steps of at
-    most _MAX_STEP.  The right-hand side needs no exponential, and h' stays
-    near 0 where U has decayed.  A real ik = -kappa keeps the state real; a
-    complex state goes to VODE as its float view.  Returns the state at the
-    end of the path or, with t_eval (points of the last segment, in path
-    order), one column per point.  RuntimeError if U is not finite at a point
-    of the path or VODE fails.
+    f'' = (U - k^2) f becomes h'' = -2ik h' + U h, solved from h = 1, h' = 0
+    at z = L + i height along the line z = s + i height, s from L down to 0,
+    for every k at once: one solve by the variable-order Adams method of
+    VODE (Brown, Byrne and Hindmarsh, SIAM J. Sci. Stat. Comput. 10 (1989)
+    1038) through scipy.integrate.ode, with steps of at most _MAX_STEP.  The
+    right-hand side needs no exponential, h' stays near 0 where U has
+    decayed, and the growing mode e^(-2ikz) of h keeps one modulus along the
+    line, so no error made on the way is amplified.  A real ik = -kappa at
+    height 0 keeps the state real; a complex state goes to VODE as its float
+    view.  Returns the state at s = 0 or, with t_eval (values of s, in path
+    order), one column per point.  RuntimeError if U is not finite at a
+    point of the path or VODE fails.
     """
     from scipy import integrate  # slow to import, and only the oracles use it
 
     u = getattr(potential, "evaluate_scalar", potential)
-    n, minus_2ik = ik.size, -2.0 * ik
-    y = np.concatenate([np.ones_like(ik), np.zeros_like(ik)])
+    n, minus_2ik, shift = ik.size, -2.0 * ik, 1j * height if height else 0.0
+    y = np.zeros(2 * n, np.result_type(ik, shift))
+    y[:n] = 1.0
     dtype, out = y.dtype, np.empty_like(y)  # every right-hand side is written here
     dh_out, d2h_out, flat_out = out[:n], out[n:], out.view(float)
     nonfinite = []
-    with _JOST_LOCK:
-        for i, (path, dpath, s0, s1, (rtol, atol)) in enumerate(segments, 1):
-            def rhs(s, flat, path=path, dpath=dpath):
-                state = flat.view(dtype)
-                z = s if path is None else path(s)
-                uz = u(z)
-                if not cmath.isfinite(uz):
-                    nonfinite.append((z, uz))
-                    uz = 0.0  # VODE would step on a nan until _MAX_STEPS; refused below
-                dh_out[:] = state[n:]
-                np.multiply(minus_2ik, dh_out, out=d2h_out)
-                d2h_out[:] += uz * state[:n]
-                if dpath is not None:
-                    out[:] *= dpath(s)
-                return flat_out
 
-            solver = integrate.ode(rhs).set_integrator(
-                "vode", method="adams", rtol=rtol, atol=atol, max_step=_MAX_STEP,
-                nsteps=_MAX_STEPS,
-            )
-            solver.set_initial_value(y.view(float), s0)
-            columns = []
-            for s in (t_eval if i == len(segments) and t_eval is not None else (s1,)):
-                columns.append(solver.integrate(s).view(dtype))
-                if nonfinite:
-                    z, uz = nonfinite[0]
-                    raise RuntimeError(f"Jost ODE stepper failed: U({z:.6g}) = {uz}")
-                if not solver.successful():
-                    raise RuntimeError(
-                        f"Jost ODE stepper failed: VODE return code "
-                        f"{solver.get_return_code()} at s = {solver.t:.6g}"
-                    )
-            y = columns[-1]
-    return y if t_eval is None else np.stack(columns, axis=1)
+    def rhs(s, flat):
+        state = flat.view(dtype)
+        z = s + shift
+        uz = u(z)
+        if not cmath.isfinite(uz):
+            nonfinite.append((z, uz))
+            uz = 0.0  # VODE would step on a nan until _MAX_STEPS; refused below
+        dh_out[:] = state[n:]
+        np.multiply(minus_2ik, dh_out, out=d2h_out)
+        d2h_out[:] += uz * state[:n]
+        return flat_out
+
+    columns = []
+    with _JOST_LOCK, warnings.catch_warnings():
+        # a failed VODE call also warns; the RuntimeError below reports it once
+        warnings.filterwarnings("ignore", "vode: ", UserWarning)
+        solver = integrate.ode(rhs).set_integrator(
+            "vode", method="adams", rtol=_TOL[0], atol=_TOL[1], max_step=_MAX_STEP,
+            nsteps=_MAX_STEPS,
+        )
+        solver.set_initial_value(y.view(float), L)
+        for s in (0.0,) if t_eval is None else t_eval:
+            columns.append(solver.integrate(s).view(dtype))
+            if nonfinite:
+                z, uz = nonfinite[0]
+                raise RuntimeError(f"Jost ODE stepper failed: U({z:.6g}) = {uz}")
+            if not solver.successful():
+                raise RuntimeError(
+                    f"Jost ODE stepper failed: VODE return code "
+                    f"{solver.get_return_code()} at s = {solver.t:.6g}"
+                )
+    return columns[0] if t_eval is None else np.stack(columns, axis=1)
 
 
 # both oracles need U(x) = U(-x), real, checked at these points to this relative
@@ -276,10 +256,11 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
     K is one wave number or a 1-D array of them; every K must be finite and
     at least SMALL_K_CUTOFF.  The potential U must be even and real on the
     real line, so U(-z) = U(z) and U(conj z) = conj U(z), and the path runs
-    only from z = +L, L = ORACLE_HALF_WIDTH, to its mirror point z0 under
-    z -> -conj z: z0 = 0 on the real line.  For k = +K and k = -K the right
-    Jost solution f(z; k) -> e^(ikz) is carried as f = h e^(ikz) from h = 1,
-    h' = 0 at z = +L (see _jost), and read off as f(z0) = h e^(ikz0),
+    only from z = L + ic, L = ORACLE_HALF_WIDTH, along the line of constant
+    height c to its mirror point z0 = ic under z -> -conj z; c = 0 on a
+    regular well.  For k = +K and k = -K the right Jost solution
+    f(z; k) -> e^(ikz) is carried as f = h e^(ikz) from h = 1, h' = 0 at
+    z = L + ic (see _jost), and read off as f(z0) = h e^(ikz0),
     f'(z0) = (h' + ik h) e^(ikz0).  h' stays near 0 wherever U has decayed,
     so the stepper takes long steps in the tails.  k = +K and -K for every K
     of the array are one complex state that evaluates U once per step.  By
@@ -291,15 +272,13 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
 
         t = -2iK / W[f, g](z0),   r = t W[f, conj f(-conj z; K)](z0) / (2iK).
 
-    Potentials flagged as singular, which report their poles, are integrated
-    along the real line to the detour radius and then on the upper quarter
-    circle around x = 0 to z0 = i radius.  The radius is the midpoint of the
-    widest interval of DETOUR_BAND = [0.2, 0.5] that no pole modulus of U_D
-    falls in: the stepper crawls near a pole.  The result is the meromorphic
-    continuation of the scattering state.  The arc takes the upper
-    half-plane; a lower one would give the same numbers, because
-    f(conj z; K) = conj f(z; -K) makes its state the conjugate of this one
-    with +K and -K swapped.
+    Potentials flagged as singular, which report their poles, take the
+    height c > 0 of _detour_height: the midpoint of the widest interval of
+    DETOUR_BAND = [0.2, 0.5] that no pole height |Im x_p| of U_D falls in,
+    as the stepper crawls near a pole.  The deformed solutions are Crum
+    ratios W[seeds, psi] / W[seeds], so they are meromorphic and the Jost
+    solutions do not depend on the path: the result is the meromorphic
+    continuation of the scattering state past the pole at x = 0.
     The potential must have decayed below ORACLE_DECAY at +-L and be even
     and real at a few probe points (ValueError otherwise).
     A scalar K gives scalar fields, an array K arrays of the same length.
@@ -318,14 +297,10 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
             )
     L = ORACLE_HALF_WIDTH
     _require_oracle_potential(potential, L, ORACLE_DECAY)
-    if getattr(potential, "is_singular", False):
-        radius = _detour_radius(potential)
-        segments, z0 = _detour_segments(L, radius), 1j * radius
-    else:
-        segments, z0 = [_line(L, 0.0)], 0.0
+    height = _detour_height(potential) if getattr(potential, "is_singular", False) else 0.0
     ik = 1j * np.concatenate([kv, -kv])  # f(.; +K), then f(.; -K)
-    h, dh = np.split(_jost(potential, ik, segments), 2)
-    wave = np.exp(ik * z0)
+    h, dh = np.split(_jost(potential, ik, L, height), 2)
+    wave = np.exp(ik * 1j * height)  # e^(ikz0), z0 = i height
     fp, fm = np.split(h * wave, 2)  # f(z0; +K), f(z0; -K)
     dfp, dfm = np.split((dh + ik * h) * wave, 2)
     # W[f, g] = -(f conj f'(-K) + f' conj f(-K)); W[f, conj f(-conj z)] = -2 Re(f conj f')

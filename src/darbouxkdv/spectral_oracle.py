@@ -19,12 +19,13 @@ subcommand and the spectra suite of verify), not with the package.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import _jost, _line, _require_oracle_potential
+from .scattering import _jost, _require_oracle_potential
 
 __all__ = ["GridSpec", "eigen_spectrum", "oracle_norming_constants"]
 
@@ -42,7 +43,8 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.L < math.inf:
             raise ValueError(f"grid half-width must be finite and positive, got {self.L}")
-        if self.n_points < 501 or self.n_points % 2 == 0:
+        n = self.n_points
+        if not isinstance(n, numbers.Integral) or n < 501 or n % 2 == 0:
             raise ValueError("n_points must be an odd integer >= 501")
 
     @property
@@ -132,7 +134,7 @@ def oracle_norming_constants(potential, grid: GridSpec) -> list:
     halves = [np.abs(psi[mid:]) for _, psi in levels]
     peaks = [int(np.argmax(half)) for half in halves]
     reads = sorted(set(peaks), reverse=True)  # in path order, from x = L inward
-    states = _jost(potential, -kappas, [_line(grid.L, 0.0)], t_eval=xs[reads])
+    states = _jost(potential, -kappas, grid.L, t_eval=xs[reads])
     g = dict(zip(reads, states.T))  # (g..., g'...) at each peak point
     return [
         (float(kappa), float(half[j] * math.exp(kappa * xs[j]) / abs(g[j][i])))

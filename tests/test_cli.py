@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import darbouxkdv
+from darbouxkdv import scattering
 from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, main
 from darbouxkdv.darboux import SystemSpec, deformed_potential
 from darbouxkdv.kdv import SolitonData, field_u, scattering_data_from_spec
@@ -153,6 +154,22 @@ class TestSpectrumCommand:
                                "--grid-l", grid_l, "--grid-n", grid_n)
             assert code == 0, err
 
+    def test_near_edge_warning_is_one_line(self):
+        # E = -0.0025 of h = 1.05 sits within a factor 10 of the cutoff: one
+        # "warning:" line, where the raw RuntimeWarning and its source line came out
+        src = os.path.dirname(os.path.dirname(darbouxkdv.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "darbouxkdv.cli", "spectrum", "--h", "1.05",
+             "--grid-l", "80", "--grid-n", "3201"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("warning: eigenvalue(s) [-0.0024")
+        assert "continuum cutoff" in line
+        assert json.loads(proc.stdout)["levels"][-1]["energy"] == pytest.approx(-0.0025)
+
     def test_level_above_the_continuum_cutoff(self, capsys):
         # E = -1e-4 of h = 1.01 lies above the oracle's cutoff -1e-3 at every box
         code, _, err = run(capsys, "spectrum", "--h", "1.01")
@@ -202,6 +219,16 @@ class TestScatteringCommand:
             cols = dict(zip(names, (float(v) for v in row.split(","))))
             for part in ("re_t", "im_t", "re_r", "im_r"):
                 assert abs(cols[part + "_oracle"] - cols[part]) <= 1e-10
+
+    def test_oracle_stepper_failure_exit_code(self, capsys, monkeypatch):
+        # K = 3000 needs more VODE steps than the oracle allows; a small step
+        # budget gives the same failure fast.  It used to end in a traceback, exit 1
+        monkeypatch.setattr(scattering, "_MAX_STEPS", 50)
+        code, out, err = run(capsys, "scattering", "--h", "1", "--seeds", "2",
+                             "--k", "3000", "--oracle")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: Jost ODE stepper failed")
 
     def test_nonpositive_grid_rejected(self, capsys):
         code, _, _ = run(capsys, "scattering", "--h", "1", "--kmin", "-1",

@@ -1,4 +1,3 @@
-import cmath
 import math
 from itertools import combinations
 
@@ -278,10 +277,10 @@ class TestDeformedPotential:
         assert max(abs(pot(float(x)) - r) for x, r in zip(xs, ref)) <= 1e-12 * scale
 
     def test_complex_detour_matches_mpmath(self):
-        # complex x on the circle |x| = 0.5 around the pole of h=1 [2,4], as on the
-        # ODE oracle's detour arc
+        # complex x on the line Im x = 0.33 above the pole at x = 0 of h=1 [2,4],
+        # below its poles at Im x = 0.461, as on the ODE oracle's detour line
         pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
-        zs = [0.5 * cmath.exp(1j * th) for th in np.linspace(0.0, np.pi, 9)]
+        zs = [complex(s, 0.33) for s in np.linspace(-2.0, 2.0, 9)]
         with mp.workdps(30):
             ref = [complex(u_d_mp(1.0, (2, 4), z)) for z in zs]
         scale = max(abs(r) for r in ref)

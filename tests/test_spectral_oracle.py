@@ -24,6 +24,8 @@ class TestGridSpec:
             {"n_points": 500},
             {"n_points": 4000},
             {"n_points": 301},
+            {"n_points": 801.5},  # used to pass, then fail with a TypeError in eigen_spectrum
+            {"n_points": 801.0},
         ],
     )
     def test_invalid(self, kwargs):
