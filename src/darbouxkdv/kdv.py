@@ -1,24 +1,26 @@
 """Exact KdV multi-soliton fields from reflectionless scattering data.
 
 For reflectionless data {kappa_n, c_n(0)} the inverse transform reduces to
-u(x, t) = -2 (d^2/dx^2) log det A(x, t) with
+u(x, t) = -2 (d^2/dx^2) log tau with tau = det A,
 
     A_mn = delta_mn + c_m(t) c_n(t) e^(-(kappa_m+kappa_n)x) / (kappa_m+kappa_n)
     c_n(t) = c_n(0) e^(4 kappa_n^3 t)
 
-(the symmetric congruent form of the GLM matrix; same determinant, positive
-definite).  The field itself is evaluated on a per-point rescaled matrix,
-which keeps every entry bounded for arbitrary (x, t): the rescaling is a
-congruence by diag(e^(-max(theta_n, 0))), i.e. the translation-covariance
-factors e^(kappa_n a) absorbed at the matrix level.  The x-derivatives of A
-have rank one and two, so one linear solve with one right-hand side per point
-gives u.  Array points are evaluated in blocks of FIELD_BLOCK, so the
-per-point work arrays stay bounded however many points one call asks for;
-each block's matrices are built in place, and every matrix is solved on its
-own, so a point's value does not depend on its block.
+(the symmetric congruent form of the GLM matrix).  Its principal-minor
+(Cauchy determinant) expansion writes tau as a sum of 2^N positive terms
+e^(alpha_S + beta_S t + gamma_S x), one per subset S of the solitons; the
+expansion is built once per data set with numpy, indexed by bitmask, and
+cached.  The field sorts the terms by gamma and merges equal gammas into one
+weight W_g(t) per group: for integer kappa, gamma = -2 sum_S kappa takes at
+most 1 + sum kappa values (31 at N = 7), for general kappa up to 2^N.  Then
+u = -2 Var(gamma) under the softmax weights of log W_g + gamma_g x, a sum of
+positive terms with no cancellation and no overflow for any (x, t).  Array
+points are evaluated in blocks bounded by FIELD_BUDGET points x groups, and
+a point's value does not depend on its block.  The expansion limits the
+soliton count to SOLITON_LIMIT = 20; above it field_u and kdv_residual raise
+ValueError before allocating anything.
 The KdV residual check re-evaluates the field in high precision through the
-principal-minor (Cauchy determinant) expansion of det A, an algebraically
-independent route whose x- and t-derivatives are exact, term by term.  The
+same expansion, term by term, whose x- and t-derivatives are exact.  The
 expansion's float constants are converted to mpf once per precision and
 cached.  mpmath is imported by the functions that use it, _mp_terms,
 _tau_sums and kdv_residual, so it loads with the first residual check, not
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -53,7 +54,8 @@ __all__ = [
 RESIDUAL_DPS = 40
 QUADRATURE_MARGIN = 40.0  # window margin in decay lengths 1/kappa_min
 TRAPEZOID_STEP = 0.15     # grid step in units of 1/kappa_max
-FIELD_BLOCK = 1024        # points per vector solve in field_u
+FIELD_BUDGET = 1 << 15    # points x groups per block of field_u
+SOLITON_LIMIT = 20        # largest soliton count: the tau expansion has 2^N terms
 
 
 class OverflowDomainError(ArithmeticError):
@@ -105,86 +107,116 @@ def scattering_data_from_spec(spec: SystemSpec) -> SolitonData:
     )
 
 
-def _theta(data: SolitonData, x, t: float) -> np.ndarray:
-    """theta_n = log c_n + 4 kappa_n^3 t - kappa_n x, shape (npts, N)."""
-    kap = np.asarray(data.kappas)
-    logc = np.log(data.c0)
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    return logc + 4.0 * kap**3 * t - np.outer(xx, kap)
-
-
 def field_u(data: SolitonData, x, t: float):
-    """u(x, t) = -2 (log det A)'' from one linear solve, for scalar or array x.
+    """u(x, t) = -2 (log tau)'' as a variance of positive weights, for scalar or array x.
 
-    Per point the matrix is rescaled by the congruence S = diag(e^(-max(theta,0))),
-    which leaves the traces of (log det A)' = tr(A^-1 A') and
-    (log det A)'' = tr(A^-1 A'') - tr((A^-1 A')^2) unchanged.  With
-    w = e^(min(theta, 0)), every entry is bounded:
-
-        S A S = S^2 + w w^T / (kappa_m + kappa_n),
-        S A' S = -w w^T,    S A'' S = (kappa w) w^T + w (kappa w)^T,
-
-    so with y = (S A S)^-1 w the traces collapse to dot products,
-    (log det A)' = -w.y and (log det A)'' = 2 (kappa w).y - (w.y)^2.
-    No numeric differentiation is used.  Array points go through in blocks
-    of FIELD_BLOCK, which bounds the (npts, N, N) work arrays without
-    changing any value, and u comes back in the shape of x.
+    tau = det A = sum_g W_g(t) e^(gamma_g x) over the groups of _tau_groups,
+    every W_g > 0.  With the softmax weights p_g of z_g = log W_g + gamma_g x,
+    (log tau)' = sum p gamma and (log tau)'' = sum p (gamma - mean)^2, so u is
+    -2 times the variance of gamma under p: a sum of positive terms, taken in
+    two passes, with no cancellation and no overflow for any (x, t).  log W_g
+    is one log-sum-exp per group and per call.  The per-point cost is one term
+    per group: at most 1 + sum kappa for integer kappa, up to 2^N otherwise.
+    Points go through in blocks of FIELD_BUDGET // groups (at least one), laid
+    out as (groups, points), and every sum over the groups is a _group_sum, so
+    a point's value does not depend on its block; u comes back in the shape
+    of x.  Above SOLITON_LIMIT solitons it raises ValueError.
     """
+    _check_soliton_count(data)
+    alpha, beta, starts, group, gam = _tau_groups(data.kappas, data.c0)
+    e = alpha + beta * t
+    peak = np.maximum.reduceat(e, starts)
+    log_w = peak + np.log(np.add.reduceat(np.exp(e - peak[group]), starts))
+    gam = gam[:, None]
+    log_w = log_w[:, None]
     xarr = np.asarray(x, dtype=float)
-    if xarr.ndim == 0:
-        return float(_field_block(data, xarr, t)[0])
-    flat = xarr.ravel()
+    flat = xarr.reshape(-1)
     u = np.empty(flat.size)
-    for start in range(0, flat.size, FIELD_BLOCK):
-        stop = start + FIELD_BLOCK
-        u[start:stop] = _field_block(data, flat[start:stop], t)
-    return u.reshape(xarr.shape)
+    step = max(1, FIELD_BUDGET // gam.size)
+    for start in range(0, flat.size, step):
+        z = gam * flat[start:start + step]
+        z += log_w
+        z -= z.max(axis=0)
+        p = np.exp(z, out=z)  # the largest weight is 1
+        norm = _group_sum(p)
+        dev = gam - _group_sum(p * gam) / norm
+        dev *= dev
+        dev *= p
+        u[start:start + step] = -2.0 * _group_sum(dev) / norm
+    return float(u[0]) if xarr.ndim == 0 else u.reshape(xarr.shape)
 
 
-def _field_block(data: SolitonData, xs: np.ndarray, t: float) -> np.ndarray:
-    """The one-solve formula of field_u on one block of points, shape (npts,).
+def _group_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 by halving, in an order that no column count changes.
 
-    The (npts, N, N) matrices are built in place: w w^T, divided by the
-    (N, N) sums kappa_m + kappa_n, then S^2 added through a strided view of
-    the diagonals.  The dot products are per-row sums, whose order does not
-    depend on npts.
+    numpy's own reduction over axis 0 adds the rows in turn for two or more
+    columns, but sums a single column pairwise, so a scalar x would not be
+    bitwise the same as the array path.
     """
-    th = _theta(data, xs, t)  # (npts, N)
-    kap = np.asarray(data.kappas)
-    th_hat = np.minimum(th, 0.0)
-    w = np.exp(th_hat)  # bounded by 1
-    a = w[:, :, None] * w[:, None, :]
-    a /= kap[:, None] + kap[None, :]
-    a.reshape(len(th), -1)[:, ::data.n + 1] += np.exp(2.0 * (th_hat - th))  # S^2 <= 1
-    y = np.linalg.solve(a, w[:, :, None])[:, :, 0]
-    wy = (w * y).sum(axis=1)
-    return -2.0 * (2.0 * (kap * w * y).sum(axis=1) - wy * wy)
+    while len(a) > 1:
+        half = len(a) // 2
+        middle = a[half:len(a) - half]  # one row when the count is odd
+        a = a[:half] + a[len(a) - half:]
+        if len(middle):
+            a[0] += middle[0]
+    return a[0]
 
 
-@lru_cache(maxsize=64)
-def _tau_terms(kappas: tuple, c0: tuple):
+def _check_soliton_count(data: SolitonData) -> None:
+    """Refuse more than SOLITON_LIMIT solitons before any 2^N table is built."""
+    if data.n > SOLITON_LIMIT:
+        raise ValueError(
+            f"{data.n} solitons exceed the limit of {SOLITON_LIMIT}: "
+            "the tau expansion has 2^N terms"
+        )
+
+
+def _tau_arrays(kappas: tuple, c0: tuple):
     """Principal-minor expansion of det A: per subset S the constants
-    (alpha_S, beta_S, gamma_S) with term = exp(alpha + beta t + gamma x).
+    (alpha_S, beta_S, gamma_S) with term = exp(alpha + beta t + gamma x), as
+    three arrays indexed by the bitmask of S.
 
     det A = sum_S C_S prod_{n in S} c_n(t)^2 e^(-2 kappa_n x), with the Cauchy
     determinant C_S = prod_{i<j in S} ((k_i-k_j)/(k_i+k_j))^2 / prod_{i in S} 2 k_i.
+    The arrays double once per kappa: the subsets holding kappa_i are those
+    without it, shifted by kappa_i's own factor and its interaction with each.
     """
-    n = len(kappas)
-    terms = []
-    for size in range(n + 1):
-        for sub in combinations(range(n), size):
-            log_c = 0.0
-            for ii, i in enumerate(sub):
-                log_c -= math.log(2.0 * kappas[i])
-                log_c += 2.0 * math.log(c0[i])
-                for j in sub[ii + 1:]:
-                    log_c += 2.0 * math.log(
-                        abs(kappas[i] - kappas[j]) / (kappas[i] + kappas[j])
-                    )
-            beta = sum(8.0 * kappas[i] ** 3 for i in sub)
-            gamma = -sum(2.0 * kappas[i] for i in sub)
-            terms.append((log_c, beta, gamma))
-    return tuple(terms)
+    kap = np.asarray(kappas)
+    own = 2.0 * np.log(c0) - np.log(2.0 * kap)
+    alpha = beta = gamma = np.zeros(1)
+    for i, k in enumerate(kap):
+        inter = np.zeros(1)  # sum over j in S of the pair factor of (j, i), S below i
+        for pair in 2.0 * np.log(np.abs(k - kap[:i]) / (k + kap[:i])):
+            inter = np.concatenate([inter, inter + pair])
+        alpha = np.concatenate([alpha, alpha + own[i] + inter])
+        beta = np.concatenate([beta, beta + 8.0 * k**3])
+        gamma = np.concatenate([gamma, gamma - 2.0 * k])
+    return alpha, beta, gamma
+
+
+@lru_cache(maxsize=64)
+def _tau_terms(kappas: tuple, c0: tuple) -> tuple:
+    """The expansion of _tau_arrays as float triples (alpha_S, beta_S, gamma_S)."""
+    return tuple(zip(*(v.tolist() for v in _tau_arrays(kappas, c0))))
+
+
+@lru_cache(maxsize=64)
+def _tau_groups(kappas: tuple, c0: tuple) -> tuple:
+    """The expansion sorted by gamma and grouped by exactly equal gamma.
+
+    Returns alpha and beta in that order, the start of each group, the group
+    of each term and the gamma of each group, all read-only.  Integer kappas
+    give integer gamma = -2 sum_S kappa, so at most 1 + sum kappa groups
+    (31 at N = 7); general kappas give up to 2^N.
+    """
+    alpha, beta, gamma = _tau_arrays(kappas, c0)
+    order = np.argsort(gamma, kind="stable")
+    gamma = gamma[order]
+    first = np.r_[True, gamma[1:] != gamma[:-1]]
+    out = (alpha[order], beta[order], np.flatnonzero(first), np.cumsum(first) - 1, gamma[first])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -209,6 +241,7 @@ def _tau_sums(data: SolitonData, x, t, nx: int, nt: int):
     """
     import mpmath as mp
 
+    _check_soliton_count(data)
     x = mp.mpf(x)
     t = mp.mpf(t)
     fx = [mp.mpf(0)] * nx

@@ -12,7 +12,7 @@ import darbouxkdv
 from darbouxkdv import scattering
 from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, main
 from darbouxkdv.darboux import SystemSpec, deformed_potential
-from darbouxkdv.kdv import SolitonData, field_u, scattering_data_from_spec
+from darbouxkdv.kdv import SOLITON_LIMIT, SolitonData, field_u, scattering_data_from_spec
 
 
 def run(capsys, *argv):
@@ -389,6 +389,16 @@ class TestSolitonCommand:
     def test_missing_data_exit_code(self, capsys):
         code, _, _ = run(capsys, "soliton", "--t", "0", "--x", "0")
         assert code == 2
+
+    def test_soliton_limit_exit_code(self, capsys):
+        n = SOLITON_LIMIT + 1
+        kappas = ",".join(str(k) for k in range(1, n + 1))
+        code, out, err = run(capsys, "soliton", "--kappas", kappas, "--c0", ",".join(["1"] * n),
+                             "--t", "0", "--x", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {n} solitons exceed the limit of {SOLITON_LIMIT}")
+        assert err.count("\n") == 1
 
     def test_stability_domain_exit_code(self, capsys):
         code, _, err = run(capsys, "soliton", "--kappas", "1,4", "--c0", "1,1",

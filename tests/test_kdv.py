@@ -7,6 +7,7 @@ import pytest
 
 from darbouxkdv.darboux import SystemSpec, deformed_potential
 from darbouxkdv.kdv import (
+    SOLITON_LIMIT,
     SolitonData,
     asymptotic_decomposition,
     conserved_quantities,
@@ -19,9 +20,9 @@ RNG = np.random.default_rng(3)
 
 TWO_SOLITON = SolitonData((1.0, 4.0), (math.sqrt(10.0 / 3.0), math.sqrt(40.0 / 3.0)))
 ONE_SOLITON = SolitonData((1.0,), (math.sqrt(2.0),))
-# the soliton count up to which field_u reproduces U_D to 1e-8; N = 7
-# (h=6 [2]) reads 2.1e-8, the open many-soliton fault of the GLM field
-N_MAX = 6
+# the largest soliton count at which field_u is checked against U_D to 1e-12;
+# the positive-term tau sum reads <= 4e-15 up to it (h=15 [2])
+N_MAX = 16
 
 
 class TestSolitonData:
@@ -84,12 +85,20 @@ def glm_field_mp(data, x, t):
 
 
 class TestGlmMatrix:
-    # field_u solves a rescaled copy of the GLM matrix A; these check the field against A itself
+    # field_u sums the principal-minor expansion of det A; these check the field against A itself
     def test_reference_determinant(self):
         with mp.workdps(40):
             for x, t in [(-1.0, 0.0), (0.0, 0.0), (0.5, 0.02), (2.0, -0.03)]:
                 ref = float(glm_field_mp(TWO_SOLITON, x, t))
                 assert field_u(TWO_SOLITON, x, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_seven_solitons_off_the_initial_time(self):
+        data = scattering_data_from_spec(SystemSpec(6.0, (2,)))
+        assert data.n == 7
+        with mp.workdps(40):
+            for x, t in [(-1.5, 0.01), (-0.3, -0.02), (0.4, 0.015), (1.0, 0.02)]:
+                ref = float(glm_field_mp(data, x, t))
+                assert field_u(data, x, t) == pytest.approx(ref, rel=1e-12)
 
     def test_identity_limit(self):
         # A -> I far right, log det A -> tr(A - I) = sum c_n^2 e^(-2 kappa_n x)/(2 kappa_n)
@@ -108,8 +117,8 @@ class TestGlmMatrix:
         np.testing.assert_allclose(field_u(TWO_SOLITON, xs, dt), field_u(moved, xs, 0.0), rtol=1e-12)
 
     def test_overflow_domain(self):
-        # at x = -200 the raw entries e^(2 theta) ~ e^800 overflow; the rescaled
-        # field has no overflow or nan on the way and returns the vacuum to
+        # at x = -200 the raw entries e^(2 theta) ~ e^800 overflow; the softmax
+        # weights have no overflow or nan on the way and return the vacuum to
         # rounding (|u| reaches 30 at x = 0)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             u = field_u(TWO_SOLITON, -200.0, 0.0)
@@ -144,7 +153,18 @@ class TestFieldU:
         assert data.n <= N_MAX
         xs = np.linspace(-10.0, 10.0, 2001)
         ref = deformed_potential(spec)(xs)
-        assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-8 * np.max(np.abs(ref))
+        assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [7, 9, 11, 13, N_MAX])
+    def test_reconstructs_many_solitons(self, n):
+        # h = N-1 [2]: the Cauchy block of A was Hilbert-like on the x < 0
+        # side and cost 2e-8 at N = 7; the sum of positive terms loses nothing
+        spec = SystemSpec(float(n - 1), (2,))
+        data = scattering_data_from_spec(spec)
+        assert data.n == n
+        xs = np.linspace(-10.0, 10.0, 2001)
+        ref = deformed_potential(spec)(xs)
+        assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_vacuum_decay(self):
         assert abs(field_u(TWO_SOLITON, 30.0, 0.0)) < 1e-20
@@ -161,7 +181,7 @@ class TestFieldU:
         )
 
     def test_matches_high_precision_route(self):
-        # trace formulas vs the principal-minor tau expansion in mpmath,
+        # the float softmax sum vs the same tau expansion in mpmath,
         # including far-field points the raw matrix could never represent
         from darbouxkdv.kdv import _field_mp
 
@@ -180,8 +200,9 @@ class TestFieldU:
             assert field_u(TWO_SOLITON, float(x), 0.01) == pytest.approx(u, rel=1e-14)
 
     def test_blocked_equals_scalar_path(self):
-        # 5,000 points span several FIELD_BLOCKs; every matrix is solved on its
-        # own, so blocking must not change a single bit
+        # 5,000 points span several blocks; every sum over the groups runs in
+        # an order that the column count does not change, so blocking must
+        # not change a single bit
         data = scattering_data_from_spec(SystemSpec(6.0, (2,)))
         xs = np.linspace(-30.0, 30.0, 5000)
         whole = field_u(data, xs, 0.01)
@@ -198,6 +219,35 @@ class TestFieldU:
         assert grid.shape == (2, 3)
         assert np.array_equal(grid, field_u(TWO_SOLITON, xs, 0.01).reshape(2, 3))
         assert field_u(TWO_SOLITON, xs[:1], 0.01).shape == (1,)
+
+
+class TestSolitonLimit:
+    DATA = SolitonData(tuple(float(k) for k in range(1, SOLITON_LIMIT + 2)),
+                       (1.0,) * (SOLITON_LIMIT + 1))
+
+    @pytest.mark.parametrize("call", [
+        lambda d: field_u(d, np.linspace(-1.0, 1.0, 5), 0.0),
+        lambda d: kdv_residual(d, 0.0, 0.0),
+    ], ids=["field_u", "kdv_residual"])
+    def test_refused_before_allocating(self, call, monkeypatch):
+        # the count is refused before the 2^21-term expansion is built
+        import darbouxkdv.kdv as kdv
+
+        def build(kappas, c0):
+            pytest.fail("the tau expansion was built above the soliton limit")
+
+        monkeypatch.setattr(kdv, "_tau_arrays", build)
+        with pytest.raises(ValueError, match=f"limit of {SOLITON_LIMIT}"):
+            call(self.DATA)
+
+    def test_at_the_limit(self):
+        # h = 19 [2] has SOLITON_LIMIT solitons, 2^20 subsets in 213 groups
+        spec = SystemSpec(float(SOLITON_LIMIT - 1), (2,))
+        data = scattering_data_from_spec(spec)
+        assert data.n == SOLITON_LIMIT
+        xs = np.linspace(-4.0, 4.0, 41)
+        ref = deformed_potential(spec)(xs)
+        assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestKdvResidual:
@@ -299,7 +349,7 @@ class TestConservedQuantities:
         assert mass == pytest.approx(-4.0 * kappa, rel=1e-10)
         assert momentum == pytest.approx(16.0 / 3.0 * kappa**3, rel=1e-10)
 
-    @pytest.mark.parametrize("h", [3.0, 4.0])
+    @pytest.mark.parametrize("h", [3.0, 4.0, 6.0])
     def test_many_solitons_no_warning(self, h):
         data = scattering_data_from_spec(SystemSpec(h, (2,)))
         assert data.n == int(h) + 1
@@ -309,8 +359,8 @@ class TestConservedQuantities:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 mass, momentum = conserved_quantities(data, t)
-            assert mass == pytest.approx(mass_ref, rel=1e-9)
-            assert momentum == pytest.approx(momentum_ref, rel=1e-9)
+            assert mass == pytest.approx(mass_ref, rel=1e-10)
+            assert momentum == pytest.approx(momentum_ref, rel=1e-10)
 
     def test_time_independence(self):
         m0, p0 = conserved_quantities(TWO_SOLITON, 0.0)
