@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 closed-form/oracle mismatch beyond tolerance, 4 numeric-domain violation
 (including a spectrum oracle box too narrow for a shallow level and an ODE
 oracle stepper that fails).  Errors and warnings go to stderr as one
-"error: ..." or "warning: ..." line each.
+"error: ..." or "warning: ..." line each.  A reader that closes stdout
+early (`... | head`) ends the output with no traceback, and the exit code is
+the command's own: 0 for a table written without error.
 All floats are written with 17 significant digits and no locale dependence,
 so identical configurations produce byte-identical outputs.  Tables are
 formatted and written in blocks of TABLE_BLOCK rows.  A soliton table is
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 
@@ -41,6 +44,11 @@ EXIT_NUMERIC_DOMAIN = 4
 THETA_PRECISION_LIMIT = 1e12
 
 TABLE_BLOCK = 4096  # rows (csv) or values (json) formatted and written at a time
+# CSV rows of a soliton table per %-format: 64 rows (about 4 kB of text)
+# format as fast as a whole block, while results of 8 kB and up left about
+# 1.3 MB of freed heap that glibc kept from the system in the benchmark's
+# soliton_fields worker.
+FORMAT_ROWS = 64
 
 # The box [-L, L] of the sinc oracle moves a level (kappa, c) by about
 # 4 kappa c^2 e^(-2 kappa L) in E and by L c^2 e^(-2 kappa L) relative in c:
@@ -56,9 +64,19 @@ def _fmt(v: float) -> str:
 
 
 def _write(blocks, path):
-    """Write an iterable of text blocks, each as soon as it is produced."""
+    """Write an iterable of text blocks, each as soon as it is produced.
+
+    A reader that closes stdout early ends the output: stdout is pointed at
+    os.devnull, so that the flush at exit does not raise again.
+    """
     if path is None:
-        sys.stdout.writelines(blocks)
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(path, "w", newline="\n") as fh:
             fh.writelines(blocks)
@@ -116,8 +134,10 @@ def _grid_blocks(ts, xs, us, fmt: str):
 
     The same bytes as _table_blocks over the columns (repeat(ts), tile(xs),
     us.ravel()), but each t and each x is formatted once: per time slice only
-    u is formatted, one block of at most TABLE_BLOCK values at a time.  The
-    x text is kept for the later slices only when there are any.
+    u is formatted, one block of at most TABLE_BLOCK values at a time.  CSV
+    rows go through one %-format per FORMAT_ROWS rows, of a template joined
+    from the t and x texts.  The x text is kept for the later slices only
+    when there are any.
     """
     tstrs = ["%.17g" % t for t in ts.tolist()]
     spans = [(i, min(i + TABLE_BLOCK, xs.size)) for i in range(0, xs.size, TABLE_BLOCK)]
@@ -142,15 +162,18 @@ def _grid_blocks(ts, xs, us, fmt: str):
         yield "]\n}\n"
         return
 
-    def tails(start, stop):  # ",x,%.17g\n" per row, for u; the t text goes in front
-        return [",%.17g,%%.17g\n" % x for x in xs[start:stop].tolist()]
+    def tails(start, stop):  # "x,%.17g\n" per row, for u; the t text goes in front
+        return ["%.17g,%%.17g\n" % x for x in xs[start:stop].tolist()]
 
     kept = [tails(*span) for span in spans] if len(tstrs) > 1 else None
     yield "t,x,u\n"
     for tstr, row in zip(tstrs, us):
+        sep = tstr + ","
         for j, (start, stop) in enumerate(spans):
             rows = kept[j] if kept else tails(start, stop)
-            yield tstr + tstr.join(map(str.__mod__, rows, row[start:stop].tolist()))
+            vals = row[start:stop].tolist()
+            for k in range(0, len(rows), FORMAT_ROWS):
+                yield (sep + sep.join(rows[k:k + FORMAT_ROWS])) % tuple(vals[k:k + FORMAT_ROWS])
 
 
 def cmd_potential(args) -> int:
@@ -294,13 +317,11 @@ def cmd_soliton(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_suite(args.suite)
-    for res in results:
-        sys.stdout.write(res.line() + "\n")
     failed = [r for r in results if not r.passed]
-    sys.stdout.write(
-        f"{len(results) - len(failed)}/{len(results)} checks passed"
-        + (f", {len(failed)} FAILED\n" if failed else "\n")
+    summary = f"{len(results) - len(failed)}/{len(results)} checks passed" + (
+        f", {len(failed)} FAILED\n" if failed else "\n"
     )
+    _write([res.line() + "\n" for res in results] + [summary], None)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 

@@ -417,6 +417,33 @@ class TestSolitonCommand:
         ) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("soliton", "--from-spec", "--h", "6", "--seeds", "2", "--t", "0", "--n", "20001",
+     "--format", "json"),
+    ("potential", "--h", "6", "--seeds", "2", "--xmin", "-10", "--xmax", "10", "--n", "20001"),
+], ids=["soliton", "potential"])
+def test_reader_closing_the_pipe_early(argv):
+    # several hundred kB, far more than a pipe buffer: the writes after the
+    # reader has gone fail with EPIPE, and the command ends quietly with exit 0
+    src = os.path.dirname(os.path.dirname(darbouxkdv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "darbouxkdv.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == 100
+    assert err == ""
+    assert code == 0
+
+
 class TestVerifyCommand:
     def test_glm_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "glm")

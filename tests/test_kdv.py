@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import darbouxkdv.kdv as kdv_module
 from darbouxkdv.darboux import SystemSpec, deformed_potential
 from darbouxkdv.kdv import (
     SOLITON_LIMIT,
@@ -82,6 +83,47 @@ def glm_field_mp(data, x, t):
         ])))
 
     return -2 * mp.diff(log_det, mp.mpf(x), 2)
+
+
+def tau_sums_mp(data, x, t, nx, nt, alpha=None):
+    """[d^k tau/dx^k for k < nx] and [d/dt d^k tau/dx^k for k < nt] in mpmath,
+    from the float constants of the tau expansion taken exactly, term by term;
+    alpha replaces the expansion's own alpha when given."""
+    arrays = kdv_module._tau_arrays(data.kappas, data.c0)
+    alpha = arrays[0] if alpha is None else alpha
+    x, t = mp.mpf(x), mp.mpf(t)
+    fx, ft = [mp.mpf(0)] * nx, [mp.mpf(0)] * nt
+    for a, b, g in zip(alpha.tolist(), arrays[1].tolist(), arrays[2].tolist()):
+        b, g = mp.mpf(b), mp.mpf(g)
+        e = mp.exp(mp.mpf(a) + b * t + g * x)
+        for k in range(nx):
+            fx[k] += e
+            if k < nt:
+                ft[k] += b * e
+            e *= g
+    return fx, ft
+
+
+def field_mp(data, x, t):
+    """u = -2 (f f'' - f'^2) / f^2 from the mpmath tau sums."""
+    (f, fx, fxx), _ = tau_sums_mp(data, x, t, 3, 0)
+    return -2 * (fxx * f - fx * fx) / (f * f)
+
+
+def residual_mp(data, x, t, alpha=None):
+    """u_t - 6 u u_x + u_xxx from x-derivatives of the quotients f'/f and f_t/f,
+    by the Leibniz rule, in the caller's mpmath precision."""
+
+    def quotient_derivs(g, f):
+        q = []
+        for n in range(len(g)):
+            q.append((g[n] - sum(math.comb(n, k) * q[k] * f[n - k] for k in range(n))) / f[0])
+        return q
+
+    fx, ft = tau_sums_mp(data, x, t, 6, 3, alpha)
+    dlog = quotient_derivs(fx[1:], fx)  # (log f)^(k+1), k = 0..4
+    dlog_t = quotient_derivs(ft, fx)    # d^k/dx^k of (log f)_t, k = 0..2
+    return -2 * dlog_t[2] - 24 * dlog[1] * dlog[2] - 2 * dlog[4]
 
 
 class TestGlmMatrix:
@@ -183,13 +225,11 @@ class TestFieldU:
     def test_matches_high_precision_route(self):
         # the float softmax sum vs the same tau expansion in mpmath,
         # including far-field points the raw matrix could never represent
-        from darbouxkdv.kdv import _field_mp
-
         data = scattering_data_from_spec(SystemSpec(2.0, (2,)))
         points = [(0.3, 0.0), (-1.2, 0.04), (5.0, 1.0), (192.0, 3.0), (-50.0, -2.0)]
         with mp.workdps(40):
             for x, t in points:
-                ref = float(_field_mp(data, x, t))
+                ref = float(field_mp(data, x, t))
                 got = field_u(data, x, t)
                 assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
@@ -267,35 +307,63 @@ class TestKdvResidual:
         data = scattering_data_from_spec(SystemSpec(5.0, (2,)))
         assert kdv_residual(data, 1.82, 0.006) <= 1e-9
 
+    @staticmethod
+    def bend(monkeypatch):
+        """Scale the interaction term of TWO_SOLITON's tau expansion by e, past
+        the cache of grouped terms; returns the bent alpha, by bitmask."""
+        alpha, beta, gamma = kdv_module._tau_arrays(TWO_SOLITON.kappas, TWO_SOLITON.c0)
+        bent = alpha.copy()
+        bent[-1] += 1.0
+        monkeypatch.setattr(kdv_module, "_tau_arrays", lambda kappas, c0: (bent, beta, gamma))
+        monkeypatch.setattr(kdv_module, "_tau_groups", kdv_module._tau_groups.__wrapped__)
+        return bent
+
     def test_detects_a_non_solution(self, monkeypatch):
         # scaling the interaction term of the tau expansion by e breaks the
         # Cauchy structure: the field is no longer a KdV solution
-        import darbouxkdv.kdv as kdv
-
-        # an unpatched call first fills the cache of mpf terms; the bent terms
-        # are another tuple, so they must not be served from it
         assert kdv_residual(TWO_SOLITON, 0.3, 0.0) <= 1e-5
-        terms = kdv._tau_terms(TWO_SOLITON.kappas, TWO_SOLITON.c0)
-        bent = terms[:-1] + ((terms[-1][0] + 1.0,) + terms[-1][1:],)
-        monkeypatch.setattr(kdv, "_tau_terms", lambda kappas, c0: bent)
+        self.bend(monkeypatch)
         assert kdv_residual(TWO_SOLITON, 0.3, 0.0) > 1.0
 
-    def test_cached_terms_serve_every_precision(self):
-        # the mpf terms are cached per precision: a field evaluated first at 10,
-        # 15 or 60 digits on the same data leaves the 40-digit residual unchanged
-        import darbouxkdv.kdv as kdv
+    @pytest.mark.parametrize("n", [9, 11, 13, N_MAX])
+    def test_many_solitons(self, n):
+        # 2^N terms: out of reach of a 40-digit sum at N = 13 (0.5 s a point);
+        # the float rounding grows like kappa_max^5 = (n + 2)^5
+        data = scattering_data_from_spec(SystemSpec(float(n - 1), (2,)))
+        assert data.n == n
+        rng = np.random.default_rng(n)
+        for x, t in zip(rng.uniform(-2.0, 2.0, 4), rng.uniform(0.0, 0.02, 4)):
+            assert kdv_residual(data, x, t) <= 1e-7
 
-        data = scattering_data_from_spec(SystemSpec(2.0, (2,)))
-        before = kdv_residual(data, -0.4, 0.01)
-        fields = {}
-        for dps in (10, 15, 60):
-            kdv._mp_terms.cache_clear()
-            with mp.workdps(dps):
-                fields[dps] = kdv._field_mp(data, -0.4, 0.01)
-            assert kdv_residual(data, -0.4, 0.01) == before
-        assert fields[60] == pytest.approx(float(fields[15]), rel=1e-12)
-        with mp.workdps(60):  # a warm cache gives the same 60-digit field
-            assert kdv._field_mp(data, -0.4, 0.01) == fields[60]
+    @pytest.mark.parametrize("case", ["c06", "soliton_fields"])
+    def test_matches_high_precision_route(self, case):
+        # the float cumulants vs the 40-digit Leibniz quotients of the same
+        # expansion: on the C06 9x5 grids (the three-soliton one is h=2 [2]),
+        # and on the N <= 7 systems h=1 [], h=N-1 [2] at seeded points
+        if case == "c06":
+            systems = [ONE_SOLITON, TWO_SOLITON, scattering_data_from_spec(SystemSpec(2.0, (2,)))]
+            points = [(x, t) for x in np.linspace(-2.0, 2.0, 9) for t in np.linspace(-0.05, 0.05, 5)]
+        else:
+            specs = [SystemSpec(1.0)] + [SystemSpec(float(n - 1), (2,)) for n in range(2, 8)]
+            systems = [scattering_data_from_spec(spec) for spec in specs]
+            rng = np.random.default_rng(7)
+            points = list(zip(rng.uniform(-2.0, 2.0, 6), rng.uniform(0.0, 0.02, 6)))
+        with mp.workdps(40):
+            for data in systems:
+                for x, t in points:
+                    ref = float(abs(residual_mp(data, x, t)))
+                    assert abs(kdv_residual(data, x, t) - ref) <= 1e-9
+
+    def test_matches_high_precision_route_off_the_solution(self, monkeypatch):
+        # the same comparison where the residual is large: the bent tau of
+        # test_detects_a_non_solution, relative to the residual's size
+        bent = self.bend(monkeypatch)
+        with mp.workdps(40):
+            refs = [(x, t, float(abs(residual_mp(TWO_SOLITON, x, t, alpha=bent))))
+                    for x, t in [(0.3, 0.0), (0.0, 0.0), (0.6, 0.01), (0.1, -0.01)]]
+        for x, t, ref in refs:
+            assert ref > 1.0
+            assert kdv_residual(TWO_SOLITON, x, t) == pytest.approx(ref, rel=1e-12)
 
 
 class TestAsymptoticDecomposition:

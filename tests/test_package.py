@@ -73,6 +73,7 @@ def test_cli_loads_scipy_and_mpmath_only_where_used():
                            "--xmin", "-1", "--xmax", "1", "--n", "3"]),
             ("soliton", ["soliton", "--from-spec", "--h", "2", "--seeds", "2",
                          "--t", "0", "--xmin", "-1", "--xmax", "1", "--n", "3"]),
+            ("verify kdv", ["verify", "--suite", "kdv"]),
             ("scattering", ["scattering", "--h", "1", "--seeds", "2", "--k", "1"]),
         ):
             with contextlib.redirect_stdout(io.StringIO()):
@@ -81,7 +82,9 @@ def test_cli_loads_scipy_and_mpmath_only_where_used():
         print(json.dumps(seen))
     """
     seen = _fresh(code)
-    assert seen["import"] == seen["potential"] == seen["soliton"] == []
+    # mpmath is a test dependency only: no package module imports it, and
+    # the float residuals of the kdv suite need no scipy either
+    assert seen["import"] == seen["potential"] == seen["soliton"] == seen["verify kdv"] == []
     assert "scipy.special" in seen["scattering"]
     assert not [m for m in seen["scattering"]
                 if m.startswith(("scipy.sparse", "scipy.integrate", "mpmath"))]
