@@ -10,11 +10,12 @@ u(x, t) = -2 (d^2/dx^2) log tau with tau = det A,
 (Cauchy determinant) expansion writes tau as a sum of 2^N positive terms
 e^(alpha_S + beta_S t + gamma_S x), one per subset S of the solitons; the
 expansion is built once per data set with numpy, indexed by bitmask, and
-cached.  The field sorts the terms by gamma and merges equal gammas into one
-weight W_g(t) per group: for integer kappa, gamma = -2 sum_S kappa takes at
-most 1 + sum kappa values (31 at N = 7), for general kappa up to 2^N.  Then
-u = -2 Var(gamma) under the softmax weights of log W_g + gamma_g x, a sum of
-positive terms with no cancellation and no overflow for any (x, t).  Array
+cached for the last TAU_CACHE_SIZE data sets.  The field sorts the terms by
+gamma and merges equal gammas into one weight W_g(t) per group: for integer
+kappa, gamma = -2 sum_S kappa takes at most 1 + sum kappa values (31 at
+N = 7), for general kappa up to 2^N.  Then u = -2 Var(gamma) under the
+softmax weights of log W_g + gamma_g x, a sum of positive terms with no
+cancellation and no overflow for any (x, t).  Array
 points are evaluated in blocks bounded by FIELD_BUDGET points x groups, and
 a point's value does not depend on its block.  The expansion limits the
 soliton count to SOLITON_LIMIT = 20; above it field_u and kdv_residual raise
@@ -53,6 +54,7 @@ QUADRATURE_MARGIN = 40.0  # window margin in decay lengths 1/kappa_min
 TRAPEZOID_STEP = 0.15     # grid step in units of 1/kappa_max
 FIELD_BUDGET = 1 << 15    # points x groups per block of field_u
 SOLITON_LIMIT = 20        # largest soliton count: the tau expansion has 2^N terms
+TAU_CACHE_SIZE = 4        # cached expansions, 25 to 42 MB each at N = SOLITON_LIMIT
 
 
 class OverflowDomainError(ArithmeticError):
@@ -191,7 +193,7 @@ def _tau_arrays(kappas: tuple, c0: tuple):
     return alpha, beta, gamma
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=TAU_CACHE_SIZE)
 def _tau_groups(kappas: tuple, c0: tuple) -> tuple:
     """The expansion sorted by gamma and grouped by exactly equal gamma.
 

@@ -146,12 +146,12 @@ def _detour_height(potential) -> float:
 
     The line z = s + i c passes no closer than |Im x_p - c| to a pole x_p,
     and near a pole the stepper crawls: at c = 0.45 the line of h=1,
-    seeds (2, 4) passes 0.011 below its poles at Im x = 0.461, takes 3,755
-    potential calls on the verify K grid and is off by 1.3e-9, against 2,451
-    calls and 2.2e-12 at the chosen height 0.331.  The band starts at 0.2
+    seeds (2, 4) passes 0.011 below its poles at Im x = 0.461, takes 4,298
+    potential calls on the verify K grid and is off by 3.5e-9, against 2,662
+    calls and 1.8e-12 at the chosen height 0.331.  The band starts at 0.2
     because U_D grows like 1/x^2 towards the pole at x = 0: at c = 0.05 that
-    grid is off by 7.7e-12 (8.1e-11 for h=2.5, seeds (2, 4, 6)), against
-    2.4e-12 (1.0e-12) at 0.2.  It stops at 0.5, well below the poles near
+    grid is off by 6.7e-12 (4.7e-11 for h=2.5, seeds (2, 4, 6)), against
+    2.5e-12 (1.4e-12) at 0.2.  It stops at 0.5, well below the poles near
     Im x = pi/2 that every U_D inherits from the sech^2 well.
     """
     lo, hi = DETOUR_BAND
@@ -165,6 +165,10 @@ def _detour_height(potential) -> float:
 # bound it stepped over the whole well from x = 30 and returned h = 1, h' = 0
 _MAX_STEP = 1.0
 _MAX_STEPS = 100_000  # K = 400 takes 33,000 on the real line
+# the largest ik.size whose right-hand side is one dense (2n, 2n) product: on a
+# 2-core x86-64 host with OpenBLAS a call at n = 12 took 1.4 us against 2.9 us
+# for three ufuncs, at n = 32 6.1 against 3.0 us, at n = 2000 12.6 ms against 10 us
+_DENSE_MAX = 24
 # scipy does not promise that VODE is re-entrant (the Fortran original keeps its
 # state in SAVE variables), so one Jost solve runs at a time
 _JOST_LOCK = threading.Lock()
@@ -180,32 +184,54 @@ def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarr
     1038) through scipy.integrate.ode, with steps of at most _MAX_STEP.  The
     right-hand side needs no exponential, h' stays near 0 where U has
     decayed, and the growing mode e^(-2ikz) of h keeps one modulus along the
-    line, so no error made on the way is amplified.  A real ik = -kappa at
-    height 0 keeps the state real; a complex state goes to VODE as its float
-    view.  Returns the state at s = 0 or, with t_eval (values of s, in path
-    order), one column per point.  RuntimeError if U is not finite at a
-    point of the path or VODE fails.
+    line, so no error made on the way is amplified.  For n = ik.size up to
+    _DENSE_MAX the right-hand side is one product (h, h')' = M (h, h') with
+    M = [[0, I], [U(z) I, diag(-2ik)]], built once per solve: each call
+    writes the scalar U(z) into a strided view of the entries (n + j, j) and
+    makes one np.dot into a preallocated output, which costs less than three
+    ufunc calls while M is small.  M has (2n)^2 entries, so a larger ik
+    takes the O(n) form h'' = -2ik h' + U h in three ufunc calls instead.
+    A real ik = -kappa at height 0 keeps the state real; a complex state
+    goes to VODE as its float view.
+    Returns the state at s = 0 or, with t_eval (values of s, in path order),
+    one column per point.  RuntimeError if U is not finite at a point of the
+    path or VODE fails.
     """
     from scipy import integrate  # slow to import, and only the oracles use it
 
     u = getattr(potential, "evaluate_scalar", potential)
-    n, minus_2ik, shift = ik.size, -2.0 * ik, 1j * height if height else 0.0
+    n, shift = ik.size, 1j * height if height else 0.0
     y = np.zeros(2 * n, np.result_type(ik, shift))
     y[:n] = 1.0
     dtype, out = y.dtype, np.empty_like(y)  # every right-hand side is written here
-    dh_out, d2h_out, flat_out = out[:n], out[n:], out.view(float)
+    flat_out = out.view(float)
+    if n <= _DENSE_MAX:
+        m = np.zeros((2 * n, 2 * n), dtype)  # M of (h, h')' = M (h, h'), local to this solve
+        np.fill_diagonal(m[:n, n:], 1.0)
+        np.fill_diagonal(m[n:, n:], -2.0 * ik)
+        u_diag = m.reshape(-1)[2 * n * n::2 * n + 1]  # the entries (n + j, j), set to U(z)
+
+        def derivative(uz, state):
+            u_diag.fill(uz)
+            np.dot(m, state, out=out)
+
+    else:
+        minus_2ik, dh_out, d2h_out = -2.0 * ik, out[:n], out[n:]
+
+        def derivative(uz, state):
+            dh_out[:] = state[n:]
+            np.multiply(minus_2ik, dh_out, out=d2h_out)
+            d2h_out[:] += uz * state[:n]
+
     nonfinite = []
 
     def rhs(s, flat):
-        state = flat.view(dtype)
         z = s + shift
         uz = u(z)
         if not cmath.isfinite(uz):
             nonfinite.append((z, uz))
             uz = 0.0  # VODE would step on a nan until _MAX_STEPS; refused below
-        dh_out[:] = state[n:]
-        np.multiply(minus_2ik, dh_out, out=d2h_out)
-        d2h_out[:] += uz * state[:n]
+        derivative(uz, flat.view(dtype))
         return flat_out
 
     columns = []

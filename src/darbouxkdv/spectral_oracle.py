@@ -3,10 +3,12 @@
 Discretizes -psi'' + U psi = E psi by sinc collocation (Eggert, Jarratt and
 Lund, J. Comput. Phys. 69 (1987) 209) on the uniform grid of [-L, L].  U is
 even, so each parity sector is one dense symmetric matrix on the points
-x >= 0, and one eigh per sector returns every eigenvalue below the continuum
-edge.  Each norming constant matches the eigenvector at its peak to the Jost
-solution f ~ e^(-kappa x), integrated inward from x = L by the Jost
-integrator of the scattering oracle (VODE's Adams method) at k = i kappa.
+x >= 0, summed from strided Toeplitz and Hankel windows on one vector of
+sinc weights, and one eigh per sector returns every eigenvalue below the
+continuum edge.  Each norming constant matches the eigenvector at its peak
+to the Jost solution f ~ e^(-kappa x), integrated inward from x = L by the
+Jost integrator of the scattering oracle (VODE's Adams method) at
+k = i kappa.
 The box [-L, L] moves a level (kappa, c) by about 4 kappa c^2 e^(-2 kappa L)
 in E, so shallow levels need a wide box.  Used purely as an oracle against
 the closed-form spectra and norming constants.
@@ -24,6 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .scattering import _jost, _require_oracle_potential
 
@@ -63,19 +66,23 @@ def _sector_matrices(uu: np.ndarray, dx: float) -> tuple:
     T(m) = 2 (-1)^m / (m^2 dx^2).  Folding psi_(-k) = +-psi_k gives
     T(j - k) +- T(j + k) for k >= 1; the even sector keeps psi_0 with column
     T(j), and the weight sqrt(2) on j >= 1 makes it symmetric.  The norm of
-    its eigenvector is then the full-line discrete norm.
+    its eigenvector is then the full-line discrete norm.  Both T(|j - k|) and
+    T(j + k) are strided windows on the one vector t = T(0..2n-2), gathered
+    by no index matrix: the Hankel part is row j of the windows of t, the
+    Toeplitz part row n-1-j of the windows of (T(n-1), ..., T(1), t).
     """
-    m = np.arange(1, 2 * len(uu) - 1)
+    n = len(uu)
+    m = np.arange(1, 2 * n - 1)
     t = np.concatenate([[math.pi**2 / 3.0], 2.0 * (1.0 - 2.0 * (m % 2)) / (m * m)]) / dx**2
-    j = np.arange(len(uu))
-    diff, total = t[np.abs(j[:, None] - j)], t[j[:, None] + j]
+    diff = sliding_window_view(np.concatenate([t[n - 1:0:-1], t[:n]]), n)[::-1]
+    total = sliding_window_view(t, n)
     even = diff + total
-    even[:, 0] = t[j] * math.sqrt(2.0)
+    even[:, 0] = t[:n] * math.sqrt(2.0)
     even[0] = even[:, 0]
     even[0, 0] = t[0]
-    odd = (diff - total)[1:, 1:]
-    even[j, j] += uu
-    odd[j[:-1], j[:-1]] += uu[1:]
+    odd = diff[1:, 1:] - total[1:, 1:]
+    even.reshape(-1)[::n + 1] += uu
+    odd.reshape(-1)[::n] += uu[1:]
     return even, odd
 
 

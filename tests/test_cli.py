@@ -416,6 +416,20 @@ class TestSolitonCommand:
             "(-1, 1000000000000), (0, 1000000000000), (1, 1000000000000)\n"
         ) in err
 
+    def test_stability_domain_is_the_union_over_kappas(self, capsys):
+        # |4 k^3 t| + k |x| grows with kappa, so the largest kappa decides alone
+        kappas = (0.5, 1.5, 2.5)
+        ts, xs = np.linspace(-2e10, 2e10, 9), np.linspace(-6e11, 6e11, 11)
+        outside = np.zeros((ts.size, xs.size), dtype=bool)
+        for k in kappas:
+            outside |= np.abs(ts * (4.0 * k**3))[:, None] + k * np.abs(xs) > 1e12
+        assert 0 < outside.sum() < outside.size
+        code, _, err = run(capsys, "soliton", "--kappas", "0.5,1.5,2.5", "--c0", "1,1,1",
+                           "--tmin=-2e10", "--tmax", "2e10", "--nt", "9",
+                           "--xmin=-6e11", "--xmax", "6e11", "--n", "11")
+        assert code == 4
+        assert f"error: {outside.sum()} grid point(s) outside the numeric stability domain" in err
+
 
 @pytest.mark.parametrize("argv", [
     ("soliton", "--from-spec", "--h", "6", "--seeds", "2", "--t", "0", "--n", "20001",

@@ -9,6 +9,7 @@ import darbouxkdv.kdv as kdv_module
 from darbouxkdv.darboux import SystemSpec, deformed_potential
 from darbouxkdv.kdv import (
     SOLITON_LIMIT,
+    TAU_CACHE_SIZE,
     SolitonData,
     asymptotic_decomposition,
     conserved_quantities,
@@ -288,6 +289,16 @@ class TestSolitonLimit:
         xs = np.linspace(-4.0, 4.0, 41)
         ref = deformed_potential(spec)(xs)
         assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestTauCache:
+    def test_holds_at_most_the_cap(self):
+        # one expansion at N = SOLITON_LIMIT holds 25 to 42 MB
+        for n in range(1, TAU_CACHE_SIZE + 4):
+            field_u(SolitonData(tuple(float(k) for k in range(1, n + 1)), (1.0,) * n), 0.0, 0.0)
+        info = kdv_module._tau_groups.cache_info()
+        assert info.maxsize == TAU_CACHE_SIZE == 4
+        assert info.currsize == TAU_CACHE_SIZE
 
 
 class TestKdvResidual:

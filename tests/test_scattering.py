@@ -204,8 +204,9 @@ class TestTransmissionPoles:
 JOST_IKS = pytest.mark.parametrize(
     "ik",
     [1j * np.array([0.05, -0.05, 0.5, -0.5, 2.0, -2.0, 8.0, -8.0]),
-     -np.array([0.3, 1.0, 3.0, 7.5])],
-    ids=["real k", "k = i kappa"],
+     -np.array([0.3, 1.0, 3.0, 7.5]),
+     1j * np.linspace(-8.0, 8.0, 2 * scattering._DENSE_MAX)],
+    ids=["real k", "k = i kappa", "real k, O(n) right-hand side"],
 )
 
 
@@ -253,6 +254,17 @@ class TestJostIntegrator:
     def test_nan_inside_the_well_raises(self, oracle):
         with pytest.raises(RuntimeError, match="Jost ODE stepper failed"):
             oracle(NanInsideTheWell())
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+    def test_dense_and_elementwise_right_hand_sides_agree(self, spec, monkeypatch):
+        # the dense (2n, 2n) product and the three ufuncs round differently, so
+        # VODE picks other steps; both land within the solve's tolerance
+        pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
+        dense = numerical_amplitudes(pot, ORACLE_K_GRID)
+        monkeypatch.setattr(scattering, "_DENSE_MAX", 0)
+        elementwise = numerical_amplitudes(pot, ORACLE_K_GRID)
+        assert np.max(np.abs(dense.t - elementwise.t)) <= 1e-10
+        assert np.max(np.abs(dense.r - elementwise.r)) <= 1e-10
 
     def test_two_threads_match_the_serial_results(self):
         singular = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
@@ -385,9 +397,11 @@ class TestNumericalAmplitudes:
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
     def test_tails_cost_few_potential_calls(self, spec, monkeypatch):
         # h' stays near 0 where U has decayed, so the tails take long
-        # steps; the detour of h=1 [2,4] took 8,058 calls on an arc 0.014 from two poles
+        # steps; the detour of h=1 [2,4] took 8,058 calls on an arc 0.014 from two poles.
+        # About 1.3 times the counts measured, 1,661 to 1,819 for one seed and 2,662
+        # on the detour, so a step-count regression of the Jost solve shows
         calls = self.oracle_potential_calls(spec, monkeypatch)
-        assert 0 < calls <= (6500 if len(spec.seeds) > 1 else 6000)
+        assert 0 < calls <= (3500 if len(spec.seeds) > 1 else 2400)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
     def test_half_path_halves_the_potential_calls(self, spec, monkeypatch):

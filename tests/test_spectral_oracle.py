@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
-from darbouxkdv.spectral_oracle import GridSpec, eigen_spectrum, oracle_norming_constants
+from darbouxkdv.spectral_oracle import (
+    GridSpec,
+    _sector_matrices,
+    eigen_spectrum,
+    oracle_norming_constants,
+)
 
 
 class TestGridSpec:
@@ -31,6 +36,34 @@ class TestGridSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
+
+
+def sector_matrices_direct(uu, dx):
+    """The sector matrices entry by entry: T(j - k) +- T(j + k), the even sector's
+    column and row 0 T(j) sqrt(2) with T(0) at (0, 0), and U on the diagonal."""
+    n = len(uu)
+    j, k = np.arange(n)[:, None], np.arange(n)
+
+    def sinc_t(m):
+        m = np.abs(m)
+        off = 2.0 * (1.0 - 2.0 * (m % 2)) / np.maximum(m * m, 1)
+        return np.where(m == 0, math.pi**2 / 3.0, off) / dx**2
+
+    even = sinc_t(j - k) + sinc_t(j + k)
+    even[:, 0] = even[0] = sinc_t(np.arange(n)) * math.sqrt(2.0)
+    even[0, 0] = sinc_t(0)
+    odd = sinc_t(j - k)[1:, 1:] - sinc_t(j + k)[1:, 1:]
+    return even + np.diag(uu), odd + np.diag(uu[1:])
+
+
+class TestSectorMatrices:
+    @pytest.mark.parametrize("n_points", [501, 801])
+    def test_bitwise_the_direct_definition(self, n_points):
+        grid = GridSpec(20.0, n_points)
+        uu = deformed_potential(SystemSpec(2.0, (2,)))(grid.points[n_points // 2:])
+        for got, want in zip(_sector_matrices(uu, grid.dx), sector_matrices_direct(uu, grid.dx)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestEigenSpectrum:
