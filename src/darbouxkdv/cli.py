@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import warnings
+from functools import cache
 
 import numpy as np
 
@@ -325,7 +326,9 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and reused after."""
     parser = argparse.ArgumentParser(
         prog="darbouxkdv",
         description=(

@@ -310,7 +310,7 @@ def _norming_sq(h: float, kappa: float, ds: list) -> float:
 WAVEFUNCTION_ERROR_LIMIT = 1e-6  # absolute, on a unit-normalized state
 
 
-def _unit_state(sols: list, num: np.ndarray, den: tuple, kappa: float, c: float) -> Callable:
+def _unit_state(sols: list, den: tuple, kappa: float, c: float) -> Callable:
     """x -> psi(x) = scale (cosh x)^(-kappa) num(u)/den(u), unit-normalized.
 
     num = W~[sols].  The raw state's tail lim_{x->+inf} raw(x) e^(kappa x) is
@@ -328,13 +328,16 @@ def _unit_state(sols: list, num: np.ndarray, den: tuple, kappa: float, c: float)
     for the tail scale.  Past WAVEFUNCTION_ERROR_LIMIT it raises
     OverflowError, as for the low levels of h = 250 [500], whose coefficients
     reach 1e285 over values near 1e80: double precision cannot resolve them.
-    The terms are built on the first call, so bound_states stays cheap.
+    num and its magnitude polynomial are built on the first call (a num
+    beyond the float range raises OverflowError), so bound_states stays cheap.
     """
     eps = np.finfo(float).eps
 
     @cache
     def terms():
+        what = f"the bound-state numerator at kappa = {kappa}"
         with np.errstate(over="ignore", invalid="ignore"):
+            num = _finite(_wronskian_poly(sols), what)
             bound = _wronskian_poly(sols, magnitude=True)
         top = np.max(np.abs(num))
         d = np.asarray(den) / np.max(np.abs(den))
@@ -379,6 +382,8 @@ def bound_states(spec: SystemSpec) -> list:
     Each norming constant comes in closed form from the residue of the
     transmission amplitude, c_n^2 = |Res_{K=i kappa_n} t_D(K)| (the wells are
     even), and scales the wavefunction to unit norm with tail +c_n e^(-kappa_n x).
+    Numerators are built on each state's first wavefunction call, which
+    raises OverflowError if one leaves the float range.
     """
     pot = deformed_potential(spec)
     seeds = pot._seeds
@@ -386,13 +391,9 @@ def bound_states(spec: SystemSpec) -> list:
     ds = [h + 1.0 + v for v in spec.seeds]
     entries = [(h - n, seeds + [_base_solution(h, n)]) for n in range(spec.n_base_states)]
     entries += [(d, seeds[:j] + seeds[j + 1:]) for j, d in enumerate(ds)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = [(kappa, sols, _wronskian_poly(sols)) for kappa, sols in entries]
-    what = f"a bound-state numerator of {spec.seeds} (h = {h})"
-    entries = [(kappa, sols, _finite(num, what)) for kappa, sols, num in entries]
     entries.sort(key=lambda e: -e[0] * e[0])
     out = []
-    for idx, (kappa, sols, num) in enumerate(entries):
+    for idx, (kappa, sols) in enumerate(entries):
         c = math.sqrt(_norming_sq(h, kappa, ds))
         out.append(
             BoundState(
@@ -400,7 +401,7 @@ def bound_states(spec: SystemSpec) -> list:
                 kappa=kappa,
                 energy=-kappa * kappa,
                 norming_constant=c,
-                wavefunction=_unit_state(sols, num, pot._w, kappa, c),
+                wavefunction=_unit_state(sols, pot._w, kappa, c),
             )
         )
     return out

@@ -54,7 +54,7 @@ QUADRATURE_MARGIN = 40.0  # window margin in decay lengths 1/kappa_min
 TRAPEZOID_STEP = 0.15     # grid step in units of 1/kappa_max
 FIELD_BUDGET = 1 << 15    # points x groups per block of field_u
 SOLITON_LIMIT = 20        # largest soliton count: the tau expansion has 2^N terms
-TAU_CACHE_SIZE = 4        # cached expansions, 25 to 42 MB each at N = SOLITON_LIMIT
+TAU_CACHE_SIZE = 4        # cached expansions, 21 to 34 MB each at N = SOLITON_LIMIT
 
 
 class OverflowDomainError(ArithmeticError):
@@ -198,15 +198,18 @@ def _tau_groups(kappas: tuple, c0: tuple) -> tuple:
     """The expansion sorted by gamma and grouped by exactly equal gamma.
 
     Returns alpha and beta in that order, the start of each group, the group
-    of each term and the gamma of each group, all read-only.  Integer kappas
-    give integer gamma = -2 sum_S kappa, so at most 1 + sum kappa groups
-    (31 at N = 7); general kappas give up to 2^N.
+    of each term (both int32, which holds 2^SOLITON_LIMIT) and the gamma of
+    each group, all read-only.  Integer kappas give integer
+    gamma = -2 sum_S kappa, so at most 1 + sum kappa groups (31 at N = 7);
+    general kappas give up to 2^N.
     """
     alpha, beta, gamma = _tau_arrays(kappas, c0)
     order = np.argsort(gamma, kind="stable")
     gamma = gamma[order]
     first = np.r_[True, gamma[1:] != gamma[:-1]]
-    out = (alpha[order], beta[order], np.flatnonzero(first), np.cumsum(first) - 1, gamma[first])
+    starts = np.flatnonzero(first).astype(np.int32)
+    group = np.cumsum(first, dtype=np.int32) - 1
+    out = (alpha[order], beta[order], starts, group, gamma[first])
     for arr in out:
         arr.setflags(write=False)
     return out

@@ -7,6 +7,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, trapezoid
 
+from darbouxkdv import darboux
 from darbouxkdv.darboux import (
     NodalWronskianError,
     SystemSpec,
@@ -320,9 +321,15 @@ class TestDeformedPotential:
         vals = deformed_potential(SystemSpec(300.0, (600,)))(np.array([-1.0, 0.0, 1.0]))
         assert np.all(np.isfinite(vals))
         assert vals[1] == pytest.approx(-1533302.0, rel=1e-12)
-        # but the numerators of its bound states, of higher degree, are not
-        with pytest.raises(OverflowError):
-            bound_states(SystemSpec(300.0, (600,)))
+        # the numerators of its bound states, of higher degree, are not; the
+        # levels and norming constants need none, and a low level refuses to
+        # evaluate its wavefunction
+        states = bound_states(SystemSpec(300.0, (600,)))
+        assert len(states) == 301
+        assert all(math.isfinite(s.kappa) and math.isfinite(s.norming_constant) for s in states)
+        (low,) = [s for s in states if s.kappa == 1.0]
+        with pytest.raises(OverflowError, match="bound-state numerator"):
+            low.wavefunction(0.0)
 
     def test_even_multi_index_is_nodal(self):
         # the Wronskian of two or more even seeds vanishes at x = 0
@@ -525,6 +532,22 @@ class TestBoundStates:
             assert np.all(np.isfinite(psi)) and np.any(psi)
             assert trapezoid(psi * psi, xs) == pytest.approx(1.0, abs=1e-8)
         assert {751.0, 250.0, 228.0} <= evaluated
+
+    def test_numerators_are_built_on_the_first_wavefunction_call(self, monkeypatch):
+        calls = []
+        wronskian_poly = darboux._wronskian_poly
+
+        def counted(sols, magnitude=False):
+            calls.append(magnitude)
+            return wronskian_poly(sols, magnitude)
+
+        monkeypatch.setattr(darboux, "_wronskian_poly", counted)
+        states = bound_states(SystemSpec(6.0, (2,)))
+        assert calls == [False]  # the seed Wronskian of deformed_potential
+        states[3].wavefunction(0.5)
+        assert calls == [False, False, True]  # its numerator and magnitude polynomial
+        states[3].wavefunction(np.array([-1.0, 2.0]))
+        assert calls == [False, False, True]
 
     def test_wavefunction_vectorized(self):
         s = bound_states(SystemSpec(1.0, (2,)))[0]

@@ -19,6 +19,7 @@ from darbouxkdv.kdv import (
 )
 
 RNG = np.random.default_rng(3)
+EPS = np.finfo(float).eps
 
 TWO_SOLITON = SolitonData((1.0, 4.0), (math.sqrt(10.0 / 3.0), math.sqrt(40.0 / 3.0)))
 ONE_SOLITON = SolitonData((1.0,), (math.sqrt(2.0),))
@@ -65,6 +66,26 @@ class TestScatteringDataFromSpec:
         data = scattering_data_from_spec(SystemSpec(1.0))
         assert data.kappas == (1.0,)
         assert data.c0[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
+
+    def test_deep_well_data_need_no_numerator(self):
+        # h = 300 [500]: bound-state numerators overflow the float range, but
+        # (kappa, c) are closed forms; c^2 = |Res_{s=kappa} t_D| with s = -iK,
+        # t_D = G(s-h) G(s+h+1) / (G(s+1) G(s)) (s+d)/(s-d), d = h+1+v, taken
+        # here as eps t_D(kappa + eps) in 120-digit arithmetic.  The float closed
+        # form is exp of a sum of log-Gammas as large as lgamma(kappa + h + 1),
+        # 6.6e3 at kappa = 801, and carries their rounding (1.4e-12 there)
+        data = scattering_data_from_spec(SystemSpec(300.0, (500,)))
+        assert data.n == 301
+        assert all(math.isfinite(k) and math.isfinite(c) for k, c in zip(data.kappas, data.c0))
+        c2 = dict(zip(data.kappas, (c * c for c in data.c0)))
+        with mp.workdps(120):
+            h, d, eps = mp.mpf(300), mp.mpf(801), mp.mpf(10) ** -60
+            for kappa in (1, 300, 801):
+                s = kappa + eps
+                t = (mp.gamma(s - h) * mp.gamma(s + h + 1) / (mp.gamma(s + 1) * mp.gamma(s))
+                     * (s + d) / (s - d))
+                rel = max(1e-12, 2.0 * EPS * float(mp.loggamma(kappa + h + 1)))
+                assert c2[float(kappa)] == pytest.approx(float(abs(eps * t)), rel=rel)
 
     def test_non_integer_h_rejected(self):
         with pytest.raises(ValueError):
@@ -293,12 +314,27 @@ class TestSolitonLimit:
 
 class TestTauCache:
     def test_holds_at_most_the_cap(self):
-        # one expansion at N = SOLITON_LIMIT holds 25 to 42 MB
+        # one expansion at N = SOLITON_LIMIT holds 21 to 34 MB
         for n in range(1, TAU_CACHE_SIZE + 4):
             field_u(SolitonData(tuple(float(k) for k in range(1, n + 1)), (1.0,) * n), 0.0, 0.0)
         info = kdv_module._tau_groups.cache_info()
         assert info.maxsize == TAU_CACHE_SIZE == 4
         assert info.currsize == TAU_CACHE_SIZE
+
+    @pytest.mark.parametrize("data", [
+        scattering_data_from_spec(SystemSpec(6.0, (2,))),
+        SolitonData((0.5, math.sqrt(2.0), math.sqrt(3.0)), (1.0, 2.0, 0.5)),
+    ], ids=["integer", "general"])
+    def test_int32_indices_change_no_value(self, data, monkeypatch):
+        alpha, beta, starts, group, gam = kdv_module._tau_groups(data.kappas, data.c0)
+        assert starts.dtype == group.dtype == np.int32
+        xs = np.linspace(-3.0, 3.0, 61)
+        u = field_u(data, xs, 0.1)
+        res = [kdv_residual(data, x, 0.1) for x in (-1.0, 0.3)]
+        wide = (alpha, beta, starts.astype(np.int64), group.astype(np.int64), gam)
+        monkeypatch.setattr(kdv_module, "_tau_groups", lambda kappas, c0: wide)
+        assert np.array_equal(field_u(data, xs, 0.1), u)
+        assert [kdv_residual(data, x, 0.1) for x in (-1.0, 0.3)] == res
 
 
 class TestKdvResidual:
