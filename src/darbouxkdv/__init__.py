@@ -21,7 +21,6 @@ from .kdv import (
 )
 from .scattering import (
     ScatteringAmplitudes,
-    base_amplitudes,
     deformed_amplitudes,
     numerical_amplitudes,
     transmission_poles,
@@ -46,7 +45,6 @@ __all__ = [
     "SolitonData",
     "SystemSpec",
     "asymptotic_decomposition",
-    "base_amplitudes",
     "bound_states",
     "conserved_quantities",
     "deformed_amplitudes",

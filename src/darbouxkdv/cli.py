@@ -9,10 +9,11 @@ oracle stepper that fails).  Errors and warnings go to stderr as one
 early (`... | head`) ends the output with no traceback, and the exit code is
 the command's own: 0 for a table written without error.
 All floats are written with 17 significant digits and no locale dependence,
-so identical configurations produce byte-identical outputs.  Tables are
-formatted and written in blocks of TABLE_BLOCK rows.  A soliton table is
-written one time slice at a time, after every field value is computed; each
-distinct t and x is formatted once, and per row only u is.
+so identical configurations produce byte-identical outputs.  The potential,
+scattering and soliton tables go through one writer, in blocks of TABLE_BLOCK
+rows: each key (x or K) and each soliton time t is formatted once, and per
+row only the values are.  A soliton table is written one time slice at a
+time, after every field value is computed.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ EXIT_NUMERIC_DOMAIN = 4
 THETA_PRECISION_LIMIT = 1e12
 
 TABLE_BLOCK = 4096  # rows (csv) or values (json) formatted and written at a time
-# CSV rows of a soliton table per %-format: 64 rows (about 4 kB of text)
-# format as fast as a whole block, while results of 8 kB and up left about
+# CSV rows per %-format: 64 soliton rows (about 4 kB of text) format
+# as fast as a whole block, while results of 8 kB and up left about
 # 1.3 MB of freed heap that glibc kept from the system in the benchmark's
 # soliton_fields worker.
 FORMAT_ROWS = 64
@@ -106,75 +107,59 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])  # linspace drops -0.0's sign
 
 
-def _table_blocks(header, columns, fmt: str):
-    """The table as text blocks of at most TABLE_BLOCK rows (csv) or values (json).
+def _table_blocks(header, keys, values, fmt: str, slices=None):
+    """The table of key column `keys` and value columns values[:, j], as text blocks.
 
-    One %-format per block over Python floats: the same bytes as
-    format(v, ".17g") per cell in a fraction of the time, while only one
-    block's strings are alive at once.
+    With `slices`, one value per time slice, the table has a leading column of
+    those values and repeats the keys once per slice: slice i is the rows
+    i * len(keys) ... of `values`.  The same bytes as format(v, ".17g") per
+    cell, but each key and each slice value is formatted once, and the values
+    one run of at most TABLE_BLOCK keys at a time.  CSV rows go through one
+    %-format per FORMAT_ROWS rows, of a template joined from per-key texts;
+    JSON is written column by column.  The key texts are kept for the later
+    slices only when there are any.
     """
+    n, k = keys.size, values.shape[1]
+    spans = [(i, min(i + TABLE_BLOCK, n)) for i in range(0, n, TABLE_BLOCK)]
+    lead = [] if slices is None else ["%.17g" % t for t in slices.tolist()]
+    offsets = range(0, max(len(lead), 1) * n, n)  # the first row of each slice in values
+    row = "%.17g" + ",%%.17g" * k + "\n"  # a CSV row: the key's text, then a slot per value
+
+    def text(col, start, stop):
+        return ", ".join(["%.17g"] * (stop - start)) % tuple(col[start:stop].tolist())
+
+    def key_text(start, stop):
+        if fmt == "json":
+            return text(keys, start, stop)
+        return [row % x for x in keys[start:stop].tolist()]
+
+    kept = [key_text(*span) for span in spans] if len(lead) > 1 else None
+
+    def key_run(j):
+        return kept[j] if kept else key_text(*spans[j])
+
     if fmt == "json":
-        yield "{\n"
-        for i, (name, col) in enumerate(zip(header, columns)):
-            yield (",\n" if i else "") + f'  "{name}": ['
-            for start in range(0, len(col), TABLE_BLOCK):
-                block = tuple(map(float, col[start:start + TABLE_BLOCK]))
-                yield (", " if start else "") + ", ".join(["%.17g"] * len(block)) % block
+        def runs(col):
+            return (text(col, o + start, o + stop) for o in offsets for start, stop in spans)
+
+        columns = [(key_run(j) for _ in offsets for j in range(len(spans))), *map(runs, values.T)]
+        if lead:
+            columns.insert(0, (", ".join([t] * (b - a)) for t in lead for a, b in spans))
+        for i, (name, column) in enumerate(zip(header, columns)):
+            yield (",\n" if i else "{\n") + f'  "{name}": ['
+            for j, run in enumerate(column):
+                yield (", " if j else "") + run
             yield "]"
         yield "\n}\n"
         return
-    row = ",".join(["%.17g"] * len(columns))
     yield ",".join(header) + "\n"
-    for start in range(0, min(map(len, columns)), TABLE_BLOCK):
-        rows = zip(*(map(float, col[start:start + TABLE_BLOCK]) for col in columns))
-        yield "\n".join([row % values for values in rows]) + "\n"
-
-
-def _grid_blocks(ts, xs, us, fmt: str):
-    """The (t, x, u) table of the t-major product grid ts x xs, us[i, j] = u(xs[j], ts[i]).
-
-    The same bytes as _table_blocks over the columns (repeat(ts), tile(xs),
-    us.ravel()), but each t and each x is formatted once: per time slice only
-    u is formatted, one block of at most TABLE_BLOCK values at a time.  CSV
-    rows go through one %-format per FORMAT_ROWS rows, of a template joined
-    from the t and x texts.  The x text is kept for the later slices only
-    when there are any.
-    """
-    tstrs = ["%.17g" % t for t in ts.tolist()]
-    spans = [(i, min(i + TABLE_BLOCK, xs.size)) for i in range(0, xs.size, TABLE_BLOCK)]
-
-    def values(col, start, stop):
-        return ", ".join(["%.17g"] * (stop - start)) % tuple(col[start:stop].tolist())
-
-    if fmt == "json":
-        yield '{\n  "t": ['
-        for i, tstr in enumerate(tstrs):
-            for j, (start, stop) in enumerate(spans):
-                yield (", " if i or j else "") + ", ".join([tstr] * (stop - start))
-        yield '],\n  "x": ['
-        xtexts = [values(xs, *span) for span in spans] if len(tstrs) > 1 else None
-        for i in range(len(tstrs)):
-            for j, span in enumerate(spans):
-                yield (", " if i or j else "") + (xtexts[j] if xtexts else values(xs, *span))
-        yield '],\n  "u": ['
-        for i, row in enumerate(us):
-            for j, span in enumerate(spans):
-                yield (", " if i or j else "") + values(row, *span)
-        yield "]\n}\n"
-        return
-
-    def tails(start, stop):  # "x,%.17g\n" per row, for u; the t text goes in front
-        return ["%.17g,%%.17g\n" % x for x in xs[start:stop].tolist()]
-
-    kept = [tails(*span) for span in spans] if len(tstrs) > 1 else None
-    yield "t,x,u\n"
-    for tstr, row in zip(tstrs, us):
-        sep = tstr + ","
+    for o, sep in zip(offsets, [t + "," for t in lead] or [""]):
         for j, (start, stop) in enumerate(spans):
-            rows = kept[j] if kept else tails(start, stop)
-            vals = row[start:stop].tolist()
-            for k in range(0, len(rows), FORMAT_ROWS):
-                yield (sep + sep.join(rows[k:k + FORMAT_ROWS])) % tuple(vals[k:k + FORMAT_ROWS])
+            rows = key_run(j)
+            vals = values[o + start:o + stop].ravel().tolist()
+            for r in range(0, len(rows), FORMAT_ROWS):
+                chunk = tuple(vals[r * k:(r + FORMAT_ROWS) * k])
+                yield (sep + sep.join(rows[r:r + FORMAT_ROWS])) % chunk
 
 
 def cmd_potential(args) -> int:
@@ -182,7 +167,7 @@ def cmd_potential(args) -> int:
     pot = deformed_potential(spec)
     xs = _grid(args.xmin, args.xmax, args.n)
     us = np.atleast_1d(pot(xs))
-    _write(_table_blocks(("x", "u"), (xs, us), args.format), args.output)
+    _write(_table_blocks(("x", "u"), xs, us[:, None], args.format), args.output)
     return EXIT_OK
 
 
@@ -269,19 +254,17 @@ def cmd_spectrum(args) -> int:
 def cmd_scattering(args) -> int:
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
     ks = _grid(args.kmin, args.kmax, args.nk) if args.k is None else _grid(args.k, args.k, 1)
-    if np.any(ks <= 0):
-        raise ValueError("K grid must be positive")
     header = ["K", "re_t", "im_t", "re_r", "im_r", "abs_t", "abs_r", "unitarity_defect"]
-    amps = (deformed_amplitudes(spec, float(K)) for K in ks)
-    cols = list(zip(*(
-        (a.K, a.t.real, a.t.imag, a.r.real, a.r.imag, abs(a.t), abs(a.r), a.unitarity_defect)
+    amps = (deformed_amplitudes(spec, K) for K in ks.tolist())
+    cols = [
+        (a.t.real, a.t.imag, a.r.real, a.r.imag, abs(a.t), abs(a.r), a.unitarity_defect)
         for a in amps
-    )))
+    ]
     if args.oracle:
         num = numerical_amplitudes(deformed_potential(spec, allow_singular=True), ks)
         header += ["re_t_oracle", "im_t_oracle", "re_r_oracle", "im_r_oracle"]
-        cols += [num.t.real, num.t.imag, num.r.real, num.r.imag]
-    _write(_table_blocks(header, cols, args.format), args.output)
+        cols = np.column_stack([cols, num.t.real, num.t.imag, num.r.real, num.r.imag])
+    _write(_table_blocks(header, ks, np.asarray(cols), args.format), args.output)
     return EXIT_OK
 
 
@@ -312,7 +295,7 @@ def cmd_soliton(args) -> int:
     us = np.empty((ts.size, xs.size))
     for i, t in enumerate(ts):  # every field value before the first byte is written
         us[i] = field_u(data, xs, float(t))
-    _write(_grid_blocks(ts, xs, us, args.format), args.output)
+    _write(_table_blocks(("t", "x", "u"), xs, us.reshape(-1, 1), args.format, ts), args.output)
     return EXIT_OK
 
 

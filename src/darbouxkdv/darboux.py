@@ -328,8 +328,10 @@ def _unit_state(sols: list, den: tuple, kappa: float, c: float) -> Callable:
     for the tail scale.  Past WAVEFUNCTION_ERROR_LIMIT it raises
     OverflowError, as for the low levels of h = 250 [500], whose coefficients
     reach 1e285 over values near 1e80: double precision cannot resolve them.
-    num and its magnitude polynomial are built on the first call (a num
-    beyond the float range raises OverflowError), so bound_states stays cheap.
+    num and its magnitude polynomial are built on the first call, so
+    bound_states stays cheap.  A num beyond the float range raises
+    OverflowError, and the failure is kept: later calls raise it again
+    without rebuilding num.
     """
     eps = np.finfo(float).eps
 
@@ -337,7 +339,10 @@ def _unit_state(sols: list, den: tuple, kappa: float, c: float) -> Callable:
     def terms():
         what = f"the bound-state numerator at kappa = {kappa}"
         with np.errstate(over="ignore", invalid="ignore"):
-            num = _finite(_wronskian_poly(sols), what)
+            try:
+                num = _finite(_wronskian_poly(sols), what)
+            except OverflowError as exc:
+                return str(exc)
             bound = _wronskian_poly(sols, magnitude=True)
         top = np.max(np.abs(num))
         d = np.asarray(den) / np.max(np.abs(den))
@@ -348,7 +353,10 @@ def _unit_state(sols: list, den: tuple, kappa: float, c: float) -> Callable:
         return num / top, bound / top, d, log_scale, rel_scale, math.copysign(1.0, num1)
 
     def wavefunction(x):
-        num, bound, den, log_scale, rel_scale, sign = terms()
+        parts = terms()
+        if isinstance(parts, str):
+            raise OverflowError(parts)
+        num, bound, den, log_scale, rel_scale, sign = parts
         x = np.asarray(x, dtype=float)
         u = np.tanh(x)
         a = np.abs(x)

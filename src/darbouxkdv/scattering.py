@@ -43,7 +43,6 @@ from .specfun import log_gamma
 
 __all__ = [
     "ScatteringAmplitudes",
-    "base_amplitudes",
     "deformed_amplitudes",
     "numerical_amplitudes",
     "transmission_poles",
@@ -71,28 +70,21 @@ class ScatteringAmplitudes:
         return abs(abs(self.t) ** 2 + abs(self.r) ** 2 - 1.0)
 
 
-def base_amplitudes(h: float, K: float) -> ScatteringAmplitudes:
-    """Amplitudes of the undeformed well -h(h+1)/cosh^2 x.
+def deformed_amplitudes(spec: SystemSpec, K: float) -> ScatteringAmplitudes:
+    """Amplitudes of the M-step deformed well: the base well's, times one factor per step.
 
-    t is the exponential of a sum of four log-Gammas that cancel: at large h
-    the terms are of size h log h, at large K of size pi K / 2.  The rounding
-    of that sum is a relative error of |t|, and so of r; eps times the sum of
-    the |Re log Gamma| bounds it.  The measured unitarity defect, about twice
-    that error, stayed below 1.25 times the bound over h = 1e5 to 1e8 and
-    over K = 1e6 to 1e8.  Past AMPLITUDE_ERROR_LIMIT (the figure of
+    The base t is the exponential of a sum of four log-Gammas that cancel: at
+    large h the terms are of size h log h, at large K of size pi K / 2.  The
+    rounding of that sum is a relative error of |t|, and so of r; eps times
+    the sum of the |Re log Gamma| bounds it.  The measured unitarity defect,
+    about twice that error, stayed below 1.25 times the bound over h = 1e5 to
+    1e8 and over K = 1e6 to 1e8.  Past AMPLITUDE_ERROR_LIMIT (the figure of
     darboux.WAVEFUNCTION_ERROR_LIMIT) it raises OverflowError: for K up to
-    20 from about h = 1.3e8 on.
+    20 from about h = 1.3e8 on.  An empty seed list gives the base well.
     """
-    t, r = _base_pair(h, K)
-    return ScatteringAmplitudes(K=float(K), t=t, r=r)
-
-
-def _base_pair(h: float, K: float) -> tuple:
-    """(t, r) of base_amplitudes, without building a ScatteringAmplitudes."""
     if not 0 < K < math.inf:
         raise ValueError(f"wave number must be finite and positive, got K = {K}")
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
+    h = spec.h
     s = -1j * K
     a, b, c, d = log_gamma(s - h), log_gamma(s + h + 1.0), log_gamma(s + 1.0), log_gamma(s)
     # |t| = e^(Re sum), so the rounding of the sum is a relative error of t and r
@@ -113,17 +105,11 @@ def _base_pair(h: float, K: float) -> tuple:
     if n % 2:
         minus_sin = 0.0 - minus_sin
     r = -1j * t * (2.0 * math.exp(-math.pi * K) / -math.expm1(-2.0 * math.pi * K)) * minus_sin
-    return t, r
-
-
-def deformed_amplitudes(spec: SystemSpec, K: float) -> ScatteringAmplitudes:
-    """Amplitudes of the M-step deformed well: products of one-step factors."""
-    t, r = _base_pair(spec.h, K)
     for v in spec.seeds:
-        d = spec.h + 1.0 + v
-        tf = (K + 1j * d) / (K - 1j * d)
-        t *= tf
-        r *= -tf
+        kappa = h + 1.0 + v  # the level this step adds
+        f = (K + 1j * kappa) / (K - 1j * kappa)
+        t *= f
+        r *= -f
     return ScatteringAmplitudes(K=float(K), t=t, r=r)
 
 

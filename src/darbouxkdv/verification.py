@@ -70,21 +70,29 @@ def two_soliton_closed_form(x, t):
     return num / den
 
 
+def _level_defect(found, expected) -> float:
+    """max |found - expected| over the levels in order, or inf if the level counts differ."""
+    if len(found) != len(expected):
+        return math.inf
+    return max(abs(a - b) for a, b in zip(found, expected))
+
+
 # --- criteria 1 and 2: spectrum and norming constants of h=1 [2], one sinc oracle solve ---
+
+def _norming_defect_h1(levels) -> float:
+    """The (kappa, c) levels of h=1 [2] against c at kappa = 1 and 4; inf for other kappas."""
+    by_kappa = {round(kappa): c for kappa, c in levels}
+    if len(levels) != 2 or by_kappa.keys() != {1, 4}:
+        return math.inf
+    return max(abs(by_kappa[1] - C0_TWO_SOLITON), abs(by_kappa[4] - C1_TWO_SOLITON))
+
 
 def check_bound_states_h1() -> list:
     spec = SystemSpec(1.0, (2,))
     oracle = oracle_norming_constants(deformed_potential(spec), GridSpec(L=20.0, n_points=801))
-    energies = [-kappa * kappa for kappa, _ in oracle]
-    sdefect = max(abs(a - b) for a, b in zip(energies, (-16.0, -1.0)))
-    if len(energies) != 2:
-        sdefect = math.inf
-    by_kappa = {round(s.kappa): s.norming_constant for s in bound_states(spec)}
-    closed = max(
-        abs(by_kappa[1] - C0_TWO_SOLITON), abs(by_kappa[4] - C1_TWO_SOLITON)
-    )
-    om = {round(k): c for k, c in oracle}
-    odefect = max(abs(om[1] - C0_TWO_SOLITON), abs(om[4] - C1_TWO_SOLITON))
+    sdefect = _level_defect([-kappa * kappa for kappa, _ in oracle], (-16.0, -1.0))
+    closed = _norming_defect_h1([(s.kappa, s.norming_constant) for s in bound_states(spec)])
+    odefect = _norming_defect_h1(oracle)
     return [
         CheckResult("spectrum h=1 [2] vs {-16,-1} (sinc oracle, n=801, L=20)", sdefect, 1e-6),
         CheckResult("norming constants h=1 [2], closed form", closed, 1e-6),
@@ -126,10 +134,7 @@ def check_h2_chain() -> list:
     spec = SystemSpec(2.0, (2,))
     pot = deformed_potential(spec)
     levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=801))
-    energies = [e for e, _ in levels]
-    sdefect = max(abs(a - b) for a, b in zip(energies, (-25.0, -4.0, -1.0)))
-    if len(energies) != 3:
-        sdefect = math.inf
+    sdefect = _level_defect([e for e, _ in levels], (-25.0, -4.0, -1.0))
     data = scattering_data_from_spec(spec)
     spot = abs(field_u(data, 0.0, 0.0) - (-44.0))
     xs = np.linspace(-8.0, 8.0, 1601)
@@ -220,8 +225,7 @@ def check_pole_duality() -> list:
     out = []
     for spec in (SystemSpec(1.0, (2,)), SystemSpec(2.0, (2,)), SystemSpec(3.0, ())):
         poles = transmission_poles(spec)
-        kappas = sorted(s.kappa for s in bound_states(spec))
-        defect = max(abs(a - b) for a, b in zip(poles, kappas)) if len(poles) == len(kappas) else math.inf
+        defect = _level_defect(poles, sorted(s.kappa for s in bound_states(spec)))
         out.append(
             CheckResult(f"pole/spectrum duality h={spec.h} seeds={list(spec.seeds)}", defect, 0.0)
         )

@@ -271,7 +271,8 @@ def test_table_text_matches_per_cell_format(fmt):
     columns = ([-0.0, 1.0 / 3.0, 1e-300, 2.0], np.array([1e300, -2.5, math.pi, 0.1]),
                [3, -7, 1e16, 5e-324])
     expected = _per_cell_text(header, columns, fmt)
-    assert "".join(_table_blocks(header, columns, fmt)) == expected
+    keys, values = np.asarray(columns[0]), np.column_stack(columns[1:])
+    assert "".join(_table_blocks(header, keys, values, fmt)) == expected
     assert "-0," in expected  # the sign of -0.0 survives
 
 
@@ -285,7 +286,7 @@ def test_streamed_grid_matches_per_cell_format(fmt, tmp_path):
     xs = np.linspace(-7.0, 5.0, n)
     us = deformed_potential(SystemSpec(1.5, (2,)))(xs)
     assert path.read_text() == _per_cell_text(("x", "u"), (xs, us), fmt)
-    assert len(list(_table_blocks(("x", "u"), (xs, us), fmt))) > 3
+    assert len(list(_table_blocks(("x", "u"), xs, us[:, None], fmt))) > 3
 
 
 SOLITON_DATA = ("--kappas", "1,4", "--c0", "1.8257418583505536,3.6514837167011076")
@@ -464,3 +465,33 @@ class TestVerifyCommand:
         assert code == 0
         assert "reconstruction h=1" in out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_missing_oracle_norming_level_fails_checks(self, capsys, monkeypatch):
+        # one oracle level for h=1 [2]: a failed check, not a KeyError traceback
+        from darbouxkdv import verification
+
+        oracle = verification.oracle_norming_constants
+        monkeypatch.setattr(verification, "oracle_norming_constants",
+                            lambda pot, grid: oracle(pot, grid)[:1])
+        code, out, err = run(capsys, "verify", "--suite", "spectra")
+        assert code == 1 and err == ""
+        failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+        assert failed == [
+            "spectrum h=1 [2] vs {-16,-1} (sinc oracle, n=801, L=20): "
+            "defect inf vs tol 1.0e-06 FAIL",
+            "norming constants h=1 [2], sinc oracle (n=801, L=20): defect inf vs tol 1.0e-03 FAIL",
+        ]
+        assert out.endswith("7/9 checks passed, 2 FAILED\n")
+
+    def test_empty_oracle_spectrum_fails_check(self, capsys, monkeypatch):
+        # no h=2 [2] level found: a failed check, not exit 2 from max() of nothing
+        from darbouxkdv import verification
+
+        monkeypatch.setattr(verification, "eigen_spectrum", lambda pot, grid: [])
+        code, out, err = run(capsys, "verify", "--suite", "spectra")
+        assert code == 1 and err == ""
+        failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+        assert failed == [
+            "spectrum h=2 [2] vs {-25,-4,-1} (sinc oracle, n=801, L=20): "
+            "defect inf vs tol 1.0e-06 FAIL"
+        ]

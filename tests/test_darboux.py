@@ -549,6 +549,22 @@ class TestBoundStates:
         states[3].wavefunction(np.array([-1.0, 2.0]))
         assert calls == [False, False, True]
 
+    def test_overflowing_numerator_is_built_once(self, monkeypatch):
+        calls = []
+        wronskian_poly = darboux._wronskian_poly
+
+        def counted(sols, magnitude=False):
+            calls.append(magnitude)
+            return wronskian_poly(sols, magnitude)
+
+        monkeypatch.setattr(darboux, "_wronskian_poly", counted)
+        (low,) = [s for s in bound_states(SystemSpec(300.0, (600,))) if s.kappa == 1.0]
+        assert calls == [False]  # the seed Wronskian of deformed_potential
+        for x in (0.0, 0.5, np.array([-1.0, 2.0])):
+            with pytest.raises(OverflowError, match="bound-state numerator at kappa = 1.0"):
+                low.wavefunction(x)
+        assert calls == [False, False]  # the numerator, once; it fails before its magnitude
+
     def test_wavefunction_vectorized(self):
         s = bound_states(SystemSpec(1.0, (2,)))[0]
         xs = np.linspace(-2, 2, 5)
