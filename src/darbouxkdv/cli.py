@@ -3,8 +3,8 @@ fields and the verification suites, as reproducible file outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 closed-form/oracle mismatch beyond tolerance, 4 numeric-domain violation
-(including a spectrum oracle box too narrow for a shallow level and an ODE
-oracle stepper that fails).  Errors and warnings go to stderr as one
+(including a spectrum oracle grid above its point cap and an ODE oracle
+stepper that fails).  Errors and warnings go to stderr as one
 "error: ..." or "warning: ..." line each.  A reader that closes stdout
 early (`... | head`) ends the output with no traceback, and the exit code is
 the command's own: 0 for a table written without error.
@@ -59,6 +59,10 @@ FORMAT_ROWS = 64
 # the factors 5 and 2.
 BOX_ENERGY_FACTOR = 5.0
 BOX_NORMING_FACTOR = 2.0
+# The sinc error falls like e^(-pi d/dx), d the distance of U_D's nearest pole
+# from the real axis: the step is at most d / 5.5 (at d / 5, h=14 [2] fails).
+_POLE_STEPS = 5.5
+_MAX_ORACLE_POINTS = 8001  # sector matrices of 4001^2 doubles; 7483 points peaked at 607 MB
 
 
 def _fmt(v: float) -> str:
@@ -171,14 +175,25 @@ def cmd_potential(args) -> int:
     return EXIT_OK
 
 
-def _box_defects(states, L: float) -> tuple:
-    """The largest (energy, norming-constant) defects the box [-L, L] should cause."""
-    worst_e = worst_c = 0.0
-    for s in states:
-        tail = s.norming_constant**2 * math.exp(-2.0 * s.kappa * L)
-        worst_e = max(worst_e, BOX_ENERGY_FACTOR * s.kappa * tail)
-        worst_c = max(worst_c, BOX_NORMING_FACTOR * L * s.norming_constant * tail)
-    return worst_e, worst_c
+def _oracle_grid(states, pot, tol_energy: float, tol_norming: float) -> tuple:
+    """(L, n): the box [-L, L] that the levels need, in n points fine enough for U_D.
+
+    L widens from 20 in 10 % steps until the box's estimated defects meet the
+    tolerances.  The step is 0.05, or d / _POLE_STEPS if smaller, with d the
+    least |Im x| < pi/2 of U_D's poles; n is inf for d = 0.
+    """
+    default = GridSpec()
+    L = default.L
+    while any(
+        BOX_ENERGY_FACTOR * s.kappa * tail > tol_energy
+        or BOX_NORMING_FACTOR * L * s.norming_constant * tail > tol_norming
+        for s in states
+        for tail in [s.norming_constant**2 * math.exp(-2.0 * s.kappa * L)]
+    ):
+        L = math.ceil(1.1 * L)
+    d = min((abs(p.imag) for p in pot.poles() if abs(p.imag) < math.pi / 2), default=math.pi / 2)
+    dx = min(default.dx, d / _POLE_STEPS)
+    return L, 2 * math.ceil(L / dx) + 1 if dx > 0 else math.inf
 
 
 def cmd_spectrum(args) -> int:
@@ -187,35 +202,25 @@ def cmd_spectrum(args) -> int:
             raise ValueError(f"{flag} must be finite and positive, got {tol}")
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
     states = bound_states(spec)
-    grid = GridSpec(L=args.grid_l, n_points=args.grid_n)
     edge = [s.energy for s in states if s.energy >= -CONTINUUM_EPS]
     if edge:
         sys.stderr.write(
-            f"level(s) E = {edge} above the oracle's continuum cutoff {-CONTINUUM_EPS:g}: "
+            f"error: level(s) E = {edge} above the oracle's continuum cutoff {-CONTINUUM_EPS:g}: "
             "no box resolves them\n"
         )
         return EXIT_NUMERIC_DOMAIN
-
-    def too_narrow(L):
-        e, c = _box_defects(states, L)
-        return e > args.tol_energy or c > args.tol_norming
-
-    if too_narrow(grid.L):
-        need = grid.L
-        while too_narrow(need):
-            need = math.ceil(1.1 * need)
-        e, c = _box_defects(states, grid.L)
+    pot = deformed_potential(spec)
+    L, n = _oracle_grid(states, pot, args.tol_energy, args.tol_norming)
+    if n > _MAX_ORACLE_POINTS:
         sys.stderr.write(
-            f"oracle box --grid-l {grid.L:g} too narrow for kappa = "
-            f"{min(s.kappa for s in states):.6g}: estimated defects {e:.1e} in E, {c:.1e} in c; "
-            f"use --grid-l {need:g} --grid-n {2 * math.ceil(need / grid.dx) + 1}\n"
+            f"error: the oracle grid on [-{L:g}, {L:g}] that resolves the poles of U_D "
+            f"has {n} points, above the cap of {_MAX_ORACLE_POINTS}\n"
         )
         return EXIT_NUMERIC_DOMAIN
-    pot = deformed_potential(spec)
-    oracle = oracle_norming_constants(pot, grid)
+    oracle = oracle_norming_constants(pot, GridSpec(L, n))
     if len(oracle) != len(states):
         sys.stderr.write(
-            f"oracle found {len(oracle)} bound states, closed form has {len(states)}\n"
+            f"error: oracle found {len(oracle)} bound states, closed form has {len(states)}\n"
         )
         return EXIT_ORACLE_MISMATCH
     rows = []
@@ -233,18 +238,12 @@ def cmd_spectrum(args) -> int:
             + f'"energy_defect": {_fmt(e_def)}, "norming_defect": {_fmt(c_def)}'
             + "}"
         )
-    seeds_json = "[" + ", ".join(str(v) for v in spec.seeds) + "]"
-    text = (
-        "{\n"
-        + f'  "h": {_fmt(spec.h)},\n  "seeds": {seeds_json},\n'
-        + '  "levels": [\n'
-        + ",\n".join(rows)
-        + "\n  ]\n}\n"
-    )
+    seeds, levels = ", ".join(str(v) for v in spec.seeds), ",\n".join(rows)
+    text = f'{{\n  "h": {_fmt(spec.h)},\n  "seeds": [{seeds}],\n  "levels": [\n{levels}\n  ]\n}}\n'
     _write((text,), args.output)
     if worst_e > args.tol_energy or worst_c > args.tol_norming:
         sys.stderr.write(
-            f"oracle divergence: energy defect {worst_e:.3e} (tol {args.tol_energy:.1e}), "
+            f"error: oracle divergence: energy defect {worst_e:.3e} (tol {args.tol_energy:.1e}), "
             f"norming defect {worst_c:.3e} (tol {args.tol_norming:.1e})\n"
         )
         return EXIT_ORACLE_MISMATCH
@@ -337,12 +336,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(func=cmd_potential)
 
-    p = sub.add_parser("spectrum", help="bound states: closed form vs sinc-collocation oracle")
+    p = sub.add_parser("spectrum", help="bound states: closed form vs sinc-collocation oracle",
+                       description="The oracle's box [-L, L] is the one the closed-form "
+                       "levels need, and its step resolves the poles of U_D; a grid of more "
+                       f"than {_MAX_ORACLE_POINTS} points exits 4.")
     add_spec(p)
-    p.add_argument("--grid-l", type=float, default=20.0)
-    p.add_argument("--grid-n", type=int, default=801)
-    p.add_argument("--tol-energy", type=float, default=1e-5)
-    p.add_argument("--tol-norming", type=float, default=1e-3)
+    p.add_argument("--tol-energy", type=float, default=1e-5, help="absolute; also sizes the box")
+    p.add_argument("--tol-norming", type=float, default=1e-3, help="absolute; also sizes the box")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_spectrum)
 

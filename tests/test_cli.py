@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -9,10 +8,11 @@ import numpy as np
 import pytest
 
 import darbouxkdv
-from darbouxkdv import scattering
+from darbouxkdv import cli, scattering
 from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, main
-from darbouxkdv.darboux import SystemSpec, deformed_potential
+from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.kdv import SOLITON_LIMIT, SolitonData, field_u, scattering_data_from_spec
+from darbouxkdv.spectral_oracle import GridSpec, oracle_norming_constants
 
 
 def run(capsys, *argv):
@@ -128,7 +128,7 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--h", "1", "--seeds", "2",
                            "--tol-energy", "1e-15")
         assert code == 3
-        assert "divergence" in err
+        assert err.startswith("error: oracle divergence") and err.count("\n") == 1
 
     @pytest.mark.parametrize("spec", [("6", "2"), ("15", ""), ("1.5", "4")], ids="-".join)
     def test_deep_and_shallow_levels_pass_at_default_flags(self, capsys, spec):
@@ -140,19 +140,62 @@ class TestSpectrumCommand:
         assert all(lvl["energy_defect"] <= 1e-8 for lvl in levels)
         assert all(lvl["norming_defect"] <= 1e-6 * lvl["norming_constant"] for lvl in levels)
 
-    @pytest.mark.parametrize("spec", [("1.2", ""), ("2.2", "2"), ("1.05", "")], ids="-".join)
-    def test_shallow_level_names_the_box_it_needs(self, capsys, spec):
-        # the box [-20, 20] moves kappa = 0.2 by about 1e-4 in E, above the 1e-5
-        # tolerance: the oracle's box is at fault, not the closed form
+    @pytest.mark.parametrize("spec", [("1.2", ""), ("2.2", "2")], ids="-".join)
+    def test_shallow_level_gets_the_box_it_needs(self, capsys, spec):
+        # the box [-20, 20] would move kappa = 0.2 by about 1e-4 in E, above the
+        # 1e-5 tolerance: the oracle widens its box to L = 28 and keeps the step
+        h, seeds = spec
+        calls = []
+        oracle = cli.oracle_norming_constants
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "oracle_norming_constants",
+                       lambda pot, grid: calls.append(grid) or oracle(pot, grid))
+            code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
+        assert code == 0, err
+        assert calls == [GridSpec(28, 1121)]
+        assert all(lvl["energy_defect"] <= 5e-6 for lvl in json.loads(out)["levels"])
+
+    @pytest.mark.parametrize("spec", [("10", "6"), ("8", "8"), ("14", "2"), ("9.7", "14")],
+                             ids="-".join)
+    def test_poles_near_the_axis_pass_at_default_flags(self, capsys, spec):
+        # poles of U_D at |Im x| = 0.07-0.18: the step 0.05 read these wells'
+        # energies or norming constants off beyond tolerance (exit 3)
         h, seeds = spec
         code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
+        assert code == 0, err
+        levels = json.loads(out)["levels"]
+        assert all(lvl["energy_defect"] <= 1e-8 for lvl in levels)
+        assert all(lvl["norming_defect"] <= 1e-7 * lvl["norming_constant"] for lvl in levels)
+
+    def test_regular_well_keeps_the_default_grid(self, capsys):
+        # h=1 [2]: its poles at |Im x| = 0.42 allow the step 0.05, and [-20, 20]
+        # holds both levels, so the output is the oracle's on GridSpec(20, 801)
+        spec = SystemSpec(1.0, (2,))
+        oracle = oracle_norming_constants(deformed_potential(spec), GridSpec(20, 801))
+        code, out, _ = run(capsys, "spectrum", "--h", "1", "--seeds", "2")
+        assert code == 0
+        expected = [
+            "    {" + ", ".join(f'"{k}": {format(v, ".17g")}' for k, v in (
+                ("kappa", s.kappa), ("energy", s.energy), ("norming_constant", s.norming_constant),
+                ("oracle_energy", -ok * ok), ("oracle_norming_constant", oc),
+                ("energy_defect", abs(s.energy + ok * ok)),
+                ("norming_defect", abs(s.norming_constant - oc)),
+            )) + "}"
+            for s, (ok, oc) in zip(bound_states(spec), oracle)
+        ]
+        assert out == '{\n  "h": 1,\n  "seeds": [2],\n  "levels": [\n' + ",\n".join(expected) + "\n  ]\n}\n"
+
+    @pytest.mark.parametrize("spec, points", [(("300", "600"), "inf"), (("2.5", "60"), "8885")],
+                             ids=["h300-600", "h2.5-60"])
+    def test_grid_above_the_cap(self, capsys, monkeypatch, spec, points):
+        # h=300 [600] has a pole on the real axis as computed (d = 0), h=2.5 [60]
+        # one at |Im x| = 0.025: exit 4 before the oracle allocates its matrices
+        h, seeds = spec
+        monkeypatch.setattr(cli, "oracle_norming_constants", pytest.fail)
+        code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
         assert code == 4 and out == ""
-        grid_l, grid_n = re.search(r"--grid-l (\S+) --grid-n (\d+)", err).groups()
-        assert float(grid_l) > 20.0
-        if h != "1.05":  # E = -0.0025 of h = 1.05 is near the continuum edge and warns
-            code, _, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds,
-                               "--grid-l", grid_l, "--grid-n", grid_n)
-            assert code == 0, err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"has {points} points, above the cap of 8001" in err
 
     def test_near_edge_warning_is_one_line(self):
         # E = -0.0025 of h = 1.05 sits within a factor 10 of the cutoff: one
@@ -160,8 +203,7 @@ class TestSpectrumCommand:
         src = os.path.dirname(os.path.dirname(darbouxkdv.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "darbouxkdv.cli", "spectrum", "--h", "1.05",
-             "--grid-l", "80", "--grid-n", "3201"],
+            [sys.executable, "-m", "darbouxkdv.cli", "spectrum", "--h", "1.05"],
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
@@ -174,7 +216,7 @@ class TestSpectrumCommand:
         # E = -1e-4 of h = 1.01 lies above the oracle's cutoff -1e-3 at every box
         code, _, err = run(capsys, "spectrum", "--h", "1.01")
         assert code == 4
-        assert "cutoff" in err and "--grid-l" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cutoff" in err
 
 
 class TestScatteringCommand:
@@ -243,7 +285,6 @@ class TestScatteringCommand:
     ("soliton", "--from-spec", "--h", "1", "--seeds", "2", "--t", "nan"),
     ("soliton", "--from-spec", "--h", "1", "--seeds", "2", "--x", "nan"),
     ("soliton", "--kappas", "1", "--c0", "1.4", "--t", "0", "--x", "inf"),
-    ("spectrum", "--h", "1", "--grid-l", "inf"),
     ("spectrum", "--h", "1", "--tol-energy", "nan"),
     ("spectrum", "--h", "1", "--tol-norming", "inf"),
     ("spectrum", "--h", "1", "--tol-norming", "0"),
