@@ -28,7 +28,8 @@ from functools import cache
 import numpy as np
 
 from .darboux import NodalWronskianError, SystemSpec, bound_states, deformed_potential
-from .kdv import OverflowDomainError, SolitonData, field_u, scattering_data_from_spec
+from .kdv import (THETA_PRECISION_LIMIT, OverflowDomainError, SolitonData, field_u,
+                  scattering_data_from_spec)
 from .scattering import deformed_amplitudes, numerical_amplitudes
 from .spectral_oracle import CONTINUUM_EPS, GridSpec, oracle_norming_constants
 from .verification import run_suite
@@ -40,10 +41,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_ORACLE_MISMATCH = 3
 EXIT_NUMERIC_DOMAIN = 4
-
-# theta_n = log c_n + 4 k^3 t - k x loses absolute precision once the raw
-# exponent magnitude approaches 1/eps; beyond this the field values are noise.
-THETA_PRECISION_LIMIT = 1e12
 
 TABLE_BLOCK = 4096  # rows (csv) or values (json) formatted and written at a time
 # CSV rows per %-format: 64 soliton rows (about 4 kB of text) format
@@ -269,9 +266,13 @@ def cmd_scattering(args) -> int:
 
 def _soliton_data(args) -> SolitonData:
     if args.from_spec:
+        if args.kappas is not None or args.c0 is not None:
+            raise ValueError("--kappas and --c0 cannot be combined with --from-spec")
         if args.h is None:
             raise ValueError("--from-spec requires --h")
         return scattering_data_from_spec(SystemSpec(args.h, _parse_seeds(args.seeds)))
+    if args.h is not None or args.seeds:
+        raise ValueError("--h and --seeds require --from-spec")
     if args.kappas is None or args.c0 is None:
         raise ValueError("provide either --from-spec or both --kappas and --c0")
     return SolitonData(_parse_floats(args.kappas), _parse_floats(args.c0))

@@ -115,8 +115,8 @@ def _poly_dx(coef: np.ndarray) -> np.ndarray:
     return npoly.polymul(npoly.polyder(coef), _DU_FACTOR)
 
 
-class _Solution:
-    """Closed-form base solution (cosh x)^gamma P(tanh x).
+def _rows(gamma: float, p: np.ndarray, m: int) -> list:
+    """phi^(i)(x)/(cosh x)^gamma, i = 0..m-1, for phi = (cosh x)^gamma P(tanh x).
 
     Dividing a whole column of a Wronskian matrix by the strictly positive
     cosh power leaves entries that are polynomials in u = tanh x, entire,
@@ -125,33 +125,25 @@ class _Solution:
     (1 - u^2) p'(u)), row_(i+1) = gamma u row_i + (1 - u^2) row_i'.  The cosh
     factors cancel in every determinant ratio used downstream.
     """
-
-    def __init__(self, gamma: float, pcoef: np.ndarray):
-        self.gamma = gamma
-        self._row_polys = [np.asarray(pcoef, dtype=float)]
-
-    def row_polys(self, nrows: int) -> list:
-        """phi^(i)(x)/(cosh x)^gamma, i = 0..nrows-1, as polynomials in u."""
-        while len(self._row_polys) < nrows:
-            row = self._row_polys[-1]
-            self._row_polys.append(
-                npoly.polyadd(npoly.polymul(np.array([0.0, self.gamma]), row), _poly_dx(row))
-            )
-        return self._row_polys[:nrows]
+    rows = [np.asarray(p, dtype=float)]
+    while len(rows) < m:
+        row = rows[-1]
+        rows.append(npoly.polyadd(npoly.polymul(np.array([0.0, gamma]), row), _poly_dx(row)))
+    return rows[:m]
 
 
-def _seed_solution(h: float, v: int) -> _Solution:
+def _seed_solution(h: float, v: int) -> tuple:
     gamma = h + 1.0 + v
-    return _Solution(gamma, jacobi_coefficients(v, -gamma))
+    return gamma, jacobi_coefficients(v, -gamma)
 
 
-def _base_solution(h: float, n: int) -> _Solution:
+def _base_solution(h: float, n: int) -> tuple:
     kappa = h - n
-    return _Solution(-kappa, jacobi_coefficients(n, kappa))
+    return -kappa, jacobi_coefficients(n, kappa)
 
 
 def _wronskian_poly(sols: list, magnitude: bool = False) -> np.ndarray:
-    """det[phi_j^(i)/cosh^gamma_j], i, j < M, as one polynomial in u = tanh x.
+    """det[phi_j^(i)/cosh^gamma_j], i, j < M, over the (gamma_j, P_j) of sols, in u = tanh x.
 
     Laplace expansion: the minor on rows 0..k-1 and columns S expands along
     row k-1 into minors on S minus one column, O(M 2^M) products; M = 0 gives 1.
@@ -160,7 +152,7 @@ def _wronskian_poly(sols: list, magnitude: bool = False) -> np.ndarray:
     terms that the signed expansion sums, and so scales its rounding error.
     """
     m = len(sols)
-    rows = [s.row_polys(m) for s in sols]
+    rows = [_rows(gamma, p, m) for gamma, p in sols]
     if magnitude:
         rows = [[np.abs(c) for c in row] for row in rows]
     minors = {(): np.array([1.0])}
@@ -228,7 +220,7 @@ class PotentialEvaluator:
         what = f"the seed Wronskian of {spec.seeds} (h = {spec.h})"
         self._w, self._dw, self._ddw = (tuple(_finite(c, what).tolist()) for c in polys)
         self._hh = spec.h * (spec.h + 1.0)
-        self._gamma = sum(s.gamma for s in self._seeds)
+        self._gamma = sum(gamma for gamma, _ in self._seeds)
         self.is_singular = spec.n_steps >= 2
         if self.is_singular and not allow_singular:
             raise NodalWronskianError(

@@ -8,25 +8,25 @@ u(x, t) = -2 (d^2/dx^2) log tau with tau = det A,
 
 (the symmetric congruent form of the GLM matrix).  Its principal-minor
 (Cauchy determinant) expansion writes tau as a sum of 2^N positive terms
-e^(alpha_S + beta_S t + gamma_S x), one per subset S of the solitons; the
-expansion is built once per data set with numpy, indexed by bitmask, and
-cached for the last TAU_CACHE_SIZE data sets.  The field sorts the terms by
-gamma and merges equal gammas into one weight W_g(t) per group: for integer
-kappa, gamma = -2 sum_S kappa takes at most 1 + sum kappa values (31 at
-N = 7), for general kappa up to 2^N.  Then u = -2 Var(gamma) under the
-softmax weights of log W_g + gamma_g x, a sum of positive terms with no
-cancellation and no overflow for any (x, t).  Array
-points are evaluated in blocks bounded by FIELD_BUDGET points x groups, and
-a point's value does not depend on its block.  The expansion limits the
-soliton count to SOLITON_LIMIT = 20; above it field_u and kdv_residual raise
-ValueError before allocating anything.
+e^(alpha_S + beta_S t + gamma_S x), one per subset S of the solitons.  One
+builder makes the terms with numpy, sorts them by gamma and groups equal
+gammas, once per data set, and caches the last TAU_CACHE_SIZE data sets.
+The field merges each group into one weight W_g(t): for integer kappa,
+gamma = -2 sum_S kappa takes at most 1 + sum kappa values (31 at N = 7),
+for general kappa up to 2^N.  Then u = -2 Var(gamma) under the softmax
+weights of log W_g + gamma_g x, a sum of positive terms with no
+cancellation and no overflow for any (x, t).  Array points are evaluated
+in blocks bounded by FIELD_BUDGET points x groups, and a point's value
+does not depend on its block.  Above SOLITON_LIMIT = 20 solitons the
+builder raises ValueError before allocating anything.
 The KdV residual takes the same expansion term by term: log tau is the
 cumulant generating function of gamma under the softmax weights of the
 terms, so u and its x- and t-derivatives are exact cumulants, summed in
 float64 with no step size; their rounding grows like kappa_max^5.
-The conserved mass and momentum are trapezoid sums over one uniform grid,
-evaluated in one vector call: the step is set by the largest kappa, the
-window by the smallest.
+The conserved mass and momentum are trapezoid sums over uniform grids on the
+merged windows about 0 and each soliton centre: the step is set by the
+largest kappa, the window width by the smallest, and past the field's
+precision domain (THETA_PRECISION_LIMIT) they raise OverflowDomainError.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ TRAPEZOID_STEP = 0.15     # grid step in units of 1/kappa_max
 FIELD_BUDGET = 1 << 15    # points x groups per block of field_u
 SOLITON_LIMIT = 20        # largest soliton count: the tau expansion has 2^N terms
 TAU_CACHE_SIZE = 4        # cached expansions, 21 to 34 MB each at N = SOLITON_LIMIT
+# the field's precision domain: theta_n = log c_n + 4 k^3 t - k x loses absolute
+# precision as |4 k^3 t| + k |x| approaches 1/eps; past this limit u is noise
+THETA_PRECISION_LIMIT = 1e12
 
 
 class OverflowDomainError(ArithmeticError):
@@ -121,7 +124,6 @@ def field_u(data: SolitonData, x, t: float):
     a point's value does not depend on its block; u comes back in the shape
     of x.  Above SOLITON_LIMIT solitons it raises ValueError.
     """
-    _check_soliton_count(data)
     alpha, beta, starts, group, gam = _tau_groups(data.kappas, data.c0)
     e = alpha + beta * t
     peak = np.maximum.reduceat(e, starts)
@@ -161,25 +163,28 @@ def _group_sum(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
-def _check_soliton_count(data: SolitonData) -> None:
-    """Refuse more than SOLITON_LIMIT solitons before any 2^N table is built."""
-    if data.n > SOLITON_LIMIT:
+@lru_cache(maxsize=TAU_CACHE_SIZE)
+def _tau_groups(kappas: tuple, c0: tuple) -> tuple:
+    """Principal-minor expansion of det A, sorted by gamma and grouped by exactly equal gamma.
+
+    det A = sum_S C_S prod_{n in S} c_n(t)^2 e^(-2 kappa_n x) over the subsets S
+    of the solitons, with the Cauchy determinant
+    C_S = prod_{i<j in S} ((k_i-k_j)/(k_i+k_j))^2 / prod_{i in S} 2 k_i, so each
+    term is exp(alpha_S + beta_S t + gamma_S x).  The three arrays, indexed by
+    the bitmask of S, double once per kappa: the subsets holding kappa_i are
+    those without it, shifted by kappa_i's own factor and its interaction with
+    each.  Returns alpha and beta sorted by gamma (stably), the start of each
+    group, the group of each term (both int32, which holds 2^SOLITON_LIMIT)
+    and the gamma of each group, all read-only.  Integer kappas give integer
+    gamma = -2 sum_S kappa, so at most 1 + sum kappa groups (31 at N = 7);
+    general kappas give up to 2^N.  More than SOLITON_LIMIT solitons raise
+    ValueError before anything is allocated.
+    """
+    if len(kappas) > SOLITON_LIMIT:
         raise ValueError(
-            f"{data.n} solitons exceed the limit of {SOLITON_LIMIT}: "
+            f"{len(kappas)} solitons exceed the limit of {SOLITON_LIMIT}: "
             "the tau expansion has 2^N terms"
         )
-
-
-def _tau_arrays(kappas: tuple, c0: tuple):
-    """Principal-minor expansion of det A: per subset S the constants
-    (alpha_S, beta_S, gamma_S) with term = exp(alpha + beta t + gamma x), as
-    three arrays indexed by the bitmask of S.
-
-    det A = sum_S C_S prod_{n in S} c_n(t)^2 e^(-2 kappa_n x), with the Cauchy
-    determinant C_S = prod_{i<j in S} ((k_i-k_j)/(k_i+k_j))^2 / prod_{i in S} 2 k_i.
-    The arrays double once per kappa: the subsets holding kappa_i are those
-    without it, shifted by kappa_i's own factor and its interaction with each.
-    """
     kap = np.asarray(kappas)
     own = 2.0 * np.log(c0) - np.log(2.0 * kap)
     alpha = beta = gamma = np.zeros(1)
@@ -190,20 +195,6 @@ def _tau_arrays(kappas: tuple, c0: tuple):
         alpha = np.concatenate([alpha, alpha + own[i] + inter])
         beta = np.concatenate([beta, beta + 8.0 * k**3])
         gamma = np.concatenate([gamma, gamma - 2.0 * k])
-    return alpha, beta, gamma
-
-
-@lru_cache(maxsize=TAU_CACHE_SIZE)
-def _tau_groups(kappas: tuple, c0: tuple) -> tuple:
-    """The expansion sorted by gamma and grouped by exactly equal gamma.
-
-    Returns alpha and beta in that order, the start of each group, the group
-    of each term (both int32, which holds 2^SOLITON_LIMIT) and the gamma of
-    each group, all read-only.  Integer kappas give integer
-    gamma = -2 sum_S kappa, so at most 1 + sum kappa groups (31 at N = 7);
-    general kappas give up to 2^N.
-    """
-    alpha, beta, gamma = _tau_arrays(kappas, c0)
     order = np.argsort(gamma, kind="stable")
     gamma = gamma[order]
     first = np.r_[True, gamma[1:] != gamma[:-1]]
@@ -232,7 +223,6 @@ def kdv_residual(data: SolitonData, x: float, t: float) -> float:
     (1e-10 at a kappa = 8 core).  Above SOLITON_LIMIT solitons it raises
     ValueError.
     """
-    _check_soliton_count(data)
     alpha, beta, _, group, gam = _tau_groups(data.kappas, data.c0)
     gamma = gam[group]
     z = alpha + beta * t + gamma * x
@@ -279,27 +269,40 @@ def asymptotic_decomposition(data: SolitonData) -> list:
 
 
 def conserved_quantities(data: SolitonData, t: float):
-    """(integral of u, integral of u^2) over a window covering every soliton.
+    """(integral of u, integral of u^2) over windows covering every soliton.
 
     Expected values: -4 sum kappa_n and (16/3) sum kappa_n^3, independent of t.
 
-    Both integrals are trapezoid sums over one uniform grid, from one vector
-    field_u call.  The window reaches QUADRATURE_MARGIN / kappa_min past the
-    outermost soliton centre 4 kappa_n^2 t, where |u| ~ e^(-2 QUADRATURE_MARGIN)
-    = e^-80, so the end weights and the tails are below rounding.  u is
-    analytic in a strip about the real axis: its nearest poles sit about
-    pi / (2 kappa_max) off it.  For such an integrand the trapezoid rule
-    converges geometrically, with error about e^(-pi^2 / (kappa_max step))
-    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385), and u^2 has the same
-    poles.  The step TRAPEZOID_STEP / kappa_max therefore leaves e^-66.
+    Both integrals are trapezoid sums, one uniform grid and one vector
+    field_u call per window.  The windows reach QUADRATURE_MARGIN / kappa_min
+    either side of 0 and of each soliton centre 4 kappa_n^2 t, and overlapping
+    ones merge, so the point count does not grow with |t|.  At a window's
+    ends |u| ~ e^(-2 QUADRATURE_MARGIN) = e^-80, so the end weights, the tails
+    and the gaps between windows are below rounding.  u is analytic in a strip
+    about the real axis: its nearest poles sit about pi / (2 kappa_max) off
+    it.  For such an integrand the trapezoid rule converges geometrically,
+    with error about e^(-pi^2 / (kappa_max step)) (Trefethen & Weideman, SIAM
+    Rev. 56 (2014) 385), and u^2 has the same poles.  The step
+    TRAPEZOID_STEP / kappa_max therefore leaves e^-66.  Windows past the
+    field's precision domain raise OverflowDomainError (see THETA_PRECISION_LIMIT).
     """
-    centers = [4.0 * k * k * t for k in data.kappas]
-    margin = QUADRATURE_MARGIN / data.kappas[0]
-    lo = min(0.0, *centers) - margin
-    hi = max(0.0, *centers) + margin
-    # even, so that every other point is itself a trapezoid grid
-    n = 2 * math.ceil((hi - lo) * data.kappas[-1] / (2.0 * TRAPEZOID_STEP))
-    xs = np.linspace(lo, hi, n + 1)
-    step = (hi - lo) / n
-    u = field_u(data, xs, t)
-    return float(step * np.sum(u)), float(step * np.sum(u * u))
+    kap = data.kappas
+    margin = QUADRATURE_MARGIN / kap[0]
+    windows = []
+    for c in sorted([0.0] + [4.0 * k * k * t for k in kap]):
+        if windows and c - margin <= windows[-1][1]:
+            windows[-1][1] = c + margin
+        else:
+            windows.append([c - margin, c + margin])
+    reach = max(-windows[0][0], windows[-1][1])
+    if abs(t * (4.0 * kap[-1] ** 3)) + kap[-1] * reach > THETA_PRECISION_LIMIT:
+        raise OverflowDomainError(f"t = {t}: the windows leave the numeric stability domain")
+    mass = momentum = 0.0
+    for lo, hi in windows:
+        # even, so that every other point is itself a trapezoid grid
+        n = 2 * math.ceil((hi - lo) * kap[-1] / (2.0 * TRAPEZOID_STEP))
+        step = (hi - lo) / n
+        u = field_u(data, np.linspace(lo, hi, n + 1), t)
+        mass += step * np.sum(u)
+        momentum += step * np.sum(u * u)
+    return float(mass), float(momentum)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -80,7 +81,8 @@ def deformed_amplitudes(spec: SystemSpec, K: float) -> ScatteringAmplitudes:
     about twice that error, stayed below 1.25 times the bound over h = 1e5 to
     1e8 and over K = 1e6 to 1e8.  Past AMPLITUDE_ERROR_LIMIT (the figure of
     darboux.WAVEFUNCTION_ERROR_LIMIT) it raises OverflowError: for K up to
-    20 from about h = 1.3e8 on.  An empty seed list gives the base well.
+    20 from about h = 1.3e8 on, and for a subnormal K, below
+    sys.float_info.min.  An empty seed list gives the base well.
     """
     if not 0 < K < math.inf:
         raise ValueError(f"wave number must be finite and positive, got K = {K}")
@@ -89,6 +91,8 @@ def deformed_amplitudes(spec: SystemSpec, K: float) -> ScatteringAmplitudes:
     a, b, c, d = log_gamma(s - h), log_gamma(s + h + 1.0), log_gamma(s + 1.0), log_gamma(s)
     # |t| = e^(Re sum), so the rounding of the sum is a relative error of t and r
     bound = _EPS * (abs(a.real) + abs(b.real) + abs(c.real) + abs(d.real))
+    if K < sys.float_info.min:  # a subnormal K has lost digits, and 1/sinh(pi K) overflows
+        bound = math.inf
     if not bound <= AMPLITUDE_ERROR_LIMIT:
         raise OverflowError(
             f"h = {h}, K = {K}: rounding error bound {bound:.1e} of the log-Gamma sum "

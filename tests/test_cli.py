@@ -432,6 +432,28 @@ class TestSolitonCommand:
         code, _, _ = run(capsys, "soliton", "--t", "0", "--x", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--h", "1", "--kappas", "1", "--c0", "1"),
+        ("--seeds", "2", "--kappas", "1", "--c0", "1"),
+    ], ids=["h", "seeds"])
+    def test_spec_without_from_spec_exit_code(self, capsys, argv):
+        # --h and --seeds were ignored, and the field of the kappas written
+        code, out, err = run(capsys, "soliton", *argv, "--t", "0", "--x", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --h and --seeds require --from-spec\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--kappas", "1", "--c0", "1"), ("--kappas", "1"), ("--c0", "1"),
+    ], ids=["both", "kappas", "c0"])
+    def test_data_with_from_spec_exit_code(self, capsys, argv):
+        # --kappas and --c0 were ignored, and the field of the spec written
+        code, out, err = run(capsys, "soliton", "--from-spec", "--h", "1", *argv,
+                             "--t", "0", "--x", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --kappas and --c0 cannot be combined with --from-spec\n"
+
     def test_soliton_limit_exit_code(self, capsys):
         n = SOLITON_LIMIT + 1
         kappas = ",".join(str(k) for k in range(1, n + 1))

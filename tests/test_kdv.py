@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from darbouxkdv.darboux import SystemSpec, deformed_potential
 from darbouxkdv.kdv import (
     SOLITON_LIMIT,
     TAU_CACHE_SIZE,
+    OverflowDomainError,
     SolitonData,
     asymptotic_decomposition,
     conserved_quantities,
@@ -20,6 +22,8 @@ from darbouxkdv.kdv import (
 
 RNG = np.random.default_rng(3)
 EPS = np.finfo(float).eps
+# the uncached builder of the tau expansion, kept past any monkeypatch of _tau_groups
+BUILD_TAU = kdv_module._tau_groups.__wrapped__
 
 TWO_SOLITON = SolitonData((1.0, 4.0), (math.sqrt(10.0 / 3.0), math.sqrt(40.0 / 3.0)))
 ONE_SOLITON = SolitonData((1.0,), (math.sqrt(2.0),))
@@ -109,13 +113,14 @@ def glm_field_mp(data, x, t):
 
 def tau_sums_mp(data, x, t, nx, nt, alpha=None):
     """[d^k tau/dx^k for k < nx] and [d/dt d^k tau/dx^k for k < nt] in mpmath,
-    from the float constants of the tau expansion taken exactly, term by term;
-    alpha replaces the expansion's own alpha when given."""
-    arrays = kdv_module._tau_arrays(data.kappas, data.c0)
-    alpha = arrays[0] if alpha is None else alpha
+    from the float constants of the grouped tau expansion taken exactly, term
+    by term (the sums do not depend on the term order); alpha replaces the
+    expansion's own alpha, in its grouped order, when given."""
+    own_alpha, beta, _, group, gam = BUILD_TAU(data.kappas, data.c0)
+    alpha = own_alpha if alpha is None else alpha
     x, t = mp.mpf(x), mp.mpf(t)
     fx, ft = [mp.mpf(0)] * nx, [mp.mpf(0)] * nt
-    for a, b, g in zip(alpha.tolist(), arrays[1].tolist(), arrays[2].tolist()):
+    for a, b, g in zip(alpha.tolist(), beta.tolist(), gam[group].tolist()):
         b, g = mp.mpf(b), mp.mpf(g)
         e = mp.exp(mp.mpf(a) + b * t + g * x)
         for k in range(nx):
@@ -291,16 +296,17 @@ class TestSolitonLimit:
         lambda d: field_u(d, np.linspace(-1.0, 1.0, 5), 0.0),
         lambda d: kdv_residual(d, 0.0, 0.0),
     ], ids=["field_u", "kdv_residual"])
-    def test_refused_before_allocating(self, call, monkeypatch):
-        # the count is refused before the 2^21-term expansion is built
-        import darbouxkdv.kdv as kdv
-
-        def build(kappas, c0):
-            pytest.fail("the tau expansion was built above the soliton limit")
-
-        monkeypatch.setattr(kdv, "_tau_arrays", build)
-        with pytest.raises(ValueError, match=f"limit of {SOLITON_LIMIT}"):
-            call(self.DATA)
+    def test_refused_before_allocating(self, call):
+        # the count is refused before the 2^21-term expansion, 16 MB per
+        # array, is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"limit of {SOLITON_LIMIT}"):
+                call(self.DATA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_at_the_limit(self):
         # h = 19 [2] has SOLITON_LIMIT solitons, 2^20 subsets in 213 groups
@@ -357,12 +363,11 @@ class TestKdvResidual:
     @staticmethod
     def bend(monkeypatch):
         """Scale the interaction term of TWO_SOLITON's tau expansion by e, past
-        the cache of grouped terms; returns the bent alpha, by bitmask."""
-        alpha, beta, gamma = kdv_module._tau_arrays(TWO_SOLITON.kappas, TWO_SOLITON.c0)
+        the cache of grouped terms; returns the bent alpha, in grouped order."""
+        alpha, *rest = BUILD_TAU(TWO_SOLITON.kappas, TWO_SOLITON.c0)
         bent = alpha.copy()
-        bent[-1] += 1.0
-        monkeypatch.setattr(kdv_module, "_tau_arrays", lambda kappas, c0: (bent, beta, gamma))
-        monkeypatch.setattr(kdv_module, "_tau_groups", kdv_module._tau_groups.__wrapped__)
+        bent[0] += 1.0  # the full subset: the lone term of lowest gamma
+        monkeypatch.setattr(kdv_module, "_tau_groups", lambda kappas, c0: (bent, *rest))
         return bent
 
     def test_detects_a_non_solution(self, monkeypatch):
@@ -482,3 +487,30 @@ class TestConservedQuantities:
         m1, p1 = conserved_quantities(TWO_SOLITON, 0.05)
         assert abs(m1 - m0) <= 1e-9
         assert abs(p1 - p0) <= 1e-8
+
+    @pytest.mark.parametrize("t", [-1e3, 1e3])
+    def test_large_time_keeps_the_grid_small(self, t, monkeypatch):
+        # windows about 0 and about each soliton centre 4 kappa^2 t: one window
+        # spanning the centres took 1.7M field points at |t| = 1e3
+        sizes = []
+
+        def counted(data, x, t):
+            sizes.append(np.size(x))
+            return field_u(data, x, t)
+
+        monkeypatch.setattr(kdv_module, "field_u", counted)
+        mass, momentum = conserved_quantities(TWO_SOLITON, t)
+        assert sum(sizes) <= 10_000
+        # the C11 tolerance
+        assert abs(mass - (-20.0)) <= 1e-8
+        assert abs(momentum - 16.0 / 3.0 * 65.0) <= 1e-8
+
+    def test_outside_the_precision_domain(self, monkeypatch):
+        # at t = 1e10, 4 kappa^3 t = 2.6e12 for kappa = 4: the field is noise,
+        # and one window spanning the centres would need 15.5 TiB
+        def never(data, x, t):
+            pytest.fail("the field was evaluated outside its precision domain")
+
+        monkeypatch.setattr(kdv_module, "field_u", never)
+        with pytest.raises(OverflowDomainError):
+            conserved_quantities(TWO_SOLITON, 1e10)

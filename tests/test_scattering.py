@@ -116,6 +116,22 @@ class TestBaseAmplitudes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "rounding" in err
 
+    def test_subnormal_k_raises(self):
+        # below the smallest normal float 1/sinh(pi K) overflowed and r was
+        # nan, and t has lost its digits (K = 5e-309 gave Re t = 5e-324)
+        for K in (1e-320, 5e-309):
+            with pytest.raises(OverflowError):
+                deformed_amplitudes(SystemSpec(1.5, (2,)), K)
+        amp = deformed_amplitudes(SystemSpec(1.5, (2,)), sys.float_info.min)
+        assert cmath.isfinite(amp.t) and cmath.isfinite(amp.r)
+
+    def test_subnormal_k_exit_code(self, capsys):
+        code = main(["scattering", "--h", "1", "--seeds", "2", "--k", "1e-320"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_high_k_reflection_underflows_to_zero(self):
         # sinh(pi K) overflows past K ~ 226; r = 0, not nan
         for h in (1.5, 200.5):
