@@ -11,8 +11,9 @@ the command's own: 0 for a table written without error.
 All floats are written with 17 significant digits and no locale dependence,
 so identical configurations produce byte-identical outputs.  The potential,
 scattering and soliton tables go through one writer, in blocks of TABLE_BLOCK
-rows: each key (x or K) and each soliton time t is formatted once, and per
-row only the values are.  A soliton table is written one time slice at a
+rows: each block's cells are formatted in one exact vectorised pass with the
+bytes of format(v, ".17g"), and the rare cells outside its range by
+format(v, ".17g") itself.  A soliton table is written one time slice at a
 time, after every field value is computed.
 """
 
@@ -43,11 +44,6 @@ EXIT_ORACLE_MISMATCH = 3
 EXIT_NUMERIC_DOMAIN = 4
 
 TABLE_BLOCK = 4096  # rows (csv) or values (json) formatted and written at a time
-# CSV rows per %-format: 64 soliton rows (about 4 kB of text) format
-# as fast as a whole block, while results of 8 kB and up left about
-# 1.3 MB of freed heap that glibc kept from the system in the benchmark's
-# soliton_fields worker.
-FORMAT_ROWS = 64
 
 # The box [-L, L] of the sinc oracle moves a level (kappa, c) by about
 # 4 kappa c^2 e^(-2 kappa L) in E and by L c^2 e^(-2 kappa L) relative in c:
@@ -108,59 +104,123 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])  # linspace drops -0.0's sign
 
 
+def _axis(args, name: str, flags: tuple, default: tuple) -> np.ndarray:
+    """The single point --<name>, or the grid of `flags`, `default` for those not given."""
+    grid = [getattr(args, flag) for flag in flags]
+    if getattr(args, name) is None:
+        return _grid(*(d if g is None else g for g, d in zip(grid, default)))
+    if grid != [None] * 3:
+        raise ValueError(f"--{name} cannot be combined with --{', --'.join(flags)}")
+    return _grid(getattr(args, name), getattr(args, name), 1)
+
+
+@cache
+def _cell_tables() -> tuple:
+    """5^q (q <= 27) in 32-bit halves, 10^j (j <= 16) and the word tables.
+
+    A cell is 48 bytes: the sign, the "0.000" of exponents -4 ... -1, the 17
+    digits at the even bytes 6-38, each with a slot for the point after it,
+    an exponent below -4 (bytes 40-43) and a separator (46-47).  `words` is
+    word 0 of each leading digit, then each group 0000-9999, then each group
+    without its trailing zeros; `ends[p + 11, point, sign]` the rest.
+    """
+    i = np.arange(10**4, dtype=np.uint64)
+    quads = [(i // 10 ** (3 - j) % 10 + 48) << 16 * j for j in range(4)]
+    short = sum(q * (i % 10 ** (4 - j) != 0) for j, q in enumerate(quads))
+    words = np.concatenate([np.arange(48, 58, dtype=np.uint64) << 48, sum(quads), short])
+    ends = np.zeros((28, 2, 2, 48), np.uint8)
+    ends[..., 1, 0] = ord("-")
+    for p, row in zip(range(-11, 17), ends):
+        row[..., 8:7 + 2 * max(p, 0):2] = ord("0")  # integer zeros the short groups drop
+        row[..., 40:44] = list(b"e-%02d" % -p) if p < -4 else 0
+        if -4 <= p < 0:
+            row[..., 1:2 - p] = list(b"0." + b"0" * (-p - 1))
+        else:  # after the integer digits, or after the first
+            row[1, :, 7 + 2 * max(p, 0)] = ord(".")
+    pow5 = np.array([5**q for q in range(28)], np.uint64)
+    pow10 = np.array([10**j for j in range(17)])
+    return pow5 >> 32, pow5 & 2**32 - 1, pow10, words.astype("<u8"), ends.view("<u8")
+
+
+def _cells(v) -> np.ndarray:
+    """The bytes of format(x, ".17g") for each x in v, as NUL-padded rows of 48.
+
+    With |x| = m 2^(e - 53), m a 53-bit integer, and p = floor(log10 |x|),
+    the 17 digits are D = m 5^(16 - p) / 2^s, s = 37 + p - e, rounded half
+    to even; m 5^(16 - p) is formed exactly in two 64-bit words.  An
+    unrounded D outside [10^16, 10^17) shows a p off by one.  Such cells,
+    those with s outside 0 ... 63 or |x| outside [1e-11, 1e16), zeros and
+    non-finite values go through format(x, ".17g") itself.
+    """
+    fh_table, fl_table, pow10, words, ends = _cell_tables()
+    v = np.ascontiguousarray(v, dtype=float).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-11) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    p = np.maximum(np.floor(np.log10(a)), -11).astype(np.int64)
+    bits = a.view(np.uint64)  # 52 bits of m, then the exponent field e + 1022
+    m, s = bits & 2**52 - 1 | 2**52, p + 37 + 1022 - (bits >> 52).astype(np.int64)
+    fast &= (s >= 0) & (s < 64)
+    s = (s & 63).astype(np.uint64)
+    mh, ml, fh, fl = m >> 32, m & 2**32 - 1, fh_table[16 - p], fl_table[16 - p]
+    mid = ml * fh + mh * fl
+    lo = ml * fl + (mid << 32)
+    hi = mh * fh + (mid >> 32) + (lo < mid << 32)
+    d = lo >> s | hi << (64 - s & 63)  # every shift below 64; hi is 0 where s is
+    rest, half = (lo & (1 << s) - 1) << 1, 1 << s
+    fast &= d >= 10**16  # else p is one too high
+    d += (rest > half) | (rest == half) & (d & 1 == 1)
+    fast &= d < 10**17  # else p is one too low; no double here rounds up to 10^17
+    d = d.view(np.int64)
+    point = d % np.take(pow10, 16 - np.maximum(p, 0)) != 0  # a digit after the point
+    idx = np.full((d.size, 6), 10 + 10**4)  # word 5 from the empty group
+    offset = idx[:, 5].copy()  # groups up to the last nonzero one: no trailing zeros
+    for w in (4, 3, 2, 1):
+        d, group = np.divmod(d, 10**4)
+        idx[:, w] = group + offset
+        offset = np.where(group == 0, offset, 10)
+    idx[:, 0] = d
+    c = np.take(ends.reshape(-1, 6), 4 * p + 44 + 2 * point + (v < 0), axis=0)
+    b = np.bitwise_or(c, np.take(words, idx), out=c).view(np.uint8)
+    for i in np.flatnonzero(~fast).tolist():
+        b[i] = list(_fmt(v[i]).encode().ljust(48, b"\0"))
+    return b
+
+
+def _text(block: np.ndarray, seps: bytes) -> str:
+    """The cells of a 2-D block row by row, each with its column's two bytes of `seps`, no NULs."""
+    cells = _cells(block).reshape(*block.shape, -1)
+    cells[..., 46:] = np.frombuffer(seps, np.uint8).reshape(-1, 2)
+    return cells.tobytes().translate(None, b"\0").decode()
+
+
 def _table_blocks(header, keys, values, fmt: str, slices=None):
     """The table of key column `keys` and value columns values[:, j], as text blocks.
 
     With `slices`, one value per time slice, the table has a leading column of
     those values and repeats the keys once per slice: slice i is the rows
-    i * len(keys) ... of `values`.  The same bytes as format(v, ".17g") per
-    cell, but each key and each slice value is formatted once, and the values
-    one run of at most TABLE_BLOCK keys at a time.  CSV rows go through one
-    %-format per FORMAT_ROWS rows, of a template joined from per-key texts;
-    JSON is written column by column.  The key texts are kept for the later
-    slices only when there are any.
+    i * len(keys) ... of `values`.  One _cells call formats the slice values,
+    and one each block of at most TABLE_BLOCK rows (csv) or values (json).
     """
     n, k = keys.size, values.shape[1]
     spans = [(i, min(i + TABLE_BLOCK, n)) for i in range(0, n, TABLE_BLOCK)]
-    lead = [] if slices is None else ["%.17g" % t for t in slices.tolist()]
-    offsets = range(0, max(len(lead), 1) * n, n)  # the first row of each slice in values
-    row = "%.17g" + ",%%.17g" * k + "\n"  # a CSV row: the key's text, then a slot per value
-
-    def text(col, start, stop):
-        return ", ".join(["%.17g"] * (stop - start)) % tuple(col[start:stop].tolist())
-
-    def key_text(start, stop):
-        if fmt == "json":
-            return text(keys, start, stop)
-        return [row % x for x in keys[start:stop].tolist()]
-
-    kept = [key_text(*span) for span in spans] if len(lead) > 1 else None
-
-    def key_run(j):
-        return kept[j] if kept else key_text(*spans[j])
-
+    lead = [""] if slices is None else _text(slices[:, None], b"\n\0").splitlines()
+    runs = [(t, o, a, b) for t, o in zip(lead, range(0, len(lead) * n, n)) for a, b in spans]
     if fmt == "json":
-        def runs(col):
-            return (text(col, o + start, o + stop) for o in offsets for start, stop in spans)
-
-        columns = [(key_run(j) for _ in offsets for j in range(len(spans))), *map(runs, values.T)]
-        if lead:
-            columns.insert(0, (", ".join([t] * (b - a)) for t in lead for a, b in spans))
-        for i, (name, column) in enumerate(zip(header, columns)):
+        for i, name in enumerate(header):
             yield (",\n" if i else "{\n") + f'  "{name}": ['
-            for j, run in enumerate(column):
-                yield (", " if j else "") + run
+            j = i + k - len(header)  # -2 for the slice column, -1 for the keys
+            for r, (t, o, a, b) in enumerate(runs):
+                col = values[o + a:o + b, j] if j >= 0 else keys[a:b]
+                run = ", ".join([t] * (b - a)) if j < -1 else _text(col[:, None], b", ")[:-2]
+                yield (", " if r else "") + run
             yield "]"
         yield "\n}\n"
         return
     yield ",".join(header) + "\n"
-    for o, sep in zip(offsets, [t + "," for t in lead] or [""]):
-        for j, (start, stop) in enumerate(spans):
-            rows = key_run(j)
-            vals = values[o + start:o + stop].ravel().tolist()
-            for r in range(0, len(rows), FORMAT_ROWS):
-                chunk = tuple(vals[r * k:(r + FORMAT_ROWS) * k])
-                yield (sep + sep.join(rows[r:r + FORMAT_ROWS])) % chunk
+    for t, o, a, b in runs:
+        rows = _text(np.column_stack([keys[a:b], values[o + a:o + b]]), b",\0" * k + b"\n\0")
+        yield t + "," + rows[:-1].replace("\n", "\n" + t + ",") + "\n" if t else rows
 
 
 def cmd_potential(args) -> int:
@@ -249,7 +309,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scattering(args) -> int:
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
-    ks = _grid(args.kmin, args.kmax, args.nk) if args.k is None else _grid(args.k, args.k, 1)
+    ks = _axis(args, "k", ("kmin", "kmax", "nk"), (0.25, 8.0, 32))
     header = ["K", "re_t", "im_t", "re_r", "im_r", "abs_t", "abs_r", "unitarity_defect"]
     amps = (deformed_amplitudes(spec, K) for K in ks.tolist())
     cols = [
@@ -280,8 +340,8 @@ def _soliton_data(args) -> SolitonData:
 
 def cmd_soliton(args) -> int:
     data = _soliton_data(args)
-    ts = _grid(args.tmin, args.tmax, args.nt) if args.t is None else _grid(args.t, args.t, 1)
-    xs = _grid(args.xmin, args.xmax, args.n) if args.x is None else _grid(args.x, args.x, 1)
+    ts = _axis(args, "t", ("tmin", "tmax", "nt"), (0.0, 0.0, 1))
+    xs = _axis(args, "x", ("xmin", "xmax", "n"), (-10.0, 10.0, 401))
     # |4 k^3 t| + k |x| above the limit for some kappa, per (t, x); it grows with
     # kappa, also as rounded, so the largest kappa alone decides
     k = data.kappas[-1]
@@ -350,9 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scattering", help="transmission/reflection over a K grid")
     add_spec(p)
     p.add_argument("--k", type=float, default=None, help="single wave number")
-    p.add_argument("--kmin", type=float, default=0.25)
-    p.add_argument("--kmax", type=float, default=8.0)
-    p.add_argument("--nk", type=int, default=32)
+    p.add_argument("--kmin", type=float, default=None, help="default 0.25")
+    p.add_argument("--kmax", type=float, default=None, help="default 8")
+    p.add_argument("--nk", type=int, default=None, help="default 32")
     p.add_argument("--oracle", action="store_true", help="add ODE-oracle columns")
     add_output(p)
     p.set_defaults(func=cmd_scattering)
@@ -364,13 +424,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappas", type=str, default=None, help="comma list, strictly increasing")
     p.add_argument("--c0", type=str, default=None, help="comma list of norming constants")
     p.add_argument("--t", type=float, default=None, help="single time")
-    p.add_argument("--tmin", type=float, default=0.0)
-    p.add_argument("--tmax", type=float, default=0.0)
-    p.add_argument("--nt", type=int, default=1)
+    p.add_argument("--tmin", type=float, default=None, help="default 0")
+    p.add_argument("--tmax", type=float, default=None, help="default 0")
+    p.add_argument("--nt", type=int, default=None, help="default 1")
     p.add_argument("--x", type=float, default=None, help="single position")
-    p.add_argument("--xmin", type=float, default=-10.0)
-    p.add_argument("--xmax", type=float, default=10.0)
-    p.add_argument("--n", type=int, default=401)
+    p.add_argument("--xmin", type=float, default=None, help="default -10")
+    p.add_argument("--xmax", type=float, default=None, help="default 10")
+    p.add_argument("--n", type=int, default=None, help="default 401")
     add_output(p)
     p.set_defaults(func=cmd_soliton)
 

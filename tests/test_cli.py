@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import darbouxkdv
 from darbouxkdv import cli, scattering
-from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, main
+from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, _text, main
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.kdv import SOLITON_LIMIT, SolitonData, field_u, scattering_data_from_spec
 from darbouxkdv.spectral_oracle import GridSpec, oracle_norming_constants
@@ -277,6 +278,14 @@ class TestScatteringCommand:
                          "--kmax", "2", "--nk", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--kmin", "1"), ("--kmax", "3"), ("--nk", "5")])
+    def test_single_k_with_grid_flag_exit_code(self, capsys, flag, value):
+        # the single K won and the grid was ignored, with exit 0
+        code, out, err = run(capsys, "scattering", "--h", "1.5", "--k", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --k cannot be combined with --kmin, --kmax, --nk\n"
+
 
 @pytest.mark.parametrize("argv", [
     ("scattering", "--h", "1", "--seeds", "2", "--k", "inf"),
@@ -315,6 +324,59 @@ def test_table_text_matches_per_cell_format(fmt):
     keys, values = np.asarray(columns[0]), np.column_stack(columns[1:])
     assert "".join(_table_blocks(header, keys, values, fmt)) == expected
     assert "-0," in expected  # the sign of -0.0 survives
+
+
+def _format_cases() -> tuple:
+    """Doubles for the cell formatter, and the binary fractions among them.
+
+    Random bit patterns, log-uniform values of both signs over [1e-13, 1e18],
+    binary fractions m 2^e with every mantissa length and e = -60 ... 4, the
+    doubles up to 3 ulps around each power of ten 1e-12 ... 1e17, and the
+    special values.
+    """
+    rng = np.random.default_rng(20260417)
+    patterns = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+    spread = np.exp(rng.uniform(np.log(1e-13), np.log(1e18), 20000))
+    mantissas = (rng.integers(2**52, 2**53, 500) >> rng.integers(0, 53, 500)).astype(float)
+    binary = np.concatenate([np.ldexp(mantissas, e) for e in range(-60, 5)])
+    around = [10.0 ** np.arange(-12, 18)]
+    for toward in (np.inf, 0.0):
+        x = around[0]
+        for _ in range(3):
+            x = np.nextafter(x, toward)
+            around.append(x)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308]
+    cases = np.concatenate([patterns, spread, binary, *around, special])
+    return np.concatenate([cases, -cases]), binary
+
+
+def test_cells_match_python_format():
+    cases, binary = _format_cases()
+    exact = [Decimal(v).normalize().as_tuple().digits for v in binary.tolist()]
+    assert sum(len(d) == 18 and d[-1] == 5 for d in exact) > 100  # half-way at the 17th digit
+    texts = _text(cases[:, None], b"\n\0").split("\n")[:-1]
+    assert len(texts) == cases.size
+    wrong = [(v, t) for v, t in zip(cases.tolist(), texts) if t != format(v, ".17g")]
+    assert not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("slices", [None, (-0.0, 3e16)], ids=["keys", "slices"])
+def test_python_formatted_cells_in_a_streamed_table(fmt, slices):
+    # zeros, tiny, huge, subnormal and non-finite cells bypass the vectorised
+    # digits; they sit in every block of a table longer than two blocks
+    n = 2 * TABLE_BLOCK + 5
+    keys = np.linspace(-7.0, 5.0, n)
+    odd = np.resize([0.0, -0.0, 1e-300, 3e16, 5e-324, -2.5e-310, np.inf, np.nan], n)
+    ts = None if slices is None else np.array(slices)
+    rows = n * (1 if ts is None else ts.size)
+    values = np.column_stack([np.resize(odd, rows), np.resize(np.sin(keys) / 3.0, rows)])
+    columns = [np.tile(keys, rows // n), *values.T]
+    if ts is not None:
+        columns.insert(0, np.repeat(ts, n))
+    header = ("t", "x", "a", "b")[4 - len(columns):]
+    text = "".join(_table_blocks(header, keys, values, fmt, ts))
+    assert text == _per_cell_text(header, columns, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -453,6 +515,22 @@ class TestSolitonCommand:
         assert code == 2
         assert out == ""
         assert err == "error: --kappas and --c0 cannot be combined with --from-spec\n"
+
+    @pytest.mark.parametrize("argv, flags", [
+        (("--t", "0.5", "--tmin", "0"), "--t cannot be combined with --tmin, --tmax, --nt"),
+        (("--t", "0.5", "--tmax", "1"), "--t cannot be combined with --tmin, --tmax, --nt"),
+        (("--t", "0.5", "--nt", "3"), "--t cannot be combined with --tmin, --tmax, --nt"),
+        (("--x", "0", "--xmin", "-1"), "--x cannot be combined with --xmin, --xmax, --n"),
+        (("--x", "0", "--xmax", "1"), "--x cannot be combined with --xmin, --xmax, --n"),
+        (("--x", "0", "--n", "3"), "--x cannot be combined with --xmin, --xmax, --n"),
+    ], ids=["tmin", "tmax", "nt", "xmin", "xmax", "n"])
+    def test_single_point_with_grid_flag_exit_code(self, capsys, argv, flags):
+        # the single point won and the grid was ignored, with exit 0
+        code, out, err = run(capsys, "soliton", "--kappas", "1", "--c0", "1.4142135623730951",
+                             *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flags}\n"
 
     def test_soliton_limit_exit_code(self, capsys):
         n = SOLITON_LIMIT + 1
