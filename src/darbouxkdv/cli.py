@@ -14,7 +14,8 @@ scattering and soliton tables go through one writer, in blocks of TABLE_BLOCK
 rows: each block's cells are formatted in one exact vectorised pass with the
 bytes of format(v, ".17g"), and the rare cells outside its range by
 format(v, ".17g") itself.  A soliton table is written one time slice at a
-time, after every field value is computed.
+time, after every field value is computed, and its x cells are formatted
+once: every later slice reuses the first slice's x text.
 """
 
 from __future__ import annotations
@@ -187,11 +188,25 @@ def _cells(v) -> np.ndarray:
     return b
 
 
-def _text(block: np.ndarray, seps: bytes) -> str:
-    """The cells of a 2-D block row by row, each with its column's two bytes of `seps`, no NULs."""
-    cells = _cells(block).reshape(*block.shape, -1)
+def _text_cells(block: np.ndarray, seps: bytes) -> np.ndarray:
+    """The cells of a block, one row per block row, each with its column's two bytes of `seps`."""
+    cells = _cells(block).reshape(len(block), -1, 48)
     cells[..., 46:] = np.frombuffer(seps, np.uint8).reshape(-1, 2)
-    return cells.tobytes().translate(None, b"\0").decode()
+    return cells.reshape(len(block), -1)
+
+
+def _text(block: np.ndarray, seps: bytes) -> str:
+    """The cells of a block row by row, each with its column's two bytes of `seps`, no NULs."""
+    return _text_cells(block, seps).tobytes().translate(None, b"\0").decode()
+
+
+def _compact(cells: np.ndarray) -> np.ndarray:
+    """Each row of cells as its text alone, left-aligned and NUL-padded to the longest row."""
+    size = np.count_nonzero(cells, axis=1)
+    out = np.zeros((size.size, size.max()), np.uint8)
+    out[np.arange(out.shape[1]) < size[:, None]] = np.frombuffer(
+        cells.tobytes().translate(None, b"\0"), np.uint8)
+    return out
 
 
 def _table_blocks(header, keys, values, fmt: str, slices=None):
@@ -200,27 +215,45 @@ def _table_blocks(header, keys, values, fmt: str, slices=None):
     With `slices`, one value per time slice, the table has a leading column of
     those values and repeats the keys once per slice: slice i is the rows
     i * len(keys) ... of `values`.  One _cells call formats the slice values,
-    and one each block of at most TABLE_BLOCK rows (csv) or values (json).
+    one each span of at most TABLE_BLOCK keys, once per table, and one each
+    block of at most TABLE_BLOCK rows (csv) or values (json).  Past a table's
+    first slice, each span's key text is reused: its json run, or its csv
+    cells as their text and comma, NUL-padded to the span's longest (at most
+    25 bytes a key).  A one-slice table keeps no key text.
     """
     n, k = keys.size, values.shape[1]
     spans = [(i, min(i + TABLE_BLOCK, n)) for i in range(0, n, TABLE_BLOCK)]
-    lead = [""] if slices is None else _text(slices[:, None], b"\n\0").splitlines()
-    runs = [(t, o, a, b) for t, o in zip(lead, range(0, len(lead) * n, n)) for a, b in spans]
+    lead = [""] if slices is None else _text(slices, b",\n").splitlines()
+    offsets = range(0, len(lead) * n, n)
     if fmt == "json":
+        key_text = (_text(keys[a:b], b", ")[:-2] for a, b in spans)
+        if len(lead) > 1:
+            key_text = list(key_text)
         for i, name in enumerate(header):
             yield (",\n" if i else "{\n") + f'  "{name}": ['
             j = i + k - len(header)  # -2 for the slice column, -1 for the keys
-            for r, (t, o, a, b) in enumerate(runs):
-                col = values[o + a:o + b, j] if j >= 0 else keys[a:b]
-                run = ", ".join([t] * (b - a)) if j < -1 else _text(col[:, None], b", ")[:-2]
+            if j == -2:
+                runs = (", ".join([t[:-1]] * (b - a)) for t in lead for a, b in spans)
+            elif j == -1:
+                runs = (run for _ in lead for run in key_text)
+            else:
+                runs = (_text(values[o + a:o + b, j], b", ")[:-2]
+                        for o in offsets for a, b in spans)
+            for r, run in enumerate(runs):
                 yield (", " if r else "") + run
             yield "]"
         yield "\n}\n"
         return
+    key_text = (_text_cells(keys[a:b], b",\0") for a, b in spans)
+    if len(lead) > 1:
+        key_text = list(map(_compact, key_text))
     yield ",".join(header) + "\n"
-    for t, o, a, b in runs:
-        rows = _text(np.column_stack([keys[a:b], values[o + a:o + b]]), b",\0" * k + b"\n\0")
-        yield t + "," + rows[:-1].replace("\n", "\n" + t + ",") + "\n" if t else rows
+    for t, o in zip(lead, offsets):
+        head = np.frombuffer(t.encode(), np.uint8)
+        for (a, b), key_cells in zip(spans, key_text):
+            cells = _text_cells(values[o + a:o + b], b",\0" * (k - 1) + b"\n\0")
+            rows = np.concatenate([np.broadcast_to(head, (b - a, head.size)), key_cells, cells], 1)
+            yield rows.tobytes().translate(None, b"\0").decode()
 
 
 def cmd_potential(args) -> int:

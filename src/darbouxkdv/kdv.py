@@ -122,16 +122,19 @@ def field_u(data: SolitonData, x, t: float):
     Points go through in blocks of FIELD_BUDGET // groups (at least one), laid
     out as (groups, points), and every sum over the groups is a _group_sum, so
     a point's value does not depend on its block; u comes back in the shape
-    of x.  Above SOLITON_LIMIT solitons it raises ValueError.
+    of x.  Above SOLITON_LIMIT solitons, or for a non-finite t or entry of x,
+    it raises ValueError.
     """
+    xarr = np.asarray(x, dtype=float)
+    flat = xarr.reshape(-1)
+    _require_finite("x", flat)
+    _require_finite("t", t)
     alpha, beta, starts, group, gam = _tau_groups(data.kappas, data.c0)
     e = alpha + beta * t
     peak = np.maximum.reduceat(e, starts)
     log_w = peak + np.log(np.add.reduceat(np.exp(e - peak[group]), starts))
     gam = gam[:, None]
     log_w = log_w[:, None]
-    xarr = np.asarray(x, dtype=float)
-    flat = xarr.reshape(-1)
     u = np.empty(flat.size)
     step = max(1, FIELD_BUDGET // gam.size)
     for start in range(0, flat.size, step):
@@ -145,6 +148,13 @@ def field_u(data: SolitonData, x, t: float):
         dev *= p
         u[start:start + step] = -2.0 * _group_sum(dev) / norm
     return float(u[0]) if xarr.ndim == 0 else u.reshape(xarr.shape)
+
+
+def _require_finite(name: str, value) -> None:
+    """Raise ValueError naming `name` if the number or array `value` holds a non-finite entry."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite].flat[0]}")
 
 
 def _group_sum(a: np.ndarray) -> np.ndarray:
@@ -220,9 +230,11 @@ def kdv_residual(data: SolitonData, x: float, t: float) -> float:
     sums run in float64 over all 2^N terms of the cached _tau_groups, with
     gamma taken per term; their rounding is about
     eps (|u_t| + 6 |u u_x| + |u_xxx|), which grows like kappa_max^5
-    (1e-10 at a kappa = 8 core).  Above SOLITON_LIMIT solitons it raises
-    ValueError.
+    (1e-10 at a kappa = 8 core).  Above SOLITON_LIMIT solitons, or for a
+    non-finite x or t, it raises ValueError.
     """
+    _require_finite("x", x)
+    _require_finite("t", t)
     alpha, beta, _, group, gam = _tau_groups(data.kappas, data.c0)
     gamma = gam[group]
     z = alpha + beta * t + gamma * x
@@ -283,9 +295,11 @@ def conserved_quantities(data: SolitonData, t: float):
     it.  For such an integrand the trapezoid rule converges geometrically,
     with error about e^(-pi^2 / (kappa_max step)) (Trefethen & Weideman, SIAM
     Rev. 56 (2014) 385), and u^2 has the same poles.  The step
-    TRAPEZOID_STEP / kappa_max therefore leaves e^-66.  Windows past the
-    field's precision domain raise OverflowDomainError (see THETA_PRECISION_LIMIT).
+    TRAPEZOID_STEP / kappa_max therefore leaves e^-66.  A non-finite t raises
+    ValueError, and windows past the field's precision domain raise
+    OverflowDomainError (see THETA_PRECISION_LIMIT).
     """
+    _require_finite("t", t)
     kap = data.kappas
     margin = QUADRATURE_MARGIN / kap[0]
     windows = []

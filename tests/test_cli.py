@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 from decimal import Decimal
 
 import numpy as np
@@ -306,6 +308,24 @@ def test_non_finite_input_exit_code(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _assert_same_lines(text: str, expected: str) -> None:
+    """text == expected, reported as the line counts or the first few lines that differ.
+
+    Each differing line is shown about its first differing character, so that
+    a broken writer fails at once on a table of megabytes.
+    """
+    got, want = text.split("\n"), expected.split("\n")
+    if len(got) != len(want):
+        pytest.fail(f"{len(got)} lines, expected {len(want)}")
+    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    if bad:
+        report = [f"{len(bad)} of {len(want)} lines differ"]
+        for i in bad[:5]:
+            c = max(len(os.path.commonprefix([got[i], want[i]])) - 30, 0)
+            report.append(f"line {i + 1}: {got[i][c:c + 60]!r} != {want[i][c:c + 60]!r}")
+        pytest.fail("\n".join(report))
+
+
 def _per_cell_text(header, columns, fmt: str) -> str:
     """The table with format(v, ".17g") per cell, built in one piece."""
     cells = [[format(float(v), ".17g") for v in col] for col in columns]
@@ -322,7 +342,7 @@ def test_table_text_matches_per_cell_format(fmt):
                [3, -7, 1e16, 5e-324])
     expected = _per_cell_text(header, columns, fmt)
     keys, values = np.asarray(columns[0]), np.column_stack(columns[1:])
-    assert "".join(_table_blocks(header, keys, values, fmt)) == expected
+    _assert_same_lines("".join(_table_blocks(header, keys, values, fmt)), expected)
     assert "-0," in expected  # the sign of -0.0 survives
 
 
@@ -361,12 +381,19 @@ def test_cells_match_python_format():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("slices", [None, (-0.0, 3e16)], ids=["keys", "slices"])
-def test_python_formatted_cells_in_a_streamed_table(fmt, slices):
+@pytest.mark.parametrize("slices, odd_keys", [(None, False), ((-0.0, 3e16), False),
+                                              ((-0.0, 0.5, 3e16), True)],
+                         ids=["keys", "slices", "odd-keys"])
+def test_python_formatted_cells_in_a_streamed_table(fmt, slices, odd_keys):
     # zeros, tiny, huge, subnormal and non-finite cells bypass the vectorised
-    # digits; they sit in every block of a table longer than two blocks
+    # digits; they sit in every block of a table longer than two blocks, and
+    # with odd_keys also among the keys of every span, whose text later
+    # slices reuse
     n = 2 * TABLE_BLOCK + 5
     keys = np.linspace(-7.0, 5.0, n)
+    if odd_keys:
+        for start in range(0, n, TABLE_BLOCK):
+            keys[start:start + 5] = [0.0, -0.0, 1e-300, 3e16, 5e-324]
     odd = np.resize([0.0, -0.0, 1e-300, 3e16, 5e-324, -2.5e-310, np.inf, np.nan], n)
     ts = None if slices is None else np.array(slices)
     rows = n * (1 if ts is None else ts.size)
@@ -376,7 +403,47 @@ def test_python_formatted_cells_in_a_streamed_table(fmt, slices):
         columns.insert(0, np.repeat(ts, n))
     header = ("t", "x", "a", "b")[4 - len(columns):]
     text = "".join(_table_blocks(header, keys, values, fmt, ts))
-    assert text == _per_cell_text(header, columns, fmt)
+    _assert_same_lines(text, _per_cell_text(header, columns, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("nt", [1, 3])
+def test_keys_formatted_once_per_table(fmt, nt, monkeypatch):
+    # n keys over nt slices: n key cells, n nt value cells and nt slice cells
+    n = 2 * TABLE_BLOCK + 5
+    keys = np.linspace(-7.0, 5.0, n)
+    values = np.sin(np.linspace(0.0, 9.0, n * nt))[:, None]
+    formatted = []
+    cells = cli._cells
+
+    def counted(v):
+        formatted.append(np.size(v))
+        return cells(v)
+
+    monkeypatch.setattr(cli, "_cells", counted)
+    deque(_table_blocks(("t", "x", "u"), keys, values, fmt, np.linspace(0.0, 0.1, nt)), 0)
+    assert sum(formatted) == n + n * nt + nt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_only_a_table_of_several_slices_keeps_its_key_text(fmt):
+    # the kept key text is at most 25 bytes a key, and a one-slice table,
+    # which has no later slice to reuse it, keeps none
+    n = 10**5
+    keys = np.linspace(-10.0, 10.0, n)
+    kept = n * (1 + max(len(format(x, ".17g")) for x in keys.tolist()))
+    cli._cells(keys[:1])  # the formatter's tables are built once per process
+    peaks = []
+    for nt in (1, 2):
+        values = np.tile(np.sin(keys) / 3.0, nt)[:, None]
+        tracemalloc.start()
+        try:
+            deque(_table_blocks(("t", "x", "u"), keys, values, fmt, np.zeros(nt)), 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < kept
+    assert peaks[1] <= peaks[0] + 25 * n
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -388,7 +455,7 @@ def test_streamed_grid_matches_per_cell_format(fmt, tmp_path):
                  "--n", str(n), "--format", fmt, "--output", str(path)]) == 0
     xs = np.linspace(-7.0, 5.0, n)
     us = deformed_potential(SystemSpec(1.5, (2,)))(xs)
-    assert path.read_text() == _per_cell_text(("x", "u"), (xs, us), fmt)
+    _assert_same_lines(path.read_text(), _per_cell_text(("x", "u"), (xs, us), fmt))
     assert len(list(_table_blocks(("x", "u"), xs, us[:, None], fmt))) > 3
 
 
@@ -421,7 +488,7 @@ def test_soliton_table_matches_per_cell_format(fmt, data, grid, tmp_path):
     columns = (np.repeat(ts, xs.size), np.tile(xs, ts.size),
                np.concatenate([field_u(sol, xs, float(t)) for t in ts]))
     expected = _per_cell_text(("t", "x", "u"), columns, fmt)
-    assert path.read_text() == expected
+    _assert_same_lines(path.read_text(), expected)
     if opts.get("--t") == "-0.0":  # the signs of t and x survive
         assert expected.count("-0," if fmt == "csv" else "[-0]") == 2
 

@@ -287,6 +287,15 @@ class TestFieldU:
         assert np.array_equal(grid, field_u(TWO_SOLITON, xs, 0.01).reshape(2, 3))
         assert field_u(TWO_SOLITON, xs[:1], 0.01).shape == (1,)
 
+    @pytest.mark.parametrize("x, t, bad", [
+        ([0.0, np.inf], 0.0, "x"), ([np.nan, 1.0], 0.0, "x"), (-np.inf, 0.0, "x"),
+        (np.linspace(-1.0, 1.0, 5), np.nan, "t"), (0.5, -np.inf, "t"),
+    ])
+    def test_non_finite_point_raises(self, x, t, bad):
+        # an infinite x gave a nan u, and a nan t a field of nan
+        with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+            field_u(TWO_SOLITON, x, t)
+
 
 class TestSolitonLimit:
     DATA = SolitonData(tuple(float(k) for k in range(1, SOLITON_LIMIT + 2)),
@@ -346,6 +355,14 @@ class TestTauCache:
 class TestKdvResidual:
     def test_one_soliton(self):
         assert kdv_residual(ONE_SOLITON, 0.3, 0.2) <= 1e-6
+
+    @pytest.mark.parametrize("x, t, bad", [
+        (np.inf, 0.0, "x"), (np.nan, 0.1, "x"), (0.5, np.nan, "t"), (0.5, np.inf, "t"),
+    ])
+    def test_non_finite_point_raises(self, x, t, bad):
+        # these gave a nan residual
+        with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+            kdv_residual(TWO_SOLITON, x, t)
 
     def test_two_soliton(self):
         assert kdv_residual(TWO_SOLITON, 0.5, 0.05) <= 1e-5
@@ -455,6 +472,12 @@ class TestConservedQuantities:
         mass, momentum = conserved_quantities(ONE_SOLITON, 0.0)
         assert mass == pytest.approx(-4.0, abs=1e-10)
         assert momentum == pytest.approx(16.0 / 3.0, abs=1e-10)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_raises(self, t):
+        # a nan t raised "cannot convert float NaN to integer" from the grid size
+        with pytest.raises(ValueError, match="^t must be finite"):
+            conserved_quantities(TWO_SOLITON, t)
 
     def test_two_soliton_trace_values(self):
         mass, momentum = conserved_quantities(TWO_SOLITON, 0.0)
