@@ -25,13 +25,15 @@ terms, so u and its x- and t-derivatives are exact cumulants, summed in
 float64 with no step size; their rounding grows like kappa_max^5.
 The conserved mass and momentum are trapezoid sums over uniform grids on the
 merged windows about 0 and each soliton centre: the step is set by the
-largest kappa, the window width by the smallest, and past the field's
-precision domain (THETA_PRECISION_LIMIT) they raise OverflowDomainError.
+largest kappa, the window width by the smallest.  Past the field's precision
+domain (THETA_PRECISION_LIMIT) the field, the residual and the conserved
+quantities raise OverflowDomainError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,6 +60,9 @@ TAU_CACHE_SIZE = 4        # cached expansions, 21 to 34 MB each at N = SOLITON_L
 # the field's precision domain: theta_n = log c_n + 4 k^3 t - k x loses absolute
 # precision as |4 k^3 t| + k |x| approaches 1/eps; past this limit u is noise
 THETA_PRECISION_LIMIT = 1e12
+# exponents below this give subnormal weights, and np.exp takes about 200 times as
+# long for a subnormal result as for a normal one; they are taken as -inf, weight 0
+_LOG_MIN = math.log(sys.float_info.min)
 
 
 class OverflowDomainError(ArithmeticError):
@@ -122,13 +127,19 @@ def field_u(data: SolitonData, x, t: float):
     Points go through in blocks of FIELD_BUDGET // groups (at least one), laid
     out as (groups, points), and every sum over the groups is a _group_sum, so
     a point's value does not depend on its block; u comes back in the shape
-    of x.  Above SOLITON_LIMIT solitons, or for a non-finite t or entry of x,
-    it raises ValueError.
+    of x.  Weights below sys.float_info.min are taken as 0 before the
+    exponential: they change no sum unless |u| is itself below about 1e-290.
+    Above SOLITON_LIMIT solitons, or for a non-finite t or entry of x, it
+    raises ValueError, and past the precision domain (THETA_PRECISION_LIMIT)
+    OverflowDomainError.
     """
     xarr = np.asarray(x, dtype=float)
     flat = xarr.reshape(-1)
-    _require_finite("x", flat)
+    reach = float(np.abs(flat).max(initial=0.0))  # inf or nan where an entry is one
+    if not math.isfinite(reach):
+        _require_finite("x", flat)
     _require_finite("t", t)
+    _require_precision_domain(data, reach, t)
     alpha, beta, starts, group, gam = _tau_groups(data.kappas, data.c0)
     e = alpha + beta * t
     peak = np.maximum.reduceat(e, starts)
@@ -141,6 +152,8 @@ def field_u(data: SolitonData, x, t: float):
         z = gam * flat[start:start + step]
         z += log_w
         z -= z.max(axis=0)
+        if z.min() < _LOG_MIN:  # on most grids no weight is that small
+            np.copyto(z, -np.inf, where=z < _LOG_MIN)
         p = np.exp(z, out=z)  # the largest weight is 1
         norm = _group_sum(p)
         dev = gam - _group_sum(p * gam) / norm
@@ -155,6 +168,20 @@ def _require_finite(name: str, value) -> None:
     finite = np.isfinite(value)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite].flat[0]}")
+
+
+def _require_precision_domain(data: SolitonData, reach: float, t: float) -> None:
+    """Raise OverflowDomainError if |4 kappa^3 t| + kappa reach > THETA_PRECISION_LIMIT.
+
+    The left side grows with kappa, also as rounded, so the largest kappa
+    alone decides, and with |x|, so reach = max |x| stands for every point.
+    """
+    k = data.kappas[-1]
+    if abs(t * (4.0 * k**3)) + k * reach > THETA_PRECISION_LIMIT:
+        raise OverflowDomainError(
+            f"|x| up to {reach:.6g} at t = {t} leaves the numeric stability domain "
+            f"|4 kappa^3 t| + kappa |x| <= {THETA_PRECISION_LIMIT:.0e}"
+        )
 
 
 def _group_sum(a: np.ndarray) -> np.ndarray:
@@ -230,15 +257,20 @@ def kdv_residual(data: SolitonData, x: float, t: float) -> float:
     sums run in float64 over all 2^N terms of the cached _tau_groups, with
     gamma taken per term; their rounding is about
     eps (|u_t| + 6 |u u_x| + |u_xxx|), which grows like kappa_max^5
-    (1e-10 at a kappa = 8 core).  Above SOLITON_LIMIT solitons, or for a
-    non-finite x or t, it raises ValueError.
+    (1e-10 at a kappa = 8 core).  Weights below sys.float_info.min are
+    taken as 0, as in field_u.  Above SOLITON_LIMIT solitons, or for a
+    non-finite x or t, it raises ValueError, and past the precision domain
+    OverflowDomainError.
     """
     _require_finite("x", x)
     _require_finite("t", t)
+    _require_precision_domain(data, abs(x), t)
     alpha, beta, _, group, gam = _tau_groups(data.kappas, data.c0)
     gamma = gam[group]
     z = alpha + beta * t + gamma * x
-    p = np.exp(z - z.max())
+    z -= z.max()
+    np.copyto(z, -np.inf, where=z < _LOG_MIN)
+    p = np.exp(z, out=z)
     p /= p.sum()
     dg = gamma - p @ gamma
     dg2 = dg * dg
@@ -308,9 +340,7 @@ def conserved_quantities(data: SolitonData, t: float):
             windows[-1][1] = c + margin
         else:
             windows.append([c - margin, c + margin])
-    reach = max(-windows[0][0], windows[-1][1])
-    if abs(t * (4.0 * kap[-1] ** 3)) + kap[-1] * reach > THETA_PRECISION_LIMIT:
-        raise OverflowDomainError(f"t = {t}: the windows leave the numeric stability domain")
+    _require_precision_domain(data, max(-windows[0][0], windows[-1][1]), t)
     mass = momentum = 0.0
     for lo, hi in windows:
         # even, so that every other point is itself a trapezoid grid

@@ -16,9 +16,11 @@ log-Gamma sum of t cannot be resolved in double precision (h beyond about
 independent ODE-integration oracle checks both amplitudes.  It writes the
 Jost solutions f(x; +-K) -> e^(+-iKx) as h e^(+-iKx), whose h'' = -+2iK h'
 + U h has h' = 0 wherever U has decayed, with no exponential in the
-right-hand side, and steps it with VODE's variable-order Adams method, about
-two right-hand sides per step; spectral_oracle integrates the same form at
-k = i kappa.
+right-hand side, and steps it with VODE's variable-order Adams method.  The
+equation is linear, so VODE gets its exact Jacobian in band form and each
+step's corrector is a Newton step: 1.2 right-hand sides per step on the
+verify grids, where functional iteration took 2.0, and a new Jacobian about
+every 55 steps.  spectral_oracle integrates the same form at k = i kappa.
 As every U_D is even and real, it integrates only from x = +25 to the mirror
 point of its path, x = 0, and reads t and r off two Wronskians there: the
 left Jost solutions are the mirror images of f(.; +-K).  It integrates a
@@ -136,12 +138,12 @@ def _detour_height(potential) -> float:
 
     The line z = s + i c passes no closer than |Im x_p - c| to a pole x_p,
     and near a pole the stepper crawls: at c = 0.45 the line of h=1,
-    seeds (2, 4) passes 0.011 below its poles at Im x = 0.461, takes 4,298
-    potential calls on the verify K grid and is off by 3.5e-9, against 2,662
-    calls and 1.8e-12 at the chosen height 0.331.  The band starts at 0.2
+    seeds (2, 4) passes 0.011 below its poles at Im x = 0.461, takes 2,294
+    potential calls on the verify K grid and is off by 6.5e-9, against 1,303
+    calls and 3.2e-12 at the chosen height 0.331.  The band starts at 0.2
     because U_D grows like 1/x^2 towards the pole at x = 0: at c = 0.05 that
-    grid is off by 6.7e-12 (4.7e-11 for h=2.5, seeds (2, 4, 6)), against
-    2.5e-12 (1.4e-12) at 0.2.  It stops at 0.5, well below the poles near
+    grid is off by 7.8e-12 (2.1e-10 for h=2.5, seeds (2, 4, 6)), against
+    1.1e-12 (8.2e-13) at 0.2.  It stops at 0.5, well below the poles near
     Im x = pi/2 that every U_D inherits from the sech^2 well.
     """
     lo, hi = DETOUR_BAND
@@ -154,7 +156,7 @@ def _detour_height(potential) -> float:
 # Adams starts from h' = 0, where the right-hand side is near 0 too; with no step
 # bound it stepped over the whole well from x = 30 and returned h = 1, h' = 0
 _MAX_STEP = 1.0
-_MAX_STEPS = 100_000  # K = 400 takes 33,000 on the real line
+_MAX_STEPS = 100_000  # K = 400 takes 16,500 on the real line, K = 5,000 49,500 on a detour
 # the largest ik.size whose right-hand side is one dense (2n, 2n) product: on a
 # 2-core x86-64 host with OpenBLAS a call at n = 12 took 1.4 us against 2.9 us
 # for three ufuncs, at n = 32 6.1 against 3.0 us, at n = 2000 12.6 ms against 10 us
@@ -162,6 +164,82 @@ _DENSE_MAX = 24
 # scipy does not promise that VODE is re-entrant (the Fortran original keeps its
 # state in SAVE variables), so one Jost solve runs at a time
 _JOST_LOCK = threading.Lock()
+
+
+def _jost_system(ik: np.ndarray, dtype) -> tuple:
+    """Right-hand side and Jacobian of the Jost equation on the state (h_0, h'_0, h_1, h'_1, ...).
+
+    (h_j, h'_j)' = (h'_j, -2ik_j h'_j + U(z) h_j) is linear, so its Jacobian
+    is the matrix M(z) of (h_j, h'_j)' = M (h_j, h'_j): 2 x 2 blocks
+    [[0, 1], [U(z), -2ik_j]] on the diagonal, one per ik_j.  For n = ik.size
+    up to _DENSE_MAX the right-hand side is one product with M, built once:
+    each call writes the scalar U(z) into a strided view of the entries
+    (2j + 1, 2j) and makes one np.dot into a preallocated output, which costs
+    less than three ufunc calls while M is small.  M has (2n)^2 entries, so a
+    larger ik takes h'' = -2ik h' + U h in three ufunc calls on strided views
+    instead.  The Jacobian goes to VODE in its packed band form,
+    band[uband + i - j, j] = J[i, j], J the Jacobian of the state's float
+    view: with each (h_j, h'_j) adjacent, a real state (dtype float) has
+    lband = uband = 1, and the float view (Re h_j, Im h_j, Re h'_j, Im h'_j)
+    of a complex one lband = 3, uband = 2.  Only the entries of U(z) change
+    from call to call.
+    Returns (derivative, jacobian, lband, uband): derivative(uz, flat) and
+    jacobian(uz) take U(z) and write M (h, h') of the float view flat, or the
+    band, into one preallocated array each, which they return.
+    """
+    n, minus_2ik = ik.size, -2.0 * ik
+    out = np.empty(2 * n, dtype)  # every right-hand side is written here
+    flat_out = out.view(float)
+    if n <= _DENSE_MAX:
+        m = np.zeros((2 * n, 2 * n), dtype)  # local to this solve
+        entries = m.reshape(-1)  # (2j + r, 2j + c) is entry 2n r + c + (4n + 2) j
+        entries[1::4 * n + 2] = 1.0
+        entries[2 * n + 1::4 * n + 2] = minus_2ik
+        u_dense = entries[2 * n::4 * n + 2]  # the entries (2j + 1, 2j), set to U(z)
+
+        def derivative(uz, flat):
+            u_dense.fill(uz)
+            np.dot(m, flat.view(dtype), out=out)
+            return flat_out
+
+    else:
+        h_out, dh_out = out[0::2], out[1::2]
+
+        def derivative(uz, flat):
+            state = flat.view(dtype)
+            h_out[:] = state[1::2]
+            np.multiply(minus_2ik, state[1::2], out=dh_out)
+            dh_out[:] += uz * state[0::2]
+            return flat_out
+
+    if dtype == float:  # k = i kappa: J[2j + r, 2j + c] is band[1 + r - c, j, c]
+        lband = uband = 1
+        band = np.zeros((3, n, 2))
+        band[0, :, 1] = 1.0  # h_j' = h'_j
+        band[1, :, 1] = minus_2ik
+        u_band = band[2, :, 0]
+
+        def jacobian(uz):
+            u_band.fill(uz)
+            return packed
+
+    else:  # J[4j + r, 4j + c] is band[2 + r - c, j, c], c over (Re h, Im h, Re h', Im h')
+        lband, uband = 3, 2
+        band = np.zeros((6, n, 4))
+        band[0, :, 2:] = 1.0  # (Re h_j)' = Re h'_j, (Im h_j)' = Im h'_j
+        band[2, :, 2:] = minus_2ik.real[:, None]  # times -2ik_j: [[Re, -Im], [Im, Re]]
+        band[1, :, 3] = -minus_2ik.imag
+        band[3, :, 2] = minus_2ik.imag
+        re_u, im_u, minus_im_u = band[4, :, :2], band[5, :, 0], band[3, :, 1]  # times U(z)
+
+        def jacobian(uz):
+            re_u.fill(uz.real)
+            im_u.fill(uz.imag)
+            minus_im_u.fill(-uz.imag)
+            return packed
+
+    packed = band.reshape(lband + uband + 1, -1)
+    return derivative, jacobian, lband, uband
 
 
 def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarray:
@@ -174,13 +252,10 @@ def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarr
     1038) through scipy.integrate.ode, with steps of at most _MAX_STEP.  The
     right-hand side needs no exponential, h' stays near 0 where U has
     decayed, and the growing mode e^(-2ikz) of h keeps one modulus along the
-    line, so no error made on the way is amplified.  For n = ik.size up to
-    _DENSE_MAX the right-hand side is one product (h, h')' = M (h, h') with
-    M = [[0, I], [U(z) I, diag(-2ik)]], built once per solve: each call
-    writes the scalar U(z) into a strided view of the entries (n + j, j) and
-    makes one np.dot into a preallocated output, which costs less than three
-    ufunc calls while M is small.  M has (2n)^2 entries, so a larger ik
-    takes the O(n) form h'' = -2ik h' + U h in three ufunc calls instead.
+    line, so no error made on the way is amplified.  The equation is linear,
+    so VODE is given its exact Jacobian M(z) in band form (_jost_system) and
+    the Adams corrector is a Newton step, which converges in about 1.2
+    right-hand sides per step.
     A real ik = -kappa at height 0 keeps the state real; a complex state
     goes to VODE as its float view.
     Returns the state at s = 0 or, with t_eval (values of s, in path order),
@@ -191,46 +266,33 @@ def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarr
 
     u = getattr(potential, "evaluate_scalar", potential)
     n, shift = ik.size, 1j * height if height else 0.0
-    y = np.zeros(2 * n, np.result_type(ik, shift))
-    y[:n] = 1.0
-    dtype, out = y.dtype, np.empty_like(y)  # every right-hand side is written here
-    flat_out = out.view(float)
-    if n <= _DENSE_MAX:
-        m = np.zeros((2 * n, 2 * n), dtype)  # M of (h, h')' = M (h, h'), local to this solve
-        np.fill_diagonal(m[:n, n:], 1.0)
-        np.fill_diagonal(m[n:, n:], -2.0 * ik)
-        u_diag = m.reshape(-1)[2 * n * n::2 * n + 1]  # the entries (n + j, j), set to U(z)
-
-        def derivative(uz, state):
-            u_diag.fill(uz)
-            np.dot(m, state, out=out)
-
-    else:
-        minus_2ik, dh_out, d2h_out = -2.0 * ik, out[:n], out[n:]
-
-        def derivative(uz, state):
-            dh_out[:] = state[n:]
-            np.multiply(minus_2ik, dh_out, out=d2h_out)
-            d2h_out[:] += uz * state[:n]
-
+    dtype = np.result_type(ik, shift)
+    derivative, jacobian, lband, uband = _jost_system(ik, dtype)
+    y = np.zeros(2 * n, dtype)  # (h_0, h'_0, h_1, h'_1, ...)
+    y[0::2] = 1.0
     nonfinite = []
 
-    def rhs(s, flat):
+    def potential_at(s):
         z = s + shift
         uz = u(z)
         if not cmath.isfinite(uz):
             nonfinite.append((z, uz))
             uz = 0.0  # VODE would step on a nan until _MAX_STEPS; refused below
-        derivative(uz, flat.view(dtype))
-        return flat_out
+        return uz
+
+    def rhs(s, flat):
+        return derivative(potential_at(s), flat)
+
+    def jac(s, flat):
+        return jacobian(potential_at(s))
 
     columns = []
     with _JOST_LOCK, warnings.catch_warnings():
         # a failed VODE call also warns; the RuntimeError below reports it once
         warnings.filterwarnings("ignore", "vode: ", UserWarning)
-        solver = integrate.ode(rhs).set_integrator(
-            "vode", method="adams", rtol=_TOL[0], atol=_TOL[1], max_step=_MAX_STEP,
-            nsteps=_MAX_STEPS,
+        solver = integrate.ode(rhs, jac).set_integrator(
+            "vode", method="adams", with_jacobian=True, lband=lband, uband=uband,
+            rtol=_TOL[0], atol=_TOL[1], max_step=_MAX_STEP, nsteps=_MAX_STEPS,
         )
         solver.set_initial_value(y.view(float), L)
         for s in (0.0,) if t_eval is None else t_eval:
@@ -243,7 +305,9 @@ def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarr
                     f"Jost ODE stepper failed: VODE return code "
                     f"{solver.get_return_code()} at s = {solver.t:.6g}"
                 )
-    return columns[0] if t_eval is None else np.stack(columns, axis=1)
+    states = np.stack(columns, axis=1)
+    states = np.concatenate([states[0::2], states[1::2]])  # (h..., h'...)
+    return states[:, 0] if t_eval is None else states
 
 
 # both oracles need U(x) = U(-x), real, checked at these points to this relative
@@ -316,12 +380,14 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
     height = _detour_height(potential) if getattr(potential, "is_singular", False) else 0.0
     ik = 1j * np.concatenate([kv, -kv])  # f(.; +K), then f(.; -K)
     h, dh = np.split(_jost(potential, ik, L, height), 2)
-    wave = np.exp(ik * 1j * height)  # e^(ikz0), z0 = i height
-    fp, fm = np.split(h * wave, 2)  # f(z0; +K), f(z0; -K)
-    dfp, dfm = np.split((dh + ik * h) * wave, 2)
+    # f(z0) = h e^(ikz0) and f'(z0) = (h' + ik h) e^(ikz0), with e^(ikz0) = e^(-+Kc) for
+    # +-K; that of -K overflows from Kc = 710, so both are left out: they cancel in
+    # W[f, g], and W[f, conj f(-conj z)] keeps e^(-2Kc)
+    fp, fm = np.split(h, 2)  # f(z0; +K), f(z0; -K), each over its e^(ikz0)
+    dfp, dfm = np.split(dh + ik * h, 2)
     # W[f, g] = -(f conj f'(-K) + f' conj f(-K)); W[f, conj f(-conj z)] = -2 Re(f conj f')
     t = 2j * kv / (fp * dfm.conj() + dfp * fm.conj())
-    r = t * (fp * dfp.conj()).real / (-1j * kv)
+    r = t * (fp * dfp.conj()).real * np.exp(-2.0 * height * kv) / (-1j * kv)
     if ks.ndim == 0:
         return ScatteringAmplitudes(K=float(ks), t=complex(t[0]), r=complex(r[0]))
     return ScatteringAmplitudes(K=kv, t=t, r=r)

@@ -7,7 +7,8 @@ x >= 0, summed from strided Toeplitz and Hankel windows on one vector of
 sinc weights, and one eigh per sector returns every eigenvalue below the
 continuum edge.  Each norming constant matches the eigenvector at its peak
 to the Jost solution f ~ e^(-kappa x), integrated inward from x = L by the
-Jost integrator of the scattering oracle (VODE's Adams method) at
+Jost integrator of the scattering oracle (VODE's Adams method, with Newton
+steps on the exact banded Jacobian of the linear Jost equation) at
 k = i kappa.
 The box [-L, L] moves a level (kappa, c) by about 4 kappa c^2 e^(-2 kappa L)
 in E, so shallow levels need a wide box.  Used purely as an oracle against

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -295,6 +296,72 @@ class TestFieldU:
         # an infinite x gave a nan u, and a nan t a field of nan
         with pytest.raises(ValueError, match=f"^{bad} must be finite"):
             field_u(TWO_SOLITON, x, t)
+
+
+class TestPrecisionDomain:
+    # |4 kappa^3 t| + kappa |x| <= THETA_PRECISION_LIMIT = 1e12 for the largest kappa,
+    # 4 here, so 4 kappa^3 = 256 and the bound is t = 3.90625e9 at x = 0, x = 2.5e11 at t = 0
+    INSIDE = [(0.0, 3.906e9), (2.49e11, 0.0), (-1.85e11, -1e9)]
+    OUTSIDE = [(0.0, 3.907e9), (2.51e11, 0.0), (-1.87e11, -1e9), (6.4e12, 1e11)]
+
+    @pytest.mark.parametrize("x, t", INSIDE)
+    def test_inside_the_bound(self, x, t):
+        assert math.isfinite(field_u(TWO_SOLITON, x, t))
+        assert np.all(np.isfinite(field_u(TWO_SOLITON, [0.0, x], t)))
+        assert math.isfinite(kdv_residual(TWO_SOLITON, x, t))
+
+    @pytest.mark.parametrize("x, t", OUTSIDE)
+    def test_outside_the_bound_raises(self, x, t):
+        # at t = 1e11 field_u about the kappa = 4 centre 6.4e12 was off by up to 0.037
+        # against a 60-digit tau, with no error
+        for call in (
+            lambda: field_u(TWO_SOLITON, x, t),
+            lambda: field_u(TWO_SOLITON, [0.0, 1.0, x, 2.0], t),  # one point past the bound
+            lambda: field_u(TWO_SOLITON, x + np.linspace(-2.0, 2.0, 41), t),
+            lambda: kdv_residual(TWO_SOLITON, x, t),
+        ):
+            with pytest.raises(OverflowDomainError, match="numeric stability domain"):
+                call()
+
+    def test_empty_array_inside(self):
+        assert field_u(TWO_SOLITON, np.empty(0), 0.0).shape == (0,)
+
+
+class TestSubnormalWeights:
+    # np.exp takes about 200 times as long for a subnormal result as for a normal one
+    DATA = SolitonData(tuple(float(k) for k in range(1, 8)), (1.0,) * 7)
+    XS = np.linspace(-40.0, 40.0, 4001)  # the conserved-quantity window of DATA at t = 0
+
+    @staticmethod
+    def count_subnormal_exp(monkeypatch) -> list:
+        counts = []
+        exp = np.exp
+
+        def counted(*args, **kwargs):
+            out = exp(*args, **kwargs)
+            size = np.abs(out)
+            counts.append(int(np.count_nonzero((size > 0.0) & (size < sys.float_info.min))))
+            return out
+
+        monkeypatch.setattr(np, "exp", counted)
+        return counts
+
+    def test_no_subnormal_exponentials(self, monkeypatch):
+        counts = self.count_subnormal_exp(monkeypatch)
+        field_u(self.DATA, self.XS, 0.01)
+        kdv_residual(TWO_SOLITON, 360.0, 0.0)  # e^(-2 x) of the kappa = 1 term is subnormal
+        assert counts and not any(counts)
+
+    def test_field_unchanged_where_it_is_not_tiny(self, monkeypatch):
+        # the weights cut to 0 are below 2.2e-308, and no sum changes unless u itself is
+        # that small: on 360,120 points of random data u differed only below 3.4e-293
+        cut = field_u(self.DATA, self.XS, 0.01)
+        monkeypatch.setattr(kdv_module, "_LOG_MIN", -np.inf)  # every weight kept
+        full = field_u(self.DATA, self.XS, 0.01)
+        big = np.abs(full) >= 1e-280
+        assert big.sum() > 3000
+        assert np.array_equal(cut[big], full[big])
+        assert np.all(np.abs(cut[~big]) <= 1e-280)
 
 
 class TestSolitonLimit:
