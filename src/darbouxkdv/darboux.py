@@ -12,11 +12,11 @@ cosh power times a polynomial in u = tanh x, and differentiating it gives
 the same cosh power times another polynomial in u.  Wronskian matrix columns
 rescaled by their cosh powers therefore have polynomial entries, so every
 Wronskian is one polynomial in u.  The seed Wronskian W~(u) is built once
-and U_D follows from W~, W~' and W~''.  Regularity is a closed form: one
-even seed is nodeless, two or more have a node at x = 0.  Each bound state
-is the Crum ratio of two such polynomials, a Wronskian with one column
-added to or removed from the seeds over W~, times a cosh power.  The cosh
-factors cancel in every ratio, so evaluations extend to complex x.
+and U_D follows from W~, W~' and W~''; regularity is read off the seed
+parities.  Each bound state is the Crum ratio of two such polynomials, a
+Wronskian with one column added to or removed from the seeds over W~, times
+a cosh power.  The cosh factors cancel in every ratio, so evaluations extend
+to complex x.
 """
 
 from __future__ import annotations
@@ -89,6 +89,18 @@ class SystemSpec:
         """Number of bound states of the undeformed well: n = 0 .. ceil(h)-1."""
         return math.ceil(self.h)
 
+    @property
+    def _columns(self) -> list:
+        """(gamma, n) of each Darboux column (cosh x)^gamma P_n^(-gamma,-gamma)(tanh x).
+
+        Seed v is the column (h+1+v, v).  A column adds the level kappa = gamma
+        to the levels h - n > 0 of the base well, and the factor
+        (K + i gamma)/(K - i gamma) to t, minus it to r.  Its lowest Taylor
+        powers at x = 0 have the parity of n, so W~ vanishes at u = 0 to order
+        at least (e-o)(e-o-1)/2 over e columns of even n and o of odd n.
+        """
+        return [(self.h + 1.0 + v, v) for v in self.seeds]
+
 
 @dataclass(frozen=True)
 class BoundState:
@@ -132,14 +144,9 @@ def _rows(gamma: float, p: np.ndarray, m: int) -> list:
     return rows[:m]
 
 
-def _seed_solution(h: float, v: int) -> tuple:
-    gamma = h + 1.0 + v
-    return gamma, jacobi_coefficients(v, -gamma)
-
-
-def _base_solution(h: float, n: int) -> tuple:
-    kappa = h - n
-    return -kappa, jacobi_coefficients(n, kappa)
+def _solution(gamma: float, n: int) -> tuple:
+    """(gamma, P_n^(-gamma,-gamma)); the base level n is _solution(n - h, n)."""
+    return gamma, jacobi_coefficients(n, -gamma)
 
 
 def _wronskian_poly(sols: list, magnitude: bool = False) -> np.ndarray:
@@ -201,7 +208,8 @@ class PotentialEvaluator:
     side, including its complex detour around a pole), arrays through numpy;
     an exact zero of W~ gives nan.
 
-    is_singular = spec.n_steps >= 2, exact on every (all-even) seed set:
+    is_singular: W~(0) = 0 to the order of SystemSpec._columns, exact on the
+    all-even sets _validated accepts (a parity rule for mixed sets replaces it):
     * One even seed is nodeless.  With gamma = h+1+v = h+1+2m, the even-power
       coefficients of P_v^(-gamma,-gamma) are positive: the lowest is
       prod_i (gamma-m-1-i)/(4(i+1)) with gamma-m-1-i >= h+1 > 0, and the
@@ -214,14 +222,16 @@ class PotentialEvaluator:
     def __init__(self, spec: SystemSpec, allow_singular: bool = False):
         self.spec = spec
         with np.errstate(over="ignore", invalid="ignore"):
-            self._seeds = [_seed_solution(spec.h, v) for v in spec.seeds]
+            self._seeds = [_solution(gamma, n) for gamma, n in spec._columns]
             w = _wronskian_poly(self._seeds)
             polys = (w, npoly.polyder(w), npoly.polyder(w, 2))
         what = f"the seed Wronskian of {spec.seeds} (h = {spec.h})"
         self._w, self._dw, self._ddw = (tuple(_finite(c, what).tolist()) for c in polys)
         self._hh = spec.h * (spec.h + 1.0)
         self._gamma = sum(gamma for gamma, _ in self._seeds)
-        self.is_singular = spec.n_steps >= 2
+        even_minus_odd = sum(1 - 2 * (n % 2) for _, n in spec._columns)
+        self._zero_order = even_minus_odd * (even_minus_odd - 1) // 2  # of W~ at u = 0
+        self.is_singular = self._zero_order > 0
         if self.is_singular and not allow_singular:
             raise NodalWronskianError(
                 f"seed Wronskian of {spec.seeds} (h = {spec.h}) has a node; "
@@ -248,9 +258,7 @@ class PotentialEvaluator:
     def poles(self) -> np.ndarray:
         """Poles of U_D in the strip |Im x| < pi/2: x = artanh(u) over the roots u of W~.
 
-        M even seeds are even functions, so their Wronskian vanishes to order
-        at least M(M-1)/2 at x = 0 (each column's lowest Taylor powers are
-        distinct even ones), and so does W~ at u = 0.  Those lowest
+        W~ vanishes at u = 0 to the order of SystemSpec._columns, so its lowest
         coefficients are zero in exact arithmetic; computed ones are rounding
         noise (-2.8e-14 at u^1 for h = 2.5, seeds (2, 4, 6)) that would split
         the multiple root into tiny spurious ones.  They are dropped, and the
@@ -258,7 +266,7 @@ class PotentialEvaluator:
         adds roots far outside the unit disk, whose artanh lie near +-i pi/2.
         The other poles of U_D, at x = i pi/2 + i pi n, lie outside the strip.
         """
-        m = self.spec.n_steps * (self.spec.n_steps - 1) // 2
+        m = self._zero_order
         poles = np.arctanh(npoly.polyroots(self._w[m:]).astype(complex))
         return np.concatenate([[0.0], poles]) if m else poles
 
@@ -275,26 +283,25 @@ class PotentialEvaluator:
 def deformed_potential(spec: SystemSpec, allow_singular: bool = False) -> PotentialEvaluator:
     """Evaluator for U_D(x) = U(x) - 2 (log W[seed functions])''(x).
 
-    Seed sets whose Wronskian has a node (every set of two or more) raise
-    NodalWronskianError unless allow_singular is set; a singular evaluator is
-    still exact away from the Wronskian zeros and supports complex x for
-    contour integration.
+    Seed sets whose Wronskian has a node raise NodalWronskianError unless
+    allow_singular is set; a singular evaluator is still exact away from the
+    Wronskian zeros and supports complex x for contour integration.
     """
     return PotentialEvaluator(spec, allow_singular=allow_singular)
 
 
-def _norming_sq(h: float, kappa: float, ds: list) -> float:
+def _norming_sq(h: float, kappa: float, gammas: list) -> float:
     """c^2 = |Res_{K=i kappa} t_D(K)| at a bound-state pole, in closed form.
 
     With s = -iK, t_D = Gamma(s-h) Gamma(s+h+1) / (Gamma(s+1) Gamma(s)) times
-    (s + d_j)/(s - d_j) per seed, d_j = h+1+v_j.  A seed level kappa = d_j is
-    the pole of its own factor (residue 2 d_j); an original level kappa = h-n
-    is the pole of Gamma(s-h) (residue (-1)^n / n!).  Every Gamma argument is
-    a positive real.
+    (s + gamma_j)/(s - gamma_j) per Darboux column.  A column's level
+    kappa = gamma_j is the pole of its own factor (residue 2 gamma_j); an
+    original level kappa = h-n is the pole of Gamma(s-h) (residue
+    (-1)^n / n!).  Every Gamma argument is a positive real.
     """
     log_c2 = math.lgamma(kappa + h + 1.0) - math.lgamma(kappa + 1.0) - math.lgamma(kappa)
-    factors = math.prod((d + kappa) / abs(d - kappa) for d in ds if d != kappa)
-    if kappa in ds:
+    factors = math.prod((g + kappa) / abs(g - kappa) for g in gammas if g != kappa)
+    if kappa in gammas:
         return 2.0 * kappa * math.exp(log_c2 + math.lgamma(kappa - h)) * factors
     return math.exp(log_c2 - math.lgamma(round(h - kappa) + 1.0)) * factors
 
@@ -373,12 +380,12 @@ def _unit_state(sols: list, den: tuple, kappa: float, c: float) -> Callable:
 def bound_states(spec: SystemSpec) -> list:
     """All bound states of the deformed system, sorted by increasing energy.
 
-    The ceil(h) deformed originals sit at E = -(h-n)^2 and each seed v adds
-    one state at E = -(h+1+v)^2.  Each is a Crum ratio of scaled Wronskians,
-    a ratio of two polynomials in u = tanh x over the seed Wronskian W~: an
-    original level's numerator is W~[seeds, phi_n], and the cosh power left
-    over is that of phi_n, (cosh x)^(-kappa); seed j's numerator is
-    W~[seeds without j], leaving (cosh x)^(-gamma_j) = (cosh x)^(-kappa).
+    The levels E = -kappa^2 are those of SystemSpec._columns.  Each state is a
+    Crum ratio of scaled Wronskians, a ratio of two polynomials in u = tanh x
+    over the seed Wronskian W~: an original level's numerator is
+    W~[seeds, phi_n], and the cosh power left over is that of phi_n,
+    (cosh x)^(-kappa); column j's numerator is W~[seeds without j], leaving
+    (cosh x)^(-gamma_j) = (cosh x)^(-kappa).
     Each norming constant comes in closed form from the residue of the
     transmission amplitude, c_n^2 = |Res_{K=i kappa_n} t_D(K)| (the wells are
     even), and scales the wavefunction to unit norm with tail +c_n e^(-kappa_n x).
@@ -388,20 +395,12 @@ def bound_states(spec: SystemSpec) -> list:
     pot = deformed_potential(spec)
     seeds = pot._seeds
     h = spec.h
-    ds = [h + 1.0 + v for v in spec.seeds]
-    entries = [(h - n, seeds + [_base_solution(h, n)]) for n in range(spec.n_base_states)]
-    entries += [(d, seeds[:j] + seeds[j + 1:]) for j, d in enumerate(ds)]
+    gammas = [gamma for gamma, _ in seeds]
+    entries = [(h - n, seeds + [_solution(n - h, n)]) for n in range(spec.n_base_states)]
+    entries += [(gamma, seeds[:j] + seeds[j + 1:]) for j, gamma in enumerate(gammas)]
     entries.sort(key=lambda e: -e[0] * e[0])
     out = []
     for idx, (kappa, sols) in enumerate(entries):
-        c = math.sqrt(_norming_sq(h, kappa, ds))
-        out.append(
-            BoundState(
-                index=idx,
-                kappa=kappa,
-                energy=-kappa * kappa,
-                norming_constant=c,
-                wavefunction=_unit_state(sols, pot._w, kappa, c),
-            )
-        )
+        c = math.sqrt(_norming_sq(h, kappa, gammas))
+        out.append(BoundState(idx, kappa, -kappa * kappa, c, _unit_state(sols, pot._w, kappa, c)))
     return out

@@ -111,9 +111,8 @@ def deformed_amplitudes(spec: SystemSpec, K: float) -> ScatteringAmplitudes:
     if n % 2:
         minus_sin = 0.0 - minus_sin
     r = -1j * t * (2.0 * math.exp(-math.pi * K) / -math.expm1(-2.0 * math.pi * K)) * minus_sin
-    for v in spec.seeds:
-        kappa = h + 1.0 + v  # the level this step adds
-        f = (K + 1j * kappa) / (K - 1j * kappa)
+    for gamma, _ in spec._columns:
+        f = (K + 1j * gamma) / (K - 1j * gamma)
         t *= f
         r *= -f
     return ScatteringAmplitudes(K=float(K), t=t, r=r)
@@ -122,11 +121,11 @@ def deformed_amplitudes(spec: SystemSpec, K: float) -> ScatteringAmplitudes:
 def transmission_poles(spec: SystemSpec) -> list:
     """kappa values of the poles of t_D on the positive imaginary K axis.
 
-    These are {h - n : n = 0..ceil(h)-1} together with h + 1 + v per seed, and
-    must coincide with the decay rates of the bound states.
+    These are the levels of SystemSpec._columns, and must coincide with the
+    decay rates of the bound states.
     """
     poles = [spec.h - n for n in range(spec.n_base_states)]
-    poles.extend(spec.h + 1.0 + v for v in spec.seeds)
+    poles.extend(gamma for gamma, _ in spec._columns)
     return sorted(poles)
 
 

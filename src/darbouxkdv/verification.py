@@ -208,7 +208,7 @@ ORACLE_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 def check_oracle_agreement() -> list:
     out = []
     for spec in ORACLE_SPECS:
-        pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
+        pot = deformed_potential(spec, allow_singular=True)
         numeric = numerical_amplitudes(pot, ORACLE_K_GRID)
         closed = [deformed_amplitudes(spec, K) for K in ORACLE_K_GRID]
         dt = max(abs(c.t - t) for c, t in zip(closed, numeric.t))
