@@ -214,6 +214,27 @@ def phi_mp(gamma, n):
     return phi
 
 
+def u_d_tail_mp(h, v, x):
+    """U_D of the seed v (None for the base well) at real or complex x, in mpmath.
+
+    Differentiated in u = tanh x, not in x: with s2 = sech^2 x from mpmath,
+    U_D = -h(h+1) s2 - 2 s2 (g - 2u P'/P + s2 (P''/P - (P'/P)^2)) for
+    P = P_v^(-g,-g), g = h + 1 + v, and P' and P'' by the rule
+    d/du P_n^(a,a) = (n+2a+1)/2 P_(n-1)^(a+1,a+1).  mp.diff in x would need
+    the tail digits of a function of size 1e-86 at |x| = 100.
+    """
+    h, x = mp.mpf(h), mp.mpmathify(x)
+    s2, u = mp.sech(x) ** 2, mp.tanh(x)
+    if v is None:
+        return -h * (h + 1) * s2
+    g = h + 1 + v
+    a = -g
+    p = jacobi_mp(v, a)(u)
+    q = (v + 2 * a + 1) / 2 * jacobi_mp(v - 1, a + 1)(u) / p
+    qq = (v + 2 * a + 1) / 2 * (v + 2 * a + 2) / 2 * jacobi_mp(v - 2, a + 2)(u) / p
+    return -h * (h + 1) * s2 - 2 * s2 * (g - 2 * u * q + s2 * (qq - q * q))
+
+
 def scan_for_nodes(w):
     """Numerical node test of W~(tanh x): the oracle for PotentialEvaluator.is_singular.
 
@@ -265,6 +286,26 @@ class TestDeformedPotential:
             for z, vec in zip(zs, pot(zs)):
                 got = pot.evaluate_scalar(complex(z))
                 assert isinstance(got, complex) and got == pytest.approx(vec, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "h, seeds", [(1.0, ()), (1.0, (2,)), (2.5, (4,)), (0.3, (2,)), (3.7, (6,)), (25.0, (34,))]
+    )
+    def test_relative_accuracy_in_the_tails(self, h, seeds):
+        # U_D decays like e^(-2|x|); each value is held relative to itself, not to
+        # max |U_D|, out to |x| = 100, where 1 - tanh^2 x would give -0
+        pot = deformed_potential(SystemSpec(h, seeds))
+        mags = [0.5, 3.0, 6.0, 10.0, 15.0, 18.0, 20.0, 30.0, 50.0, 75.0, 100.0]
+        xs = np.array([-m for m in mags] + mags)
+        zs = np.array([complex(m, c) for m in (-100.0, -30.0, -15.0, 15.0, 30.0, 100.0)
+                       for c in (-0.33, 0.33)])
+        v = seeds[0] if seeds else None
+        with mp.workdps(40):
+            ref = np.array([float(u_d_tail_mp(h, v, x)) for x in xs])
+            zref = np.array([complex(u_d_tail_mp(h, v, z)) for z in zs])
+        assert np.max(np.abs(pot(xs) / ref - 1.0)) <= 1e-14
+        assert max(abs(pot(float(x)) / r - 1.0) for x, r in zip(xs, ref)) <= 1e-14
+        assert np.max(np.abs(pot(zs) / zref - 1.0)) <= 1e-14
+        assert max(abs(pot(complex(z)) / r - 1.0) for z, r in zip(zs, zref)) <= 1e-14
 
     @pytest.mark.parametrize("h, seeds", MULTI_SEED_SETS)
     def test_multi_seed_matches_mpmath(self, h, seeds):

@@ -225,6 +225,16 @@ class TestFieldU:
         ref = deformed_potential(spec)(xs)
         assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("h, seeds", [(1, (2,)), (2, (2,)), (3, (4,)), (5, ()), (6, (2,))])
+    def test_reconstructs_the_tails_relatively(self, h, seeds):
+        # each value held relative to itself out to |x| = 30, where U_D ~ e^(-60);
+        # the worst, 2.9e-13 at h = 6 [2], x = -20.1, is the field's, not U_D's
+        spec = SystemSpec(float(h), seeds)
+        xs = np.linspace(-30.0, 30.0, 601)
+        ref = deformed_potential(spec)(xs)
+        got = field_u(scattering_data_from_spec(spec), xs, 0.0)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
     @pytest.mark.parametrize("n", [7, 9, 11, 13, N_MAX])
     def test_reconstructs_many_solitons(self, n):
         # h = N-1 [2]: the Cauchy block of A was Hilbert-like on the x < 0
