@@ -58,7 +58,7 @@ def _validated(h, seeds) -> tuple:
         if v < 2 or v % 2 != 0:
             raise ValueError(
                 f"seed degree {v} is not an even integer >= 2 "
-                "(odd degrees deform into singular potentials)"
+                "(only even degrees are accepted)"
             )
     if any(b <= a for a, b in zip(seeds, seeds[1:])):
         raise ValueError(f"seed degrees must be strictly increasing, got {seeds}")

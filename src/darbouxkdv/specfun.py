@@ -52,8 +52,8 @@ def reciprocal_gamma(z):
 def jacobi_coefficients(n: int, a: float) -> np.ndarray:
     """Monomial coefficients (lowest degree first) of P_n^(a,a).
 
-    Every caller asks for equal parameters: the seeds P_v^(-gamma,-gamma),
-    with gamma any real above 3, and the base states P_n^(kappa,kappa).
+    Every caller asks for one form, the Darboux column P_n^(-gamma,-gamma):
+    a seed has gamma = h+1+v > 3, a base level n gamma = n - h < 0.
     Each coefficient is a product of exact factors, free of cancellation for
     every real a.  P_n^(a,a) has the parity of n.  Its lowest coefficient,
     with n = 2m + k, is (-1)^m (b+m+1)_m / (4^m m!) with b = a + k, times

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 import sys
 import tracemalloc
 import warnings
@@ -402,6 +403,44 @@ class TestSolitonLimit:
         xs = np.linspace(-4.0, 4.0, 41)
         ref = deformed_potential(spec)(xs)
         assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def wronskian_in_q(w, power):
+    """Coefficients in q of (1+q)^power W~((1-q)/(1+q)), exact from W~'s float coefficients w."""
+    out = [Fraction(0)] * (power + 1)
+    for k, c in enumerate(w):  # c u^k becomes c (1-q)^k (1+q)^(power-k)
+        for i in range(k + 1):
+            for j in range(power - k + 1):
+                out[i + j] += Fraction(c) * (-1) ** i * math.comb(k, i) * math.comb(power - k, j)
+    return np.array([float(c) for c in out])
+
+
+class TestTauIsTheWronskian:
+    # In q = e^(-2x), the grouped tau expansion sum_m W_m q^m, built from the
+    # closed-form kappa and c alone, is (1+q)^(p+d) W~((1-q)/(1+q)) up to a
+    # constant: the Crum factorisation of tau into cosh^(h(h+1)/2) of the base
+    # well and the seed Wronskian prod_j cosh^gamma_j W~(tanh x), with
+    # p = h(h+1)/2 + M(h+1) and d = deg W~.  One identity checks every kappa,
+    # every c and U_D, with no grid.
+    @pytest.mark.parametrize("h, seeds", [
+        (1, (2,)), (2, (2,)), (3, (4,)), (5, (8,)), (2, ()), (6, (2,)), (1, (4,)), (4, (2,)),
+    ])
+    def test_grouped_coefficients(self, h, seeds):
+        spec = SystemSpec(float(h), seeds)
+        data = scattering_data_from_spec(spec)
+        alpha, _, starts, _, gam = BUILD_TAU(data.kappas, data.c0)
+        tau = np.add.reduceat(np.exp(alpha), starts)  # W_m at t = 0, one per group
+        powers = np.rint(-gam / 2.0).astype(int)
+        assert np.array_equal(gam, -2.0 * powers)
+        w = deformed_potential(spec)._w
+        p = h * (h + 1) // 2 + len(seeds) * (h + 1)
+        ref = wronskian_in_q(w, p + len(w) - 1)
+        assert powers.max() == len(ref) - 1  # the degree, sum kappa, is p + d
+        got = np.zeros(len(ref))
+        got[powers] = tau
+        top = np.argmax(got)
+        scaled = ref * (got[top] / ref[top])
+        assert np.max(np.abs(got - scaled)) <= 1e-13 * got[top]
 
 
 class TestTauCache:
