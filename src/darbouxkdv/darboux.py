@@ -69,7 +69,14 @@ def _validated(h, seeds) -> tuple:
 class SystemSpec:
     """Base coupling h and the ordered even seed degrees of a deformation.
 
-    An empty seed list is the undeformed system.
+    An empty seed list is the undeformed system.  _columns holds the (gamma, n)
+    of each Darboux column (cosh x)^gamma P_n^(-gamma,-gamma)(tanh x), built
+    once, as deformed_amplitudes reads it once per K.  Seed v is the column
+    (h+1+v, v).  A column adds the level kappa = gamma to the levels h - n > 0
+    of the base well, and the factor (K + i gamma)/(K - i gamma) to t, minus
+    it to r.  Its lowest Taylor powers at x = 0 have the parity of n, so W~
+    vanishes at u = 0 to order at least (e-o)(e-o-1)/2 over e columns of even
+    n and o of odd n.
     """
 
     h: float
@@ -79,6 +86,7 @@ class SystemSpec:
         h, seeds = _validated(self.h, self.seeds)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "_columns", tuple((h + 1.0 + v, v) for v in seeds))
 
     @property
     def n_steps(self) -> int:
@@ -88,18 +96,6 @@ class SystemSpec:
     def n_base_states(self) -> int:
         """Number of bound states of the undeformed well: n = 0 .. ceil(h)-1."""
         return math.ceil(self.h)
-
-    @property
-    def _columns(self) -> list:
-        """(gamma, n) of each Darboux column (cosh x)^gamma P_n^(-gamma,-gamma)(tanh x).
-
-        Seed v is the column (h+1+v, v).  A column adds the level kappa = gamma
-        to the levels h - n > 0 of the base well, and the factor
-        (K + i gamma)/(K - i gamma) to t, minus it to r.  Its lowest Taylor
-        powers at x = 0 have the parity of n, so W~ vanishes at u = 0 to order
-        at least (e-o)(e-o-1)/2 over e columns of even n and o of odd n.
-        """
-        return [(self.h + 1.0 + v, v) for v in self.seeds]
 
 
 @dataclass(frozen=True)
