@@ -89,10 +89,6 @@ class SystemSpec:
         object.__setattr__(self, "_columns", tuple((h + 1.0 + v, v) for v in seeds))
 
     @property
-    def n_steps(self) -> int:
-        return len(self.seeds)
-
-    @property
     def n_base_states(self) -> int:
         """Number of bound states of the undeformed well: n = 0 .. ceil(h)-1."""
         return math.ceil(self.h)

@@ -20,7 +20,8 @@ right-hand side, and steps it with VODE's variable-order Adams method.  The
 equation is linear, so VODE gets its exact Jacobian in band form and each
 step's corrector is a Newton step: 1.2 right-hand sides per step on the
 verify grids, where functional iteration took 2.0, and a new Jacobian about
-every 55 steps.  spectral_oracle integrates the same form at k = i kappa.
+every 55 steps.  spectral_oracle integrates the same form a complex step off
+k = i kappa, for the Jost Wronskian that gives each norming constant.
 As every U_D is even and real, it integrates only from x = +25 to the mirror
 point of its path, x = 0, and reads t and r off two Wronskians there: the
 left Jost solutions are the mirror images of f(.; +-K).  It integrates a
@@ -165,7 +166,7 @@ _DENSE_MAX = 24
 _JOST_LOCK = threading.Lock()
 
 
-def _jost_system(ik: np.ndarray, dtype) -> tuple:
+def _jost_system(ik: np.ndarray) -> tuple:
     """Right-hand side and Jacobian of the Jost equation on the state (h_0, h'_0, h_1, h'_1, ...).
 
     (h_j, h'_j)' = (h'_j, -2ik_j h'_j + U(z) h_j) is linear, so its Jacobian
@@ -176,21 +177,20 @@ def _jost_system(ik: np.ndarray, dtype) -> tuple:
     (2j + 1, 2j) and makes one np.dot into a preallocated output, which costs
     less than three ufunc calls while M is small.  M has (2n)^2 entries, so a
     larger ik takes h'' = -2ik h' + U h in three ufunc calls on strided views
-    instead.  The Jacobian goes to VODE in its packed band form,
-    band[uband + i - j, j] = J[i, j], J the Jacobian of the state's float
-    view: with each (h_j, h'_j) adjacent, a real state (dtype float) has
-    lband = uband = 1, and the float view (Re h_j, Im h_j, Re h'_j, Im h'_j)
-    of a complex one lband = 3, uband = 2.  Only the entries of U(z) change
-    from call to call.
+    instead.  The state is complex, and VODE sees its float view
+    (Re h_j, Im h_j, Re h'_j, Im h'_j, ...).  The Jacobian goes to VODE in
+    its packed band form, band[uband + i - j, j] = J[i, j], J the Jacobian of
+    that float view, with lband = 3 and uband = 2.  Only the entries of U(z)
+    change from call to call.
     Returns (derivative, jacobian, lband, uband): derivative(uz, flat) and
     jacobian(uz) take U(z) and write M (h, h') of the float view flat, or the
     band, into one preallocated array each, which they return.
     """
     n, minus_2ik = ik.size, -2.0 * ik
-    out = np.empty(2 * n, dtype)  # every right-hand side is written here
+    out = np.empty(2 * n, complex)  # every right-hand side is written here
     flat_out = out.view(float)
     if n <= _DENSE_MAX:
-        m = np.zeros((2 * n, 2 * n), dtype)  # local to this solve
+        m = np.zeros((2 * n, 2 * n), complex)  # local to this solve
         entries = m.reshape(-1)  # (2j + r, 2j + c) is entry 2n r + c + (4n + 2) j
         entries[1::4 * n + 2] = 1.0
         entries[2 * n + 1::4 * n + 2] = minus_2ik
@@ -198,51 +198,39 @@ def _jost_system(ik: np.ndarray, dtype) -> tuple:
 
         def derivative(uz, flat):
             u_dense.fill(uz)
-            np.dot(m, flat.view(dtype), out=out)
+            np.dot(m, flat.view(complex), out=out)
             return flat_out
 
     else:
         h_out, dh_out = out[0::2], out[1::2]
 
         def derivative(uz, flat):
-            state = flat.view(dtype)
+            state = flat.view(complex)
             h_out[:] = state[1::2]
             np.multiply(minus_2ik, state[1::2], out=dh_out)
             dh_out[:] += uz * state[0::2]
             return flat_out
 
-    if dtype == float:  # k = i kappa: J[2j + r, 2j + c] is band[1 + r - c, j, c]
-        lband = uband = 1
-        band = np.zeros((3, n, 2))
-        band[0, :, 1] = 1.0  # h_j' = h'_j
-        band[1, :, 1] = minus_2ik
-        u_band = band[2, :, 0]
+    # J[4j + r, 4j + c] is band[2 + r - c, j, c], c over (Re h, Im h, Re h', Im h')
+    band = np.zeros((6, n, 4))
+    band[0, :, 2:] = 1.0  # (Re h_j)' = Re h'_j, (Im h_j)' = Im h'_j
+    band[2, :, 2:] = minus_2ik.real[:, None]  # times -2ik_j: [[Re, -Im], [Im, Re]]
+    band[1, :, 3] = -minus_2ik.imag
+    band[3, :, 2] = minus_2ik.imag
+    re_u, im_u, minus_im_u = band[4, :, :2], band[5, :, 0], band[3, :, 1]  # times U(z)
+    packed = band.reshape(6, -1)
 
-        def jacobian(uz):
-            u_band.fill(uz)
-            return packed
+    def jacobian(uz):
+        re_u.fill(uz.real)
+        im_u.fill(uz.imag)
+        minus_im_u.fill(-uz.imag)
+        return packed
 
-    else:  # J[4j + r, 4j + c] is band[2 + r - c, j, c], c over (Re h, Im h, Re h', Im h')
-        lband, uband = 3, 2
-        band = np.zeros((6, n, 4))
-        band[0, :, 2:] = 1.0  # (Re h_j)' = Re h'_j, (Im h_j)' = Im h'_j
-        band[2, :, 2:] = minus_2ik.real[:, None]  # times -2ik_j: [[Re, -Im], [Im, Re]]
-        band[1, :, 3] = -minus_2ik.imag
-        band[3, :, 2] = minus_2ik.imag
-        re_u, im_u, minus_im_u = band[4, :, :2], band[5, :, 0], band[3, :, 1]  # times U(z)
-
-        def jacobian(uz):
-            re_u.fill(uz.real)
-            im_u.fill(uz.imag)
-            minus_im_u.fill(-uz.imag)
-            return packed
-
-    packed = band.reshape(lband + uband + 1, -1)
-    return derivative, jacobian, lband, uband
+    return derivative, jacobian, 3, 2
 
 
-def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarray:
-    """(h..., h'...) of h = f e^(-ikz), f the right Jost solution -> e^(ikz), per ik.
+def _jost(potential, ik, L: float, height: float = 0.0) -> np.ndarray:
+    """(h..., h'...) at s = 0 of h = f e^(-ikz), f the right Jost solution -> e^(ikz), per ik.
 
     f'' = (U - k^2) f becomes h'' = -2ik h' + U h, solved from h = 1, h' = 0
     at z = L + i height along the line z = s + i height, s from L down to 0,
@@ -254,20 +242,16 @@ def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarr
     line, so no error made on the way is amplified.  The equation is linear,
     so VODE is given its exact Jacobian M(z) in band form (_jost_system) and
     the Adams corrector is a Newton step, which converges in about 1.2
-    right-hand sides per step.
-    A real ik = -kappa at height 0 keeps the state real; a complex state
-    goes to VODE as its float view.
-    Returns the state at s = 0 or, with t_eval (values of s, in path order),
-    one column per point.  RuntimeError if U is not finite at a point of the
-    path or VODE fails.
+    right-hand sides per step.  The state is complex for every ik, real ones
+    too, and goes to VODE as its float view.
+    RuntimeError if U is not finite at a point of the path or VODE fails.
     """
     from scipy import integrate  # slow to import, and only the oracles use it
 
     u = getattr(potential, "evaluate_scalar", potential)
     n, shift = ik.size, 1j * height if height else 0.0
-    dtype = np.result_type(ik, shift)
-    derivative, jacobian, lband, uband = _jost_system(ik, dtype)
-    y = np.zeros(2 * n, dtype)  # (h_0, h'_0, h_1, h'_1, ...)
+    derivative, jacobian, lband, uband = _jost_system(ik)
+    y = np.zeros(2 * n, complex)  # (h_0, h'_0, h_1, h'_1, ...)
     y[0::2] = 1.0
     nonfinite = []
 
@@ -285,7 +269,6 @@ def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarr
     def jac(s, flat):
         return jacobian(potential_at(s))
 
-    columns = []
     with _JOST_LOCK, warnings.catch_warnings():
         # a failed VODE call also warns; the RuntimeError below reports it once
         warnings.filterwarnings("ignore", "vode: ", UserWarning)
@@ -294,19 +277,16 @@ def _jost(potential, ik, L: float, height: float = 0.0, t_eval=None) -> np.ndarr
             rtol=_TOL[0], atol=_TOL[1], max_step=_MAX_STEP, nsteps=_MAX_STEPS,
         )
         solver.set_initial_value(y.view(float), L)
-        for s in (0.0,) if t_eval is None else t_eval:
-            columns.append(solver.integrate(s).view(dtype))
-            if nonfinite:
-                z, uz = nonfinite[0]
-                raise RuntimeError(f"Jost ODE stepper failed: U({z:.6g}) = {uz}")
-            if not solver.successful():
-                raise RuntimeError(
-                    f"Jost ODE stepper failed: VODE return code "
-                    f"{solver.get_return_code()} at s = {solver.t:.6g}"
-                )
-    states = np.stack(columns, axis=1)
-    states = np.concatenate([states[0::2], states[1::2]])  # (h..., h'...)
-    return states[:, 0] if t_eval is None else states
+        state = solver.integrate(0.0).view(complex)
+        if nonfinite:
+            z, uz = nonfinite[0]
+            raise RuntimeError(f"Jost ODE stepper failed: U({z:.6g}) = {uz}")
+        if not solver.successful():
+            raise RuntimeError(
+                f"Jost ODE stepper failed: VODE return code "
+                f"{solver.get_return_code()} at s = {solver.t:.6g}"
+            )
+    return np.concatenate([state[0::2], state[1::2]])  # (h..., h'...)
 
 
 # both oracles need U(x) = U(-x), real, checked at these points to this relative

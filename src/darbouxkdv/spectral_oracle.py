@@ -5,11 +5,12 @@ Lund, J. Comput. Phys. 69 (1987) 209) on the uniform grid of [-L, L].  U is
 even, so each parity sector is one dense symmetric matrix on the points
 x >= 0, summed from strided Toeplitz and Hankel windows on one vector of
 sinc weights, and one eigh per sector returns every eigenvalue below the
-continuum edge.  Each norming constant matches the eigenvector at its peak
-to the Jost solution f ~ e^(-kappa x), integrated inward from x = L by the
-Jost integrator of the scattering oracle (VODE's Adams method, with Newton
-steps on the exact banded Jacobian of the linear Jost equation) at
-k = i kappa.
+continuum edge.  Each norming constant comes from the Jost solution
+f ~ e^(-kappa x) at the level's kappa, c^2 = -kappa / W[f, d_kappa f](0),
+with f integrated inward from x = L by the Jost integrator of the
+scattering oracle (VODE's Adams method, with Newton steps on the exact
+banded Jacobian of the linear Jost equation) at k = i (kappa + i delta):
+the complex step delta puts d_kappa f in the imaginary part.
 The box [-L, L] moves a level (kappa, c) by about 4 kappa c^2 e^(-2 kappa L)
 in E, so shallow levels need a wide box.  Used purely as an oracle against
 the closed-form spectra and norming constants.
@@ -35,6 +36,7 @@ __all__ = ["GridSpec", "eigen_spectrum", "oracle_norming_constants"]
 
 CONTINUUM_EPS = 1e-3
 DECAY_REQUIREMENT = 1e-10
+JOST_STEP = 1e-30  # imaginary part of the complex kappa step
 
 
 @dataclass(frozen=True)
@@ -125,26 +127,37 @@ def eigen_spectrum(potential, grid: GridSpec) -> list:
 
 
 def oracle_norming_constants(potential, grid: GridSpec) -> list:
-    """(kappa, c) for each discrete bound state, by matching the Jost solution.
+    """(kappa, c) for each discrete bound state: c from the Jost Wronskian at x = 0.
 
-    With f(x) = e^(-kappa x) g(x) the Jost solution, c = |psi(x0)| / |f(x0)|
-    at the grid point x0 >= 0 of largest |psi|.  g is the h of
-    scattering._jost at ik = -kappa: g'' = 2 kappa g' + U g runs from g = 1,
-    g' = 0 at x = L inward, its stable direction, in one real solve for
-    every kappa at once.
+    kappa is that of eigen_spectrum.  The Jost solution f ~ e^(-kappa x) has
+    int_0^inf f^2 dx = -W[f, d_kappa f](0) / (2 kappa), and c^2 is one over
+    twice that integral.  An even level has f'(0) = 0, so
+    c^2 = -kappa / (f(0) d_kappa f'(0)); an odd one has f(0) = 0, so
+    c^2 = kappa / (f'(0) d_kappa f(0)).  The parity is the sector's: an odd
+    eigenvector is exactly 0 at x = 0.  One scattering._jost solve at
+    ik = -(kappa + i JOST_STEP), for every kappa at once, gives f(0) = g(0)
+    and f'(0) = g'(0) - (kappa + i JOST_STEP) g(0), g its h; their imaginary
+    parts over JOST_STEP are the kappa derivatives, exact to rounding
+    (complex step: Squire and Trapp, SIAM Rev. 40 (1998) 110).
+    RuntimeError if a c^2 is not finite and positive.
     """
     levels = eigen_spectrum(potential, grid)
     if not levels:
         return []
     mid = grid.n_points // 2
-    xs = np.maximum(grid.points[mid:], 0.0)  # linspace can round x = 0 below the solve's end
     kappas = np.sqrt([-e for e, _ in levels])
-    halves = [np.abs(psi[mid:]) for _, psi in levels]
-    peaks = [int(np.argmax(half)) for half in halves]
-    reads = sorted(set(peaks), reverse=True)  # in path order, from x = L inward
-    states = _jost(potential, -kappas, grid.L, t_eval=xs[reads])
-    g = dict(zip(reads, states.T))  # (g..., g'...) at each peak point
-    return [
-        (float(kappa), float(half[j] * math.exp(kappa * xs[j]) / abs(g[j][i])))
-        for i, (kappa, half, j) in enumerate(zip(kappas, halves, peaks))
-    ]
+    odd = np.array([psi[mid] == 0.0 for _, psi in levels])
+    ik = -(kappas + 1j * JOST_STEP)
+    f, dg = np.split(_jost(potential, ik, grid.L), 2)  # f(0) = g(0), g the h of _jost
+    df = dg + ik * f  # f'(0)
+    # W[f, d_kappa f](0), of which parity leaves one term
+    wronskian = np.where(odd, -df.real * f.imag, f.real * df.imag) / JOST_STEP
+    with np.errstate(divide="ignore", invalid="ignore"):  # refused below, with the level
+        c_sq = -kappas / wronskian
+    for kappa, value in zip(kappas, c_sq):
+        if not 0.0 < value < math.inf:
+            raise RuntimeError(
+                f"Jost Wronskian norming constant c^2 = {value:.6g} at kappa = {kappa:.6g}: "
+                "not finite and positive"
+            )
+    return [(float(kappa), math.sqrt(value)) for kappa, value in zip(kappas, c_sq)]

@@ -70,11 +70,16 @@ def two_soliton_closed_form(x, t):
     return num / den
 
 
+def _worst(defects) -> float:
+    """The largest of the defects, nan if one is nan: the builtin max drops a nan not first."""
+    return float(np.max(np.fromiter(defects, float)))
+
+
 def _level_defect(found, expected) -> float:
     """max |found - expected| over the levels in order, or inf if the level counts differ."""
     if len(found) != len(expected):
         return math.inf
-    return max(abs(a - b) for a, b in zip(found, expected))
+    return _worst(abs(a - b) for a, b in zip(found, expected))
 
 
 # --- criteria 1 and 2: spectrum and norming constants of h=1 [2], one sinc oracle solve ---
@@ -84,7 +89,7 @@ def _norming_defect_h1(levels) -> float:
     by_kappa = {round(kappa): c for kappa, c in levels}
     if len(levels) != 2 or by_kappa.keys() != {1, 4}:
         return math.inf
-    return max(abs(by_kappa[1] - C0_TWO_SOLITON), abs(by_kappa[4] - C1_TWO_SOLITON))
+    return _worst((abs(by_kappa[1] - C0_TWO_SOLITON), abs(by_kappa[4] - C1_TWO_SOLITON)))
 
 
 def check_bound_states_h1() -> list:
@@ -120,7 +125,7 @@ def check_explicit_formula() -> list:
     data = _two_soliton_data_exact()
     xs = (-3.0, -1.5, 0.0, 1.5, 3.0)
     ts = (-0.05, -0.02, 0.02, 0.05)
-    defect = max(
+    defect = _worst(
         abs(field_u(data, x, t) - float(two_soliton_closed_form(x, t)))
         for x in xs
         for t in ts
@@ -151,16 +156,16 @@ def check_h2_chain() -> list:
 def _residual_grid(data: SolitonData) -> float:
     xs = np.linspace(-2.0, 2.0, 9)
     ts = np.linspace(-0.05, 0.05, 5)
-    return max(kdv_residual(data, x, t) for x in xs for t in ts)
+    return _worst(kdv_residual(data, x, t) for x in xs for t in ts)
 
 
 def check_kdv_residuals() -> list:
     one = SolitonData((1.0,), (math.sqrt(2.0),))
     two = _two_soliton_data_exact()
     three = scattering_data_from_spec(SystemSpec(2.0, (2,)))
-    r1 = max(_residual_grid(one), kdv_residual(one, 0.3, 0.2))
-    r2 = max(_residual_grid(two), kdv_residual(two, 0.5, 0.05))
-    r3 = max(_residual_grid(three), kdv_residual(three, -1.0, 0.02))
+    r1 = _worst((_residual_grid(one), kdv_residual(one, 0.3, 0.2)))
+    r2 = _worst((_residual_grid(two), kdv_residual(two, 0.5, 0.05)))
+    r3 = _worst((_residual_grid(three), kdv_residual(three, -1.0, 0.02)))
     return [
         CheckResult("KdV residual, one-soliton (1), 9x5 grid", r1, 1e-6),
         CheckResult("KdV residual, two-soliton (1,4), 9x5 grid", r2, 1e-5),
@@ -173,21 +178,21 @@ def check_kdv_residuals() -> list:
 def check_unitarity() -> list:
     rng = np.random.default_rng(20260809)
     seed_choices = ((), (2,), (4,), (2, 4))
-    defect = 0.0
-    count = 0
-    while count < 200:
+    defects = []
+    while len(defects) < 200:
         h = float(rng.uniform(0.5, 5.0))
         if abs(h - round(h)) < 1e-3:
             continue
         K = float(rng.uniform(0.1, 10.0))
-        spec = SystemSpec(h, seed_choices[count % len(seed_choices)])
-        defect = max(defect, deformed_amplitudes(spec, K).unitarity_defect)
-        count += 1
-    rmax = 0.0
-    for h in (1.0, 2.0, 3.0):
-        for seeds in ((), (2,), (2, 4)):
-            for K in (0.5, 1.0, 2.0, 4.0):
-                rmax = max(rmax, abs(deformed_amplitudes(SystemSpec(h, seeds), K).r))
+        spec = SystemSpec(h, seed_choices[len(defects) % len(seed_choices)])
+        defects.append(deformed_amplitudes(spec, K).unitarity_defect)
+    rmax = _worst(
+        abs(deformed_amplitudes(SystemSpec(h, seeds), K).r)
+        for h in (1.0, 2.0, 3.0)
+        for seeds in ((), (2,), (2, 4))
+        for K in (0.5, 1.0, 2.0, 4.0)
+    )
+    defect = _worst(defects)
     return [
         CheckResult("unitarity | |t|^2+|r|^2 - 1 |, 200 random non-integer h", defect, 1e-10),
         CheckResult("reflectionless r_D = 0 (exact float zero) for integer h", rmax, 0.0),
@@ -211,8 +216,8 @@ def check_oracle_agreement() -> list:
         pot = deformed_potential(spec, allow_singular=True)
         numeric = numerical_amplitudes(pot, ORACLE_K_GRID)
         closed = [deformed_amplitudes(spec, K) for K in ORACLE_K_GRID]
-        dt = max(abs(c.t - t) for c, t in zip(closed, numeric.t))
-        dr = max(abs(c.r - r) for c, r in zip(closed, numeric.r))
+        dt = _worst(abs(c.t - t) for c, t in zip(closed, numeric.t))
+        dr = _worst(abs(c.r - r) for c, r in zip(closed, numeric.r))
         label = f"h={spec.h} seeds={list(spec.seeds)}"
         out.append(CheckResult(f"oracle agreement t, {label}", dt, 1e-4))
         out.append(CheckResult(f"oracle agreement r, {label}", dr, 1e-4))
@@ -252,17 +257,17 @@ def check_asymptotic_phase_shifts() -> list:
     data = _two_soliton_data_exact()
     solitons = asymptotic_decomposition(data)
     chi_expected = 0.5 * math.log(5.0 / 3.0)
-    chi_defect = max(
-        abs(solitons[0].chi - chi_expected), abs(solitons[1].chi + chi_expected)
+    chi_defect = _worst(
+        (abs(solitons[0].chi - chi_expected), abs(solitons[1].chi + chi_expected))
     )
-    pos_defect = 0.0
-    height_defect = 0.0
+    pos_defects, height_defects = [], []
     for t in (-3.0, 3.0):
         for a in solitons:
             predicted = a.peak_position(t)
             x_peak, height = _peak_near(data, predicted, t)
-            pos_defect = max(pos_defect, abs(x_peak - predicted))
-            height_defect = max(height_defect, abs(height - 2.0 * a.kappa**2))
+            pos_defects.append(abs(x_peak - predicted))
+            height_defects.append(abs(height - 2.0 * a.kappa**2))
+    pos_defect, height_defect = _worst(pos_defects), _worst(height_defects)
     return [
         CheckResult("phase shifts chi for (1,4): +-0.5 ln(5/3)", chi_defect, 1e-12),
         CheckResult("peak positions at t=+-3 vs 4 k^2 t -+ chi/k", pos_defect, 1e-2),
@@ -287,10 +292,10 @@ def check_conservation() -> list:
             mass, mom = conserved_quantities(data, t)
             masses.append(mass)
             moms.append(mom)
-        defect = max(
-            max(abs(m - mass_ref) for m in masses),
-            max(abs(p - mom_ref) for p in moms),
-            max(abs(m - masses[1]) for m in masses),
+        defect = _worst(
+            [abs(m - mass_ref) for m in masses]
+            + [abs(p - mom_ref) for p in moms]
+            + [abs(m - masses[1]) for m in masses]
         )
         out.append(CheckResult(f"conserved mass/momentum {label}, t in {{-0.05,0,0.05}}", defect, 1e-8))
     return out

@@ -215,6 +215,28 @@ class TestSpectrumCommand:
         assert "continuum cutoff" in line
         assert json.loads(proc.stdout)["levels"][-1]["energy"] == pytest.approx(-0.0025)
 
+    def test_nan_norming_constant_is_a_mismatch(self, capsys, monkeypatch):
+        # a nan defect past the first level: max() from 0.0 dropped it, and exit 0
+        oracle = cli.oracle_norming_constants
+
+        def nan_second_level(pot, grid):
+            levels = oracle(pot, grid)
+            levels[1] = (levels[1][0], math.nan)
+            return levels
+
+        monkeypatch.setattr(cli, "oracle_norming_constants", nan_second_level)
+        code, _, err = run(capsys, "spectrum", "--h", "2", "--seeds", "2")
+        assert code == 3
+        assert err.startswith("error: oracle divergence") and err.count("\n") == 1
+        assert "norming defect nan" in err
+
+    def test_negative_c_squared_exit_code(self, capsys):
+        # h=100 [2]: the Jost Wronskian of kappa = 99 has the wrong sign
+        code, out, err = run(capsys, "spectrum", "--h", "100", "--seeds", "2")
+        assert code == 4 and out == ""
+        assert err.startswith("error: Jost Wronskian norming constant") and err.count("\n") == 1
+        assert "nan" not in err
+
     def test_level_above_the_continuum_cutoff(self, capsys):
         # E = -1e-4 of h = 1.01 lies above the oracle's cutoff -1e-3 at every box
         code, _, err = run(capsys, "spectrum", "--h", "1.01")
@@ -690,6 +712,26 @@ class TestVerifyCommand:
             "norming constants h=1 [2], sinc oracle (n=801, L=20): defect inf vs tol 1.0e-03 FAIL",
         ]
         assert out.endswith("7/9 checks passed, 2 FAILED\n")
+
+    def test_nan_oracle_amplitude_fails_check(self, capsys, monkeypatch):
+        # t = nan at the second K: max() kept the first K's defect, and PASS
+        from darbouxkdv import verification
+
+        amplitudes = verification.numerical_amplitudes
+
+        def nan_second_t(pot, ks):
+            amp = amplitudes(pot, ks)
+            amp.t[1] = math.nan
+            return amp
+
+        monkeypatch.setattr(verification, "numerical_amplitudes", nan_second_t)
+        code, out, err = run(capsys, "verify", "--suite", "scattering")
+        assert code == 1 and err == ""
+        failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+        assert failed == [
+            f"oracle agreement t, h={h} seeds={seeds}: defect nan vs tol 1.0e-04 FAIL"
+            for h, seeds in (("1.0", [2]), ("2.0", [2]), ("1.5", [2]), ("1.0", [2, 4]))
+        ]
 
     def test_empty_oracle_spectrum_fails_check(self, capsys, monkeypatch):
         # no h=2 [2] level found: a failed check, not exit 2 from max() of nothing

@@ -23,7 +23,6 @@ class TestSystemSpec:
         spec = SystemSpec(1.5, (2, 6))
         assert spec.h == 1.5
         assert spec.seeds == (2, 6)
-        assert spec.n_steps == 2
         assert SystemSpec(1.0).n_base_states == 1
         assert SystemSpec(1.5).n_base_states == 2
         assert SystemSpec(2.0).n_base_states == 2

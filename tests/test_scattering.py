@@ -241,16 +241,14 @@ class NanInsideTheWell:
 class TestJostIntegrator:
     @staticmethod
     def assert_exact_h1_solution(ik, L):
-        # U = -2 sech^2 x has f = e^(ikx) (k + i tanh x) / (k + i), so
-        # h = (k + i tanh x) / (k + i) and h' = i sech^2 x / (k + i)
-        xs = np.array([5.0, 2.0, 0.7, 0.0])
+        # U = -2 sech^2 x has f = e^(ikx) (k + i tanh x) / (k + i), so at s = 0
+        # h = k / (k + i) and h' = i / (k + i)
         pot = deformed_potential(SystemSpec(1.0))
-        h, dh = np.split(scattering._jost(pot, ik, L, t_eval=xs), 2)
-        assert h.shape == dh.shape == (ik.size, xs.size)
-        assert np.isrealobj(h) == np.isrealobj(ik)
-        k = (ik / 1j)[:, None]
-        assert np.max(np.abs(h - (k + 1j * np.tanh(xs)) / (k + 1j))) <= 1e-10
-        assert np.max(np.abs(dh - 1j / np.cosh(xs) ** 2 / (k + 1j))) <= 1e-10
+        h, dh = np.split(scattering._jost(pot, ik, L), 2)
+        assert h.shape == dh.shape == ik.shape
+        k = ik / 1j
+        assert np.max(np.abs(h - k / (k + 1j))) <= 1e-10
+        assert np.max(np.abs(dh - 1j / (k + 1j))) <= 1e-10
 
     @JOST_IKS
     def test_exact_jost_solution_of_the_h1_well(self, ik):
@@ -262,6 +260,17 @@ class TestJostIntegrator:
         # h' = 0 and U ~ 0 at the start: with no step bound, Adams stepped from
         # x = 30 over the whole well and returned h = 1, h' = 0
         self.assert_exact_h1_solution(ik, L)
+
+    def test_complex_kappa_step_gives_the_h1_derivatives(self):
+        # at k = i kappa, h(0) = kappa / (kappa + 1) and h'(0) = 1 / (kappa + 1):
+        # a step of i delta in kappa puts delta times their kappa derivatives,
+        # 1 / (kappa + 1)^2 and -1 / (kappa + 1)^2, in the imaginary parts
+        kappa, delta = np.array([0.3, 1.0, 3.0, 7.5]), 1e-30
+        pot = deformed_potential(SystemSpec(1.0))
+        h, dh = np.split(scattering._jost(pot, -(kappa + 1j * delta), 25.0), 2)
+        np.testing.assert_allclose(h.real, kappa / (kappa + 1.0), rtol=1e-10)
+        np.testing.assert_allclose(h.imag / delta, 1.0 / (kappa + 1.0) ** 2, rtol=1e-10)
+        np.testing.assert_allclose(dh.imag / delta, -1.0 / (kappa + 1.0) ** 2, rtol=1e-10)
 
     @pytest.mark.parametrize(
         "oracle",
@@ -285,23 +294,21 @@ class TestJostIntegrator:
         assert np.max(np.abs(dense.r - elementwise.r)) <= 1e-10
 
     @pytest.mark.parametrize("n", [3, scattering._DENSE_MAX + 8], ids=["dense", "O(n)"])
-    @pytest.mark.parametrize("real", [True, False], ids=["real state", "complex state"])
-    def test_band_jacobian_unpacks_to_m(self, n, real):
+    def test_band_jacobian_unpacks_to_m(self, n):
         # the Jacobian of the float view is M(z) itself, with (h_j, h'_j) adjacent:
         # blocks [[0, 1], [U, -2ik_j]], each complex entry w as [[Re w, -Im w], [Im w, Re w]]
         kappa = np.linspace(0.3, 7.0, n)
-        ik = -kappa if real else (0.3 + 1j * (-1.0) ** np.arange(n)) * kappa
-        dtype = float if real else complex
-        derivative, jacobian, lband, uband = scattering._jost_system(ik, dtype)
-        assert (lband, uband) == ((1, 1) if real else (3, 2))
-        for uz in ((-1.7, 0.4) if real else (-1.7 + 0.6j, 0.4, 2.5 - 3.0j)):
+        ik = (0.3 + 1j * (-1.0) ** np.arange(n)) * kappa
+        derivative, jacobian, lband, uband = scattering._jost_system(ik)
+        assert (lband, uband) == (3, 2)
+        for uz in (-1.7 + 0.6j, 0.4, 2.5 - 3.0j):
             m = np.zeros((2 * n, 2 * n), complex)
             for j in range(n):
                 m[2 * j, 2 * j + 1] = 1.0
                 m[2 * j + 1, 2 * j] = uz
                 m[2 * j + 1, 2 * j + 1] = -2.0 * ik[j]
-            expected = m.real if real else (np.kron(m.real, [[1.0, 0.0], [0.0, 1.0]])
-                                            + np.kron(m.imag, [[0.0, -1.0], [1.0, 0.0]]))
+            expected = (np.kron(m.real, [[1.0, 0.0], [0.0, 1.0]])
+                        + np.kron(m.imag, [[0.0, -1.0], [1.0, 0.0]]))
             band = jacobian(uz)
             size = expected.shape[0]
             assert band.shape == (lband + uband + 1, size)
@@ -501,9 +508,9 @@ class TestNumericalAmplitudes:
         used = []
         jost = scattering._jost
 
-        def recorded(potential, ik, L, height=0.0, t_eval=None):
+        def recorded(potential, ik, L, height=0.0):
             used.append(height)
-            return jost(potential, ik, L, height, t_eval)
+            return jost(potential, ik, L, height)
 
         monkeypatch.setattr(scattering, "_jost", recorded)
         return used

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from darbouxkdv import cli, spectral_oracle
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.spectral_oracle import (
     GridSpec,
@@ -183,8 +184,8 @@ class TestOracleNormingConstants:
         assert c == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
     def test_middle_point_rounded_below_zero(self):
-        # linspace puts the x = 0 point of this grid at -3.6e-15; the ground
-        # state peaks there, at the end of the inward Jost solve
+        # linspace puts the x = 0 point of this grid at -3.6e-15; the Jost
+        # solve ends at x = 0 itself, and reads no grid point
         grid = GridSpec(20.0, 607)
         assert grid.points[grid.n_points // 2] < 0.0
         (out,) = oracle_norming_constants(deformed_potential(SystemSpec(1.0)), grid)
@@ -199,7 +200,7 @@ class TestOracleNormingConstants:
 
     def test_fast_decay_needs_amplitude_window(self):
         # kappa = 4 sinks below 1e-11 by x = 8, before U has decayed: the Jost
-        # solution, matched at the peak, needs no asymptotic window
+        # Wronskian at x = 0 needs no asymptotic window
         spec = SystemSpec(1.0, (2,))
         out = oracle_norming_constants(deformed_potential(spec), GridSpec(20.0, 801))
         kappa, c = max(out)
@@ -236,6 +237,43 @@ class TestOracleNormingConstants:
         for state, (kappa, c) in zip(states, out):
             assert abs(state.energy + kappa * kappa) <= 1e-9
             assert c == pytest.approx(state.norming_constant, rel=1e-8)
+
+    @staticmethod
+    def oracle_on_cli_grid(spec) -> list:
+        """The oracle's (kappa, c) on the grid that `spectrum` derives at its default tolerances."""
+        states, pot = bound_states(spec), deformed_potential(spec)
+        L, n = cli._oracle_grid(states, pot, 1e-5, 1e-3)
+        out = oracle_norming_constants(pot, GridSpec(L, n))
+        assert len(out) == len(states)
+        return [(state.norming_constant, c) for state, (_, c) in zip(states, out)]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SystemSpec(3.7, (4,)),
+            SystemSpec(6.0, (2,)),
+            SystemSpec(10.0, (6,)),
+            SystemSpec(14.0, (2,)),
+            SystemSpec(20.0, (4,)),
+        ],
+        ids=str,
+    )
+    def test_cli_grid_matches_closed_form(self, spec):
+        # the peak match read 1.2e-8 relative on the first four
+        for closed, c in self.oracle_on_cli_grid(spec):
+            assert c == pytest.approx(closed, rel=1e-8)
+
+    def test_deep_well_keeps_its_deepest_levels(self):
+        # kappa up to 53: the peak match read 3.6e-4 relative here
+        for closed, c in self.oracle_on_cli_grid(SystemSpec(50.0, (2,))):
+            assert c == pytest.approx(closed, rel=1e-7)
+
+    def test_non_positive_c_squared_raises(self, monkeypatch):
+        # conjugating the state flips the sign of every kappa derivative, and of c^2
+        jost = spectral_oracle._jost
+        monkeypatch.setattr(spectral_oracle, "_jost", lambda *args: jost(*args).conj())
+        with pytest.raises(RuntimeError, match="not finite and positive"):
+            oracle_norming_constants(deformed_potential(SystemSpec(1.0, (2,))), GridSpec())
 
     def test_no_levels_no_jost_solve(self, monkeypatch):
         import scipy.integrate
