@@ -178,14 +178,6 @@ def _finite(coef: np.ndarray, what: str) -> np.ndarray:
     return coef
 
 
-def _horner(coef: tuple, u):
-    """sum_k coef[k] u^k by Horner's rule, in pure Python for scalar u."""
-    out = 0.0
-    for c in reversed(coef):
-        out = out * u + c
-    return out
-
-
 class PotentialEvaluator:
     """Callable x -> U_D(x) for a (possibly deformed) soliton potential.
 
@@ -196,9 +188,9 @@ class PotentialEvaluator:
 
     W~, W~' and W~'' are built once; a coefficient beyond the float range
     raises OverflowError (deep seeds at large h).  Scalar x, real or
-    complex, is evaluated by pure-Python Horner (the ODE oracle's right-hand
-    side, including its complex detour around a pole), arrays through numpy;
-    an exact zero of W~ gives nan.
+    complex, is evaluated in pure Python, W~, W~' and W~'' in one Horner
+    loop (the ODE oracle's right-hand side, including its complex detour
+    around a pole), arrays through numpy; an exact zero of W~ gives nan.
 
     is_singular: W~(0) = 0 to the order of SystemSpec._columns, exact on the
     all-even sets _validated accepts (a parity rule for mixed sets replaces it):
@@ -218,7 +210,9 @@ class PotentialEvaluator:
             w = _wronskian_poly(self._seeds)
             polys = (w, npoly.polyder(w), npoly.polyder(w, 2))
         what = f"the seed Wronskian of {spec.seeds} (h = {spec.h})"
-        self._w, self._dw, self._ddw = (tuple(_finite(c, what).tolist()) for c in polys)
+        self._w, self._dw, self._ddw = coefs = [tuple(_finite(c, what).tolist()) for c in polys]
+        # (W~_k, W~'_k, W~''_k) from the top power of W~ down, for _scalar
+        self._top_down = tuple(zip(*((0.0,) * (len(self._w) - len(c)) + c[::-1] for c in coefs)))
         self._hh = spec.h * (spec.h + 1.0)
         self._gamma = sum(gamma for gamma, _ in self._seeds)
         even_minus_odd = sum(1 - 2 * (n % 2) for _, n in spec._columns)
@@ -245,14 +239,21 @@ class PotentialEvaluator:
         return base - 2.0 * s2 * (self._gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
 
     def _scalar(self, x):
-        """U_D at one real or complex x, in pure Python."""
+        """U_D at one real or complex x, in pure Python: _from_u inlined after one Horner loop.
+
+        Padded with zeros above their top powers, W~' and W~'' stay +0.0 until
+        their own top coefficient, so each sum is bitwise its own Horner sum.
+        """
         if isinstance(x, complex):
             u, e = cmath.tanh(x), cmath.exp(-2.0 * x if x.real >= 0.0 else 2.0 * x)
         else:
             u, e = math.tanh(x), math.exp(-2.0 * abs(x))
+        w = dw = ddw = 0.0
+        for c, dc, ddc in self._top_down:
+            w, dw, ddw = w * u + c, dw * u + dc, ddw * u + ddc
         try:
-            w, dw, ddw = _horner(self._w, u), _horner(self._dw, u), _horner(self._ddw, u)
-            return self._from_u(u, e, w, dw, ddw)
+            q, s2 = dw / w, 4.0 * e / ((1.0 + e) * (1.0 + e))
+            return -self._hh * s2 - 2.0 * s2 * (self._gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
         except ZeroDivisionError:
             return complex(math.nan, math.nan) if isinstance(u, complex) else math.nan
 

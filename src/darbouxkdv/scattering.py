@@ -25,10 +25,12 @@ k = i kappa, for the Jost Wronskian that gives each norming constant.
 As every U_D is even and real, it integrates only from x = +25 to the mirror
 point of its path, x = 0, and reads t and r off two Wronskians there: the
 left Jost solutions are the mirror images of f(.; +-K).  It integrates a
-whole K grid as one complex system; for singular multi-step potentials the
-path is the line at a constant height above the real axis, clear of the
-poles of U_D, from x = +25 to its mirror point on the imaginary axis, so it
-computes the meromorphic continuation of the deformed scattering state.
+whole K grid as one complex system, of +K only on the real line, where U
+is real and so f(x; -K) = conj f(x; K).  For singular multi-step
+potentials the path is the line at a constant height above the real axis,
+clear of the poles of U_D, from x = +25 to its mirror point on the
+imaginary axis, the system holds +K and -K, and it computes the
+meromorphic continuation of the deformed scattering state.
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ def _detour_height(potential) -> float:
 _MAX_STEP = 1.0
 _MAX_STEPS = 100_000  # K = 400 takes 16,500 on the real line, K = 5,000 49,500 on a detour
 # the largest ik.size whose right-hand side is one dense (2n, 2n) product: on a
-# 2-core x86-64 host with OpenBLAS a call at n = 12 took 1.4 us against 2.9 us
-# for three ufuncs, at n = 32 6.1 against 3.0 us, at n = 2000 12.6 ms against 10 us
+# 2-core x86-64 host with one OpenBLAS thread a call at n = 2, 6, 12, 24 and 32
+# took 1.1, 1.1, 1.3, 1.9 and 2.5 us against 2.7 to 3.2 us for three ufuncs; at
+# n = 32 with two threads 4.2 us, and at n = 48 3.9 us with one
 _DENSE_MAX = 24
 # scipy does not promise that VODE is re-entrant (the Fortran original keeps its
 # state in SAVE variables), so one Jost solve runs at a time
@@ -171,8 +174,9 @@ def _jost_system(ik: np.ndarray) -> tuple:
 
     (h_j, h'_j)' = (h'_j, -2ik_j h'_j + U(z) h_j) is linear, so its Jacobian
     is the matrix M(z) of (h_j, h'_j)' = M (h_j, h'_j): 2 x 2 blocks
-    [[0, 1], [U(z), -2ik_j]] on the diagonal, one per ik_j.  For n = ik.size
-    up to _DENSE_MAX the right-hand side is one product with M, built once:
+    [[0, 1], [U(z), -2ik_j]] on the diagonal, one per ik_j.  n = ik.size is
+    the number of K on the real line and twice it on a detour.  For n up to
+    _DENSE_MAX the right-hand side is one product with M, built once:
     each call writes the scalar U(z) into a strided view of the entries
     (2j + 1, 2j) and makes one np.dot into a preallocated output, which costs
     less than three ufunc calls while M is small.  M has (2n)^2 entries, so a
@@ -243,7 +247,7 @@ def _jost(potential, ik, L: float, height: float = 0.0) -> np.ndarray:
     so VODE is given its exact Jacobian M(z) in band form (_jost_system) and
     the Adams corrector is a Newton step, which converges in about 1.2
     right-hand sides per step.  The state is complex for every ik, real ones
-    too, and goes to VODE as its float view.
+    too, and goes to VODE as its float view; each call reads U(z) once.
     RuntimeError if U is not finite at a point of the path or VODE fails.
     """
     from scipy import integrate  # slow to import, and only the oracles use it
@@ -255,19 +259,17 @@ def _jost(potential, ik, L: float, height: float = 0.0) -> np.ndarray:
     y[0::2] = 1.0
     nonfinite = []
 
-    def potential_at(s):
-        z = s + shift
-        uz = u(z)
-        if not cmath.isfinite(uz):
-            nonfinite.append((z, uz))
-            uz = 0.0  # VODE would step on a nan until _MAX_STEPS; refused below
-        return uz
+    def refused(z, uz):
+        nonfinite.append((z, uz))
+        return 0.0  # VODE would step on a nan until _MAX_STEPS; refused below
 
     def rhs(s, flat):
-        return derivative(potential_at(s), flat)
+        uz = u(s + shift)
+        return derivative(uz if cmath.isfinite(uz) else refused(s + shift, uz), flat)
 
     def jac(s, flat):
-        return jacobian(potential_at(s))
+        uz = u(s + shift)
+        return jacobian(uz if cmath.isfinite(uz) else refused(s + shift, uz))
 
     with _JOST_LOCK, warnings.catch_warnings():
         # a failed VODE call also warns; the RuntimeError below reports it once
@@ -321,8 +323,10 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
     f(z; k) -> e^(ikz) is carried as f = h e^(ikz) from h = 1, h' = 0 at
     z = L + ic (see _jost), and read off as f(z0) = h e^(ikz0),
     f'(z0) = (h' + ik h) e^(ikz0).  h' stays near 0 wherever U has decayed,
-    so the stepper takes long steps in the tails.  k = +K and -K for every K
-    of the array are one complex state that evaluates U once per step.  By
+    so the stepper takes long steps in the tails.  One complex state holds
+    every k and evaluates U once per step: +K only on the real line (c = 0),
+    where U is real and f(x; -K) = conj f(x; K), and +-K on a detour, whose
+    f(.; -K) is conj f(.; K) on the mirror line s - ic, another path.  By
     the two symmetries, the left Jost solution g(z) = f(-z; K), which is
     e^(-iKx) at -inf, has g(z0) = conj f(z0; -K) and g'(z0) =
     -conj f'(z0; -K), and the solution conj f(-conj z; K), which is e^(iKx)
@@ -357,13 +361,19 @@ def numerical_amplitudes(potential, K) -> ScatteringAmplitudes:
     L = ORACLE_HALF_WIDTH
     _require_oracle_potential(potential, L, ORACLE_DECAY)
     height = _detour_height(potential) if getattr(potential, "is_singular", False) else 0.0
-    ik = 1j * np.concatenate([kv, -kv])  # f(.; +K), then f(.; -K)
-    h, dh = np.split(_jost(potential, ik, L, height), 2)
     # f(z0) = h e^(ikz0) and f'(z0) = (h' + ik h) e^(ikz0), with e^(ikz0) = e^(-+Kc) for
     # +-K; that of -K overflows from Kc = 710, so both are left out: they cancel in
     # W[f, g], and W[f, conj f(-conj z)] keeps e^(-2Kc)
-    fp, fm = np.split(h, 2)  # f(z0; +K), f(z0; -K), each over its e^(ikz0)
-    dfp, dfm = np.split(dh + ik * h, 2)
+    if height:  # f(.; -K) on the line s + ic is conj f(.; K) on s - ic, another path
+        ik = 1j * np.concatenate([kv, -kv])  # f(.; +K), then f(.; -K)
+        h, dh = np.split(_jost(potential, ik, L, height), 2)
+        fp, fm = np.split(h, 2)  # f(z0; +K), f(z0; -K), each over its e^(ikz0)
+        dfp, dfm = np.split(dh + ik * h, 2)
+    else:  # U is real on the real line, so f(x; -K) = conj f(x; K): only +K is solved
+        ik = 1j * kv
+        fp, dh = np.split(_jost(potential, ik, L), 2)
+        dfp = dh + ik * fp
+        fm, dfm = fp.conj(), dfp.conj()
     # W[f, g] = -(f conj f'(-K) + f' conj f(-K)); W[f, conj f(-conj z)] = -2 Re(f conj f')
     t = 2j * kv / (fp * dfm.conj() + dfp * fm.conj())
     r = t * (fp * dfp.conj()).real * np.exp(-2.0 * height * kv) / (-1j * kv)

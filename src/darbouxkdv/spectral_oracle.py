@@ -94,8 +94,8 @@ def eigen_spectrum(potential, grid: GridSpec) -> list:
 
     Returns every eigenvalue below -CONTINUUM_EPS = -1e-3, sorted ascending,
     with eigenvectors on grid.points normalized in the discrete inner product
-    sum(psi^2) dx = 1.  U must be even and real (ValueError otherwise, as it
-    is if |U| reaches DECAY_REQUIREMENT at +-grid.L): one dense eigh per
+    sum(psi^2) dx = 1.  U must be even, real and finite (ValueError otherwise,
+    as it is if |U| reaches DECAY_REQUIREMENT at +-grid.L): one dense eigh per
     parity sector computes only the levels below the cutoff.  A warning is
     emitted for eigenvalues within a factor of ten of the continuum cutoff.
     """
@@ -104,10 +104,14 @@ def eigen_spectrum(potential, grid: GridSpec) -> list:
     _require_oracle_potential(potential, grid.L, DECAY_REQUIREMENT)
     mid = grid.n_points // 2
     uu = np.asarray(potential(grid.points[mid:]), dtype=float)
+    if not np.all(np.isfinite(uu)):
+        raise ValueError("potential must be finite on the grid")
     even, odd = _sector_matrices(uu, grid.dx)
     levels = []
     for matrix, sign in ((even, 1.0), (odd, -1.0)):
-        w, vecs = linalg.eigh(matrix, subset_by_value=(-np.inf, -CONTINUUM_EPS))
+        # matrix.T is the same symmetric matrix, in the Fortran order LAPACK overwrites
+        w, vecs = linalg.eigh(matrix.T, subset_by_value=(-np.inf, -CONTINUUM_EPS),
+                              overwrite_a=True, check_finite=False)
         half = vecs / math.sqrt(2.0 * grid.dx)  # psi_j = phi_j / sqrt(2) for j >= 1
         if sign > 0:
             half[0] *= math.sqrt(2.0)  # psi_0 = phi_0 carries no weight

@@ -1,3 +1,4 @@
+import cmath
 import math
 from itertools import combinations
 
@@ -252,6 +253,26 @@ def scan_for_nodes(w):
 MULTI_SEED_SETS = [(1.0, (2, 4)), (3.7, (2, 6)), (1.6, (2, 4, 6)), (3.3, (2, 4, 6, 8))]
 
 
+def horner(coef, u):
+    """sum_k coef[k] u^k by Horner's rule, in pure Python."""
+    out = 0.0
+    for c in reversed(coef):
+        out = out * u + c
+    return out
+
+
+def u_d_three_horners(pot, x):
+    """U_D at one real or complex x from three separate Horner sums of W~, W~', W~''."""
+    if isinstance(x, complex):
+        u, e = cmath.tanh(x), cmath.exp(-2.0 * x if x.real >= 0.0 else 2.0 * x)
+    else:
+        u, e = math.tanh(x), math.exp(-2.0 * abs(x))
+    try:
+        return pot._from_u(u, e, horner(pot._w, u), horner(pot._dw, u), horner(pot._ddw, u))
+    except ZeroDivisionError:
+        return complex(math.nan, math.nan) if isinstance(u, complex) else math.nan
+
+
 class TestDeformedPotential:
     def test_spot_values(self):
         assert deformed_potential(SystemSpec(1.0, (2,)))(0.0) == pytest.approx(-30.0, abs=1e-12)
@@ -285,6 +306,31 @@ class TestDeformedPotential:
             for z, vec in zip(zs, pot(zs)):
                 got = pot.evaluate_scalar(complex(z))
                 assert isinstance(got, complex) and got == pytest.approx(vec, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "h, seeds", [(1.0, ()), (1.0, (2,)), (2.5, (4,)), (6.0, (2,))] + MULTI_SEED_SETS, ids=str
+    )
+    def test_scalar_path_is_bitwise_three_horner_sums(self, h, seeds):
+        # one Horner loop steps W~, W~' and W~'' together; each value, signed zeros
+        # included, must be that of three separate sums, on the real line and off it
+        pot = deformed_potential(SystemSpec(h, seeds), allow_singular=True)
+        xs = [float(x) for x in np.linspace(-30.0, 30.0, 241)] + [0.0, -0.0, 1e-300, -1e-300]
+        zs = [complex(x, c) for x in (-30.0, -12.5, -3.0, -0.4, 0.0, 0.7, 4.0, 19.0, 30.0)
+              for c in (-0.45, -0.331, -0.05, 0.0, -0.0, 0.2, 0.331, 1.3)]
+        zs += [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        for x in xs + zs:
+            got, want = pot.evaluate_scalar(x), u_d_three_horners(pot, x)
+            assert type(got) is type(want)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), x
+
+    def test_scalar_path_is_nan_at_a_node(self):
+        # W~(0) = 0 exactly for h=1 [2,4]: real and complex x = 0 give nan, as the
+        # three-Horner reference does
+        pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
+        for x in (0.0, -0.0, 0j, complex(-0.0, -0.0)):
+            got = pot.evaluate_scalar(x)
+            assert type(got) is type(x) and cmath.isnan(got)
+            assert np.array(got).tobytes() == np.array(u_d_three_horners(pot, x)).tobytes()
 
     @pytest.mark.parametrize(
         "h, seeds", [(1.0, ()), (1.0, (2,)), (2.5, (4,)), (0.3, (2,)), (3.7, (6,)), (25.0, (34,))]

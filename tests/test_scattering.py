@@ -425,11 +425,15 @@ class TestNumericalAmplitudes:
             assert abs(closed.r - r) <= 1e-9
 
     @pytest.mark.parametrize("spec", [SystemSpec(3.7, (4,)), SystemSpec(1.0, (2, 4))], ids=str)
-    def test_32_wave_numbers_accurate_to_1e9(self, spec):
-        # 64 Jost solutions take the O(n) right-hand side, past _DENSE_MAX
+    def test_32_wave_numbers_accurate_to_1e9(self, spec, monkeypatch):
+        # 32 Jost solutions on the real line (+K only) and 64 on the detour (+-K)
+        # both take the O(n) right-hand side, past _DENSE_MAX
         K = np.linspace(SMALL_K_CUTOFF, 20.0, 32)
-        assert 2 * K.size > scattering._DENSE_MAX
-        numeric = numerical_amplitudes(deformed_potential(spec, allow_singular=True), K)
+        used = self.record_solves(monkeypatch)
+        pot = deformed_potential(spec, allow_singular=True)
+        numeric = numerical_amplitudes(pot, K)
+        ((n, _),) = used
+        assert n == (64 if pot.is_singular else 32) and n > scattering._DENSE_MAX
         for k, t, r in zip(K, numeric.t, numeric.r):
             closed = deformed_amplitudes(spec, k)
             assert abs(closed.t - t) <= 1e-9
@@ -503,17 +507,49 @@ class TestNumericalAmplitudes:
         return numerical_amplitudes(potential, K)
 
     @staticmethod
-    def record_heights(monkeypatch) -> list:
-        """The path height of every later Jost solve, in order."""
+    def record_solves(monkeypatch) -> list:
+        """(number of wave numbers, path height) of every later Jost solve, in order."""
         used = []
         jost = scattering._jost
 
         def recorded(potential, ik, L, height=0.0):
-            used.append(height)
+            used.append((ik.size, height))
             return jost(potential, ik, L, height)
 
         monkeypatch.setattr(scattering, "_jost", recorded)
         return used
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+    def test_real_line_solves_plus_k_only(self, spec, monkeypatch):
+        # U is real on the real line, so f(x; -K) = conj f(x; K) comes free; on the
+        # detour f(.; -K) lives on the mirror line s - ic and is solved for
+        used = self.record_solves(monkeypatch)
+        pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
+        numerical_amplitudes(pot, ORACLE_K_GRID)
+        ((n, _),) = used
+        assert n == (2 if pot.is_singular else 1) * len(ORACLE_K_GRID)
+
+    @staticmethod
+    def full_state_amplitudes(potential, K) -> tuple:
+        """(t, r) on the real line from one Jost solve of f(.; +K) and f(.; -K)."""
+        kv = np.asarray(K, dtype=float)
+        ik = 1j * np.concatenate([kv, -kv])
+        h, dh = np.split(scattering._jost(potential, ik, scattering.ORACLE_HALF_WIDTH), 2)
+        (fp, fm), (dfp, dfm) = np.split(h, 2), np.split(dh + ik * h, 2)
+        t = 2j * kv / (fp * dfm.conj() + dfp * fm.conj())
+        return t, t * (fp * dfp.conj()).real / (-1j * kv)
+
+    @pytest.mark.parametrize("nk", [len(ORACLE_K_GRID), 512])
+    @pytest.mark.parametrize("spec", [s for s in ORACLE_SPECS if len(s.seeds) < 2], ids=str)
+    def test_half_state_matches_the_full_state(self, spec, nk):
+        # the two solves round differently and VODE picks other steps, so the
+        # conjugate of f(.; K) is no bitwise copy of a solved f(.; -K)
+        K = ORACLE_K_GRID if nk == len(ORACLE_K_GRID) else np.linspace(0.25, 8.0, nk)
+        pot = deformed_potential(spec)
+        t, r = self.full_state_amplitudes(pot, K)
+        numeric = numerical_amplitudes(pot, K)
+        assert np.max(np.abs(numeric.t - t)) <= 1e-12
+        assert np.max(np.abs(numeric.r - r)) <= 1e-12
 
     @pytest.mark.parametrize(
         "spec, height",
@@ -527,10 +563,10 @@ class TestNumericalAmplitudes:
         ids=str,
     )
     def test_detour_radius_clears_the_poles(self, spec, height, monkeypatch):
-        used = self.record_heights(monkeypatch)
+        used = self.record_solves(monkeypatch)
         pot = deformed_potential(spec, allow_singular=True)
         numerical_amplitudes(pot, 1.0)
-        (c,) = used
+        ((_, c),) = used
         assert DETOUR_BAND[0] <= c <= DETOUR_BAND[1]
         assert np.min(np.abs(np.abs(pot.poles().imag) - c)) >= 0.05
         if height is not None:

@@ -167,6 +167,29 @@ class TestEigenSpectrum:
         with pytest.raises(ValueError, match="even and real"):
             eigen_spectrum(potential, GridSpec(20.0, 801))
 
+    def test_nonfinite_potential_raises(self):
+        # nan between the probe points, where only the grid sees it
+        def potential(x):
+            x = np.asarray(x)
+            return np.where(np.abs(np.abs(x) - 5.0) < 0.1, np.nan, -2.0 / np.cosh(x) ** 2)
+
+        with pytest.raises(ValueError, match="finite"):
+            eigen_spectrum(potential, GridSpec(20.0, 801))
+
+    def test_sectors_solved_in_place_as_their_copies(self):
+        # eigh overwrites the transpose of each symmetric sector, with no copy;
+        # the levels are those of the untouched matrices, bitwise
+        from scipy import linalg
+
+        pot, grid = deformed_potential(SystemSpec(2.0, (2,))), GridSpec(20.0, 801)
+        mid = grid.n_points // 2
+        even, odd = _sector_matrices(np.asarray(pot(grid.points[mid:])), grid.dx)
+        want = sorted(np.concatenate([
+            linalg.eigh(m, subset_by_value=(-np.inf, -spectral_oracle.CONTINUUM_EPS))[0]
+            for m in (even, odd)
+        ]).tolist())
+        assert [e for e, _ in eigen_spectrum(pot, grid)] == want
+
     def test_continuum_edge_warning(self):
         # a shallow well with its only level inside (-1e-2, -1e-3)
         shallow = lambda x: -0.1 / np.cosh(np.asarray(x)) ** 2
