@@ -112,13 +112,6 @@ class BoundState:
 _DU_FACTOR = np.array([1.0, 0.0, -1.0])  # (1 - u^2), the chain factor d u/d x
 
 
-def _poly_dx(coef: np.ndarray) -> np.ndarray:
-    """x-derivative of a polynomial in u = tanh x, again a polynomial in u."""
-    if len(coef) <= 1:
-        return np.array([0.0])
-    return npoly.polymul(npoly.polyder(coef), _DU_FACTOR)
-
-
 def _rows(gamma: float, p: np.ndarray, m: int) -> list:
     """phi^(i)(x)/(cosh x)^gamma, i = 0..m-1, for phi = (cosh x)^gamma P(tanh x).
 
@@ -132,7 +125,8 @@ def _rows(gamma: float, p: np.ndarray, m: int) -> list:
     rows = [np.asarray(p, dtype=float)]
     while len(rows) < m:
         row = rows[-1]
-        rows.append(npoly.polyadd(npoly.polymul(np.array([0.0, gamma]), row), _poly_dx(row)))
+        row_dx = npoly.polymul(npoly.polyder(row), _DU_FACTOR)  # the x-derivative of row(u)
+        rows.append(npoly.polyadd(npoly.polymul(np.array([0.0, gamma]), row), row_dx))
     return rows[:m]
 
 
@@ -187,10 +181,10 @@ class PotentialEvaluator:
         U_D = U - 2 (1-u^2) [Gamma - 2u W~'/W~ + (1-u^2) (W~''/W~ - (W~'/W~)^2)].
 
     W~, W~' and W~'' are built once; a coefficient beyond the float range
-    raises OverflowError (deep seeds at large h).  Scalar x, real or
-    complex, is evaluated in pure Python, W~, W~' and W~'' in one Horner
-    loop (the ODE oracle's right-hand side, including its complex detour
-    around a pole), arrays through numpy; an exact zero of W~ gives nan.
+    raises OverflowError (deep seeds at large h).  Scalar x, real or complex
+    (the ODE oracle's right-hand side, on its detour around a pole too), and
+    arrays share one body: one Horner loop sums W~, W~' and W~'', then one
+    quotient gives U_D.  At a scalar x an exact zero of W~ gives nan.
 
     is_singular: W~(0) = 0 to the order of SystemSpec._columns, exact on the
     all-even sets _validated accepts (a parity rule for mixed sets replaces it):
@@ -210,8 +204,9 @@ class PotentialEvaluator:
             w = _wronskian_poly(self._seeds)
             polys = (w, npoly.polyder(w), npoly.polyder(w, 2))
         what = f"the seed Wronskian of {spec.seeds} (h = {spec.h})"
-        self._w, self._dw, self._ddw = coefs = [tuple(_finite(c, what).tolist()) for c in polys]
-        # (W~_k, W~'_k, W~''_k) from the top power of W~ down, for _scalar
+        coefs = [tuple(_finite(c, what).tolist()) for c in polys]
+        self._w = coefs[0]
+        # (W~_k, W~'_k, W~''_k) from the top power of W~ down, for _u_d
         self._top_down = tuple(zip(*((0.0,) * (len(self._w) - len(c)) + c[::-1] for c in coefs)))
         self._hh = spec.h * (spec.h + 1.0)
         self._gamma = sum(gamma for gamma, _ in self._seeds)
@@ -224,36 +219,31 @@ class PotentialEvaluator:
                 "the deformed potential is singular and this multi-index is rejected"
             )
 
-    def _from_u(self, u, e, w, dw, ddw):
-        """U_D from u = tanh x, e = e^(-2|x|) and W~, W~', W~'' at u; scalars or arrays.
+    def _u_d(self, u, e):
+        """U_D from u = tanh x and e = e^(-2|x|), Python scalars or numpy arrays alike.
 
-        For complex x, e = e^(-+2x) where Re x >= 0 or < 0.  sech^2 x is taken
-        as 4e/(1+e)^2, not as 1 - u^2, which loses the digits of sech^2 x, and
-        so of U_D, as u rounds towards +-1: a relative error eps e^(2|x|)/4,
-        1.7e-4 at |x| = 15, and U_D = -0 from |x| = 20.  The bracket below tends
-        to a constant as |u| -> 1, so U_D keeps the relative accuracy of s2.
+        For complex x, e = e^(-+2x) where Re x >= 0 or < 0.  Padded with zeros
+        above their top powers, W~' and W~'' stay +0.0 until their own top
+        coefficient, so each sum is bitwise its own Horner sum.  sech^2 x is
+        taken as 4e/(1+e)^2, not as 1 - u^2, which loses the digits of sech^2 x,
+        and so of U_D, as u rounds towards +-1: a relative error eps e^(2|x|)/4,
+        1.7e-4 at |x| = 15, and U_D = -0 from |x| = 20.  The bracket tends to a
+        constant as |u| -> 1, so U_D keeps the relative accuracy of s2.
         """
-        s2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
-        base = -self._hh * s2
-        q = dw / w
-        return base - 2.0 * s2 * (self._gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
+        w = dw = ddw = 0.0
+        for c, dc, ddc in self._top_down:
+            w, dw, ddw = w * u + c, dw * u + dc, ddw * u + ddc
+        q, s2 = dw / w, 4.0 * e / ((1.0 + e) * (1.0 + e))
+        return -self._hh * s2 - 2.0 * s2 * (self._gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
 
     def _scalar(self, x):
-        """U_D at one real or complex x, in pure Python: _from_u inlined after one Horner loop.
-
-        Padded with zeros above their top powers, W~' and W~'' stay +0.0 until
-        their own top coefficient, so each sum is bitwise its own Horner sum.
-        """
+        """U_D at one real or complex x, in pure Python; an exact zero of W~ gives nan."""
         if isinstance(x, complex):
             u, e = cmath.tanh(x), cmath.exp(-2.0 * x if x.real >= 0.0 else 2.0 * x)
         else:
             u, e = math.tanh(x), math.exp(-2.0 * abs(x))
-        w = dw = ddw = 0.0
-        for c, dc, ddc in self._top_down:
-            w, dw, ddw = w * u + c, dw * u + dc, ddw * u + ddc
         try:
-            q, s2 = dw / w, 4.0 * e / ((1.0 + e) * (1.0 + e))
-            return -self._hh * s2 - 2.0 * s2 * (self._gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
+            return self._u_d(u, e)
         except ZeroDivisionError:
             return complex(math.nan, math.nan) if isinstance(u, complex) else math.nan
 
@@ -278,11 +268,8 @@ class PotentialEvaluator:
         if not isinstance(x, (int, float, complex)):
             x = np.asarray(x)
             if x.ndim:
-                u = np.tanh(x)
                 a = np.where(x.real >= 0.0, x, -x) if x.dtype.kind == "c" else np.abs(x)
-                e = np.exp(-2.0 * a)
-                w, dw, ddw = (npoly.polyval(u, c) for c in (self._w, self._dw, self._ddw))
-                return self._from_u(u, e, w, dw, ddw)
+                return self._u_d(np.tanh(x), np.exp(-2.0 * a))
             x = x.item()
         return self._scalar(x)
 
@@ -396,18 +383,23 @@ def bound_states(spec: SystemSpec) -> list:
     Each norming constant comes in closed form from the residue of the
     transmission amplitude, c_n^2 = |Res_{K=i kappa_n} t_D(K)| (the wells are
     even), and scales the wavefunction to unit norm with tail +c_n e^(-kappa_n x).
-    Numerators are built on each state's first wavefunction call, which
-    raises OverflowError if one leaves the float range.
+    A norming constant beyond the float range (from about h = 420) raises
+    OverflowError, as does a state's first wavefunction call, which builds
+    its numerator, if that leaves the float range.
     """
     pot = deformed_potential(spec)
     seeds = pot._seeds
     h = spec.h
     gammas = [gamma for gamma, _ in seeds]
-    entries = [(h - n, seeds + [_solution(n - h, n)]) for n in range(spec.n_base_states)]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in PotentialEvaluator.__init__
+        entries = [(h - n, seeds + [_solution(n - h, n)]) for n in range(spec.n_base_states)]
     entries += [(gamma, seeds[:j] + seeds[j + 1:]) for j, gamma in enumerate(gammas)]
     entries.sort(key=lambda e: -e[0] * e[0])
     out = []
     for idx, (kappa, sols) in enumerate(entries):
-        c = math.sqrt(_norming_sq(h, kappa, gammas))
+        try:
+            c = math.sqrt(_norming_sq(h, kappa, gammas))
+        except OverflowError:  # math.exp's bare "math range error"
+            raise OverflowError(f"norming constant at h = {h}, kappa = {kappa} overflows") from None
         out.append(BoundState(idx, kappa, -kappa * kappa, c, _unit_state(sols, pot._w, kappa, c)))
     return out

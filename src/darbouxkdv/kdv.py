@@ -129,16 +129,16 @@ def field_u(data: SolitonData, x, t: float):
     a point's value does not depend on its block; u comes back in the shape
     of x.  Weights below sys.float_info.min are taken as 0 before the
     exponential: they change no sum unless |u| is itself below about 1e-290.
-    Above SOLITON_LIMIT solitons, or for a non-finite t or entry of x, it
-    raises ValueError, and past the precision domain (THETA_PRECISION_LIMIT)
-    OverflowDomainError.
+    Above SOLITON_LIMIT solitons, for a non-finite entry of x, or for a t
+    that is not one finite number, it raises ValueError, and past the
+    precision domain (THETA_PRECISION_LIMIT) OverflowDomainError.
     """
     xarr = np.asarray(x, dtype=float)
     flat = xarr.reshape(-1)
     reach = float(np.abs(flat).max(initial=0.0))  # inf or nan where an entry is one
     if not math.isfinite(reach):
         _require_finite("x", flat)
-    _require_finite("t", t)
+    _require_scalar("t", t)
     _require_precision_domain(data, reach, t)
     alpha, beta, starts, group, gam = _tau_groups(data.kappas, data.c0)
     e = alpha + beta * t
@@ -168,6 +168,13 @@ def _require_finite(name: str, value) -> None:
     finite = np.isfinite(value)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite].flat[0]}")
+
+
+def _require_scalar(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is one finite number."""
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a scalar, got an array of shape {np.shape(value)}")
+    _require_finite(name, value)
 
 
 def _require_precision_domain(data: SolitonData, reach: float, t: float) -> None:
@@ -258,12 +265,12 @@ def kdv_residual(data: SolitonData, x: float, t: float) -> float:
     gamma taken per term; their rounding is about
     eps (|u_t| + 6 |u u_x| + |u_xxx|), which grows like kappa_max^5
     (1e-10 at a kappa = 8 core).  Weights below sys.float_info.min are
-    taken as 0, as in field_u.  Above SOLITON_LIMIT solitons, or for a
-    non-finite x or t, it raises ValueError, and past the precision domain
-    OverflowDomainError.
+    taken as 0, as in field_u.  Above SOLITON_LIMIT solitons, or for an x
+    or t that is not one finite number, it raises ValueError, and past the
+    precision domain OverflowDomainError.
     """
-    _require_finite("x", x)
-    _require_finite("t", t)
+    _require_scalar("x", x)
+    _require_scalar("t", t)
     _require_precision_domain(data, abs(x), t)
     alpha, beta, _, group, gam = _tau_groups(data.kappas, data.c0)
     gamma = gam[group]
@@ -327,11 +334,11 @@ def conserved_quantities(data: SolitonData, t: float):
     it.  For such an integrand the trapezoid rule converges geometrically,
     with error about e^(-pi^2 / (kappa_max step)) (Trefethen & Weideman, SIAM
     Rev. 56 (2014) 385), and u^2 has the same poles.  The step
-    TRAPEZOID_STEP / kappa_max therefore leaves e^-66.  A non-finite t raises
-    ValueError, and windows past the field's precision domain raise
-    OverflowDomainError (see THETA_PRECISION_LIMIT).
+    TRAPEZOID_STEP / kappa_max therefore leaves e^-66.  A t that is not one
+    finite number raises ValueError, and windows past the field's precision
+    domain raise OverflowDomainError (see THETA_PRECISION_LIMIT).
     """
-    _require_finite("t", t)
+    _require_scalar("t", t)
     kap = data.kappas
     margin = QUADRATURE_MARGIN / kap[0]
     windows = []

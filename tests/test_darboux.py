@@ -261,6 +261,24 @@ def horner(coef, u):
     return out
 
 
+def u_d_quotient(pot, u, e, w, dw, ddw):
+    """U_D from u = tanh x, e = e^(-2|x|) and W~, W~', W~'' at u; scalars or arrays.
+
+    The formula of PotentialEvaluator's docstring, written out apart from the
+    code under test: sech^2 x = 4e/(1+e)^2, and Gamma sums the h+1+v of the seeds.
+    """
+    h, seeds = pot.spec.h, pot.spec.seeds
+    s2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
+    q = dw / w
+    gamma = sum(h + 1.0 + v for v in seeds)
+    return -h * (h + 1.0) * s2 - 2.0 * s2 * (gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
+
+
+def w_and_derivatives(pot):
+    """Coefficients of W~, W~' and W~'' in u, lowest power first."""
+    return [npoly.polyder(pot._w, m).tolist() for m in range(3)]
+
+
 def u_d_three_horners(pot, x):
     """U_D at one real or complex x from three separate Horner sums of W~, W~', W~''."""
     if isinstance(x, complex):
@@ -268,7 +286,7 @@ def u_d_three_horners(pot, x):
     else:
         u, e = math.tanh(x), math.exp(-2.0 * abs(x))
     try:
-        return pot._from_u(u, e, horner(pot._w, u), horner(pot._dw, u), horner(pot._ddw, u))
+        return u_d_quotient(pot, u, e, *(horner(c, u) for c in w_and_derivatives(pot)))
     except ZeroDivisionError:
         return complex(math.nan, math.nan) if isinstance(u, complex) else math.nan
 
@@ -322,6 +340,22 @@ class TestDeformedPotential:
             got, want = pot.evaluate_scalar(x), u_d_three_horners(pot, x)
             assert type(got) is type(want)
             assert np.array(got).tobytes() == np.array(want).tobytes(), x
+
+    @pytest.mark.parametrize(
+        "h, seeds", [(1.0, ()), (1.0, (2,)), (2.5, (4,)), (6.0, (2,))] + MULTI_SEED_SETS, ids=str
+    )
+    def test_array_path_is_bitwise_three_polyval_sums(self, h, seeds):
+        # the array path shares its Horner loop with the scalar path; each value
+        # must be that of three npoly.polyval sums, on the real line and off it
+        pot = deformed_potential(SystemSpec(h, seeds), allow_singular=True)
+        xs = np.concatenate([np.linspace(-30.0, 30.0, 241), [0.0, -0.0, 1e-300, -1e-300]])
+        for x in [xs] + [xs + 1j * c for c in (-0.331, 0.331, 0.2)]:
+            u = np.tanh(x)
+            e = np.exp(-2.0 * (np.where(x.real >= 0.0, x, -x) if x.dtype.kind == "c" else abs(x)))
+            sums = [npoly.polyval(u, c) for c in w_and_derivatives(pot)]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the node at 0
+                got, want = pot(x), u_d_quotient(pot, u, e, *sums)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_scalar_path_is_nan_at_a_node(self):
         # W~(0) = 0 exactly for h=1 [2,4]: real and complex x = 0 give nan, as the
@@ -416,6 +450,13 @@ class TestDeformedPotential:
         (low,) = [s for s in states if s.kappa == 1.0]
         with pytest.raises(OverflowError, match="bound-state numerator"):
             low.wavefunction(0.0)
+
+    @pytest.mark.parametrize("h", [500.0, 2500.0])
+    def test_deep_well_norming_overflow_is_named(self, h):
+        # these raised a bare "math range error"; at h = 2500 a RuntimeWarning from
+        # the base-level columns came first
+        with pytest.raises(OverflowError, match=rf"^norming constant at h = {h}, kappa = "):
+            bound_states(SystemSpec(h))
 
     def test_even_multi_index_is_nodal(self):
         # the Wronskian of two or more even seeds vanishes at x = 0

@@ -583,6 +583,19 @@ class TestAsymptoticDecomposition:
             asymptotic_decomposition(data)
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda: field_u(TWO_SOLITON, 0.1, np.array([0.0, 1.0])), "t"),
+    (lambda: kdv_residual(TWO_SOLITON, np.array([0.1, 0.2]), 0.0), "x"),
+    (lambda: kdv_residual(TWO_SOLITON, 0.1, np.array([0.0])), "t"),
+    (lambda: conserved_quantities(TWO_SOLITON, np.array([0.0])), "t"),
+], ids=["field_u", "kdv_residual-x", "kdv_residual-t", "conserved_quantities"])
+def test_array_where_a_scalar_is_due_raises(call, bad):
+    # numpy's "truth value ... is ambiguous" or "only 0-dimensional arrays" came
+    # out, and a one-element t passed silently
+    with pytest.raises(ValueError, match=f"^{bad} must be a scalar"):
+        call()
+
+
 class TestConservedQuantities:
     def test_one_soliton(self):
         mass, momentum = conserved_quantities(ONE_SOLITON, 0.0)
