@@ -57,7 +57,7 @@ BOX_NORMING_FACTOR = 2.0
 # The sinc error falls like e^(-pi d/dx), d the distance of U_D's nearest pole
 # from the real axis: the step is at most d / 5.5 (at d / 5, h=14 [2] fails).
 _POLE_STEPS = 5.5
-_MAX_ORACLE_POINTS = 8001  # sector matrices of 4001^2 doubles; 7483 points peaked at 607 MB
+_MAX_ORACLE_POINTS = 8001  # sector matrices of 4001^2 doubles; 7483 points peaked at 274 MB
 
 
 def _fmt(v: float) -> str:

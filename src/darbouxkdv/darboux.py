@@ -184,7 +184,8 @@ class PotentialEvaluator:
     raises OverflowError (deep seeds at large h).  Scalar x, real or complex
     (the ODE oracle's right-hand side, on its detour around a pole too), and
     arrays share one body: one Horner loop sums W~, W~' and W~'', then one
-    quotient gives U_D.  At a scalar x an exact zero of W~ gives nan.
+    quotient gives U_D.  An exact zero of W~ gives nan, with no warning, at a
+    scalar x and in an array alike.
 
     is_singular: W~(0) = 0 to the order of SystemSpec._columns, exact on the
     all-even sets _validated accepts (a parity rule for mixed sets replaces it):
@@ -269,7 +270,8 @@ class PotentialEvaluator:
             x = np.asarray(x)
             if x.ndim:
                 a = np.where(x.real >= 0.0, x, -x) if x.dtype.kind == "c" else np.abs(x)
-                return self._u_d(np.tanh(x), np.exp(-2.0 * a))
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # at a node
+                    return self._u_d(np.tanh(x), np.exp(-2.0 * a))
             x = x.item()
         return self._scalar(x)
 

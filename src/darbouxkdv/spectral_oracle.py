@@ -4,9 +4,10 @@ Discretizes -psi'' + U psi = E psi by sinc collocation (Eggert, Jarratt and
 Lund, J. Comput. Phys. 69 (1987) 209) on the uniform grid of [-L, L].  U is
 even, so each parity sector is one dense symmetric matrix on the points
 x >= 0, summed from strided Toeplitz and Hankel windows on one vector of
-sinc weights, and one eigh per sector returns every eigenvalue below the
-continuum edge.  Each norming constant comes from the Jost solution
-f ~ e^(-kappa x) at the level's kappa, c^2 = -kappa / W[f, d_kappa f](0),
+sinc weights, and one eigvalsh per sector returns every eigenvalue below the
+continuum edge, with no eigenvector: a level's parity is its sector's.  Each
+norming constant comes from the Jost solution f ~ e^(-kappa x) at the
+level's kappa, c^2 = -kappa / W[f, d_kappa f](0),
 with f integrated inward from x = L by the Jost integrator of the
 scattering oracle (VODE's Adams method, with Newton steps on the exact
 banded Jacobian of the linear Jost equation) at k = i (kappa + i delta):
@@ -68,11 +69,11 @@ def _sector_matrices(uu: np.ndarray, dx: float) -> tuple:
     -d2/dx2 has the entries T(j - k) with T(0) = pi^2/(3 dx^2) and
     T(m) = 2 (-1)^m / (m^2 dx^2).  Folding psi_(-k) = +-psi_k gives
     T(j - k) +- T(j + k) for k >= 1; the even sector keeps psi_0 with column
-    T(j), and the weight sqrt(2) on j >= 1 makes it symmetric.  The norm of
-    its eigenvector is then the full-line discrete norm.  Both T(|j - k|) and
-    T(j + k) are strided windows on the one vector t = T(0..2n-2), gathered
-    by no index matrix: the Hankel part is row j of the windows of t, the
-    Toeplitz part row n-1-j of the windows of (T(n-1), ..., T(1), t).
+    T(j), and the weight sqrt(2) on j >= 1 makes it symmetric.  Both
+    T(|j - k|) and T(j + k) are strided windows on the one vector
+    t = T(0..2n-2), gathered by no index matrix: the Hankel part is row j of
+    the windows of t, the Toeplitz part row n-1-j of the windows of
+    (T(n-1), ..., T(1), t).
     """
     n = len(uu)
     m = np.arange(1, 2 * n - 1)
@@ -90,35 +91,27 @@ def _sector_matrices(uu: np.ndarray, dx: float) -> tuple:
 
 
 def eigen_spectrum(potential, grid: GridSpec) -> list:
-    """Bound spectrum of -d2/dx2 + U: list of (energy, eigenvector) pairs.
+    """Bound spectrum of -d2/dx2 + U: list of (energy, parity) pairs.
 
     Returns every eigenvalue below -CONTINUUM_EPS = -1e-3, sorted ascending,
-    with eigenvectors on grid.points normalized in the discrete inner product
-    sum(psi^2) dx = 1.  U must be even, real and finite (ValueError otherwise,
-    as it is if |U| reaches DECAY_REQUIREMENT at +-grid.L): one dense eigh per
-    parity sector computes only the levels below the cutoff.  A warning is
-    emitted for eigenvalues within a factor of ten of the continuum cutoff.
+    each with the parity of its sector: +1 even, -1 odd.  U must be even,
+    real and finite (ValueError otherwise, as it is if |U| reaches
+    DECAY_REQUIREMENT at +-grid.L): one dense eigvalsh per parity sector
+    computes only the levels below the cutoff, and no eigenvector.  A warning
+    is emitted for eigenvalues within a factor of ten of the continuum cutoff.
     """
     from scipy import linalg
 
     _require_oracle_potential(potential, grid.L, DECAY_REQUIREMENT)
-    mid = grid.n_points // 2
-    uu = np.asarray(potential(grid.points[mid:]), dtype=float)
+    uu = np.asarray(potential(grid.points[grid.n_points // 2:]), dtype=float)
     if not np.all(np.isfinite(uu)):
         raise ValueError("potential must be finite on the grid")
-    even, odd = _sector_matrices(uu, grid.dx)
     levels = []
-    for matrix, sign in ((even, 1.0), (odd, -1.0)):
+    for matrix, parity in zip(_sector_matrices(uu, grid.dx), (1, -1)):
         # matrix.T is the same symmetric matrix, in the Fortran order LAPACK overwrites
-        w, vecs = linalg.eigh(matrix.T, subset_by_value=(-np.inf, -CONTINUUM_EPS),
-                              overwrite_a=True, check_finite=False)
-        half = vecs / math.sqrt(2.0 * grid.dx)  # psi_j = phi_j / sqrt(2) for j >= 1
-        if sign > 0:
-            half[0] *= math.sqrt(2.0)  # psi_0 = phi_0 carries no weight
-        else:
-            half = np.vstack([np.zeros(len(w)), half])  # psi_0 = 0
-        full = np.vstack([sign * half[:0:-1], half])
-        levels.extend((float(wi), full[:, i]) for i, wi in enumerate(w))
+        w = linalg.eigvalsh(matrix.T, subset_by_value=(-np.inf, -CONTINUUM_EPS),
+                            overwrite_a=True, check_finite=False)
+        levels.extend((float(e), parity) for e in w)
     levels.sort(key=lambda level: level[0])
     near_edge = [e for e, _ in levels if e >= -10.0 * CONTINUUM_EPS]
     if near_edge:
@@ -137,8 +130,8 @@ def oracle_norming_constants(potential, grid: GridSpec) -> list:
     int_0^inf f^2 dx = -W[f, d_kappa f](0) / (2 kappa), and c^2 is one over
     twice that integral.  An even level has f'(0) = 0, so
     c^2 = -kappa / (f(0) d_kappa f'(0)); an odd one has f(0) = 0, so
-    c^2 = kappa / (f'(0) d_kappa f(0)).  The parity is the sector's: an odd
-    eigenvector is exactly 0 at x = 0.  One scattering._jost solve at
+    c^2 = kappa / (f'(0) d_kappa f(0)).  The parity is the one eigen_spectrum
+    gives, that of the level's sector.  One scattering._jost solve at
     ik = -(kappa + i JOST_STEP), for every kappa at once, gives f(0) = g(0)
     and f'(0) = g'(0) - (kappa + i JOST_STEP) g(0), g its h; their imaginary
     parts over JOST_STEP are the kappa derivatives, exact to rounding
@@ -148,9 +141,8 @@ def oracle_norming_constants(potential, grid: GridSpec) -> list:
     levels = eigen_spectrum(potential, grid)
     if not levels:
         return []
-    mid = grid.n_points // 2
     kappas = np.sqrt([-e for e, _ in levels])
-    odd = np.array([psi[mid] == 0.0 for _, psi in levels])
+    odd = np.array([parity < 0 for _, parity in levels])
     ik = -(kappas + 1j * JOST_STEP)
     f, dg = np.split(_jost(potential, ik, grid.L), 2)  # f(0) = g(0), g the h of _jost
     df = dg + ik * f  # f'(0)

@@ -24,20 +24,33 @@ def test_c02_norming_constants():
 
 
 def test_spectra_suite_solves_each_system_once(monkeypatch):
-    # C01 and C02 read h=1 [2] off one oracle solve; C05 solves h=2 [2]
+    # C01 and C02 read h=1 [2] off one oracle solve; C05 solves h=2 [2]; each solve
+    # is one eigvalsh per parity sector, and no eigh computes an eigenvector
+    import scipy.linalg
+
     from darbouxkdv import spectral_oracle
 
-    solved = []
-    eigen_spectrum = spectral_oracle.eigen_spectrum
+    solved, sectors = [], []
+    eigen_spectrum, eigvalsh = spectral_oracle.eigen_spectrum, scipy.linalg.eigvalsh
 
     def counted(potential, grid):
         solved.append(potential(0.0))
         return eigen_spectrum(potential, grid)
 
+    def counted_sector(*args, **kwargs):
+        sectors.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh call in the spectra suite")
+
     monkeypatch.setattr(spectral_oracle, "eigen_spectrum", counted)
     monkeypatch.setattr(ver, "eigen_spectrum", counted)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counted_sector)
+    monkeypatch.setattr(scipy.linalg, "eigh", refused)
     _report(ver.run_suite("spectra"))
     assert solved == pytest.approx([-30.0, -44.0])
+    assert sectors == [(401, 401), (400, 400)] * 2
 
 
 def test_c03_glm_reconstruction_h1():

@@ -367,6 +367,18 @@ class TestDeformedPotential:
             assert np.array(got).tobytes() == np.array(u_d_three_horners(pot, x)).tobytes()
 
     @pytest.mark.parametrize(
+        "h, seeds", [(1.0, (2, 4)), (2.5, (2, 4, 6)), (1.0, (2, 6)), (3.0, (4, 8))], ids=str
+    )
+    def test_array_path_at_a_node_is_the_scalar_path_without_a_warning(self, h, seeds):
+        # at and next to the node x = 0 the array path gives the scalar values, nan at
+        # 0 and +inf at +-1e-300, and emits no numpy warning (an error under pytest)
+        pot = deformed_potential(SystemSpec(h, seeds), allow_singular=True)
+        xs = [-1.0, -1e-300, 0.0, 1e-300, 1e-8, 1.0]
+        got, want = pot(np.array(xs)), np.array([pot.evaluate_scalar(x) for x in xs])
+        assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(got[2])
+        assert got[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    @pytest.mark.parametrize(
         "h, seeds", [(1.0, ()), (1.0, (2,)), (2.5, (4,)), (0.3, (2,)), (3.7, (6,)), (25.0, (34,))]
     )
     def test_relative_accuracy_in_the_tails(self, h, seeds):

@@ -93,7 +93,6 @@ def test_cli_loads_scipy_and_mpmath_only_where_used():
 def test_cold_first_calls_match_warm_ones():
     code = """if True:
         import json, sys
-        import numpy as np
         from darbouxkdv import (GridSpec, SolitonData, SystemSpec, deformed_amplitudes,
                                 deformed_potential, eigen_spectrum, kdv_residual)
 
@@ -104,9 +103,7 @@ def test_cold_first_calls_match_warm_ones():
         pot = deformed_potential(SystemSpec(1.0, (2,)))
         grid = GridSpec(L=20.0, n_points=1001)
         first, second = (eigen_spectrum(pot, grid) for _ in range(2))
-        same = len(first) == len(second) and all(
-            e1 == e2 and np.array_equal(v1, v2) for (e1, v1), (e2, v2) in zip(first, second)
-        )
+        same = first == second
         print(json.dumps({"cold": cold, "t": [amp.t.real, amp.t.imag],
                           "r": [amp.r.real, amp.r.imag], "residuals": res,
                           "levels": len(first), "same_spectrum": same}))

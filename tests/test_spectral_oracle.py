@@ -57,6 +57,27 @@ def sector_matrices_direct(uu, dx):
     return even + np.diag(uu), odd + np.diag(uu[1:])
 
 
+def sinc_eigenvectors(potential, grid):
+    """(energy, psi) of each level below the cutoff, ascending, by eigh on the sector
+    matrices: psi on grid.points, mirrored by the sector's parity and normalized in the
+    discrete inner product sum(psi^2) dx = 1.  A witness for the closed-form
+    wavefunctions; the package itself computes no eigenvector."""
+    from scipy import linalg
+
+    uu = np.asarray(potential(grid.points[grid.n_points // 2:]), dtype=float)
+    levels = []
+    for matrix, sign in zip(_sector_matrices(uu, grid.dx), (1.0, -1.0)):
+        w, vecs = linalg.eigh(matrix, subset_by_value=(-np.inf, -spectral_oracle.CONTINUUM_EPS))
+        half = vecs / math.sqrt(2.0 * grid.dx)  # psi_j = phi_j / sqrt(2) for j >= 1
+        if sign > 0:
+            half[0] *= math.sqrt(2.0)  # psi_0 = phi_0 carries no weight
+        else:
+            half = np.vstack([np.zeros(len(w)), half])  # psi_0 = 0
+        full = np.vstack([sign * half[:0:-1], half])
+        levels.extend((float(e), full[:, i]) for i, e in enumerate(w))
+    return sorted(levels, key=lambda level: level[0])
+
+
 class TestSectorMatrices:
     @pytest.mark.parametrize("n_points", [501, 801])
     def test_bitwise_the_direct_definition(self, n_points):
@@ -110,23 +131,46 @@ class TestEigenSpectrum:
         ],
         ids=str,
     )
-    def test_one_eigh_per_parity_sector(self, spec, grid, monkeypatch):
-        # each sector's eigh returns only the levels below the cutoff
+    def test_one_eigvalsh_per_parity_sector(self, spec, grid, monkeypatch):
+        # each sector's eigvalsh returns only the levels below the cutoff; no eigh
+        # call computes an eigenvector
         import scipy.linalg
 
         found = []
-        eigh = scipy.linalg.eigh
+        eigvalsh = scipy.linalg.eigvalsh
 
         def counted(*args, **kwargs):
-            w, vecs = eigh(*args, **kwargs)
+            w = eigvalsh(*args, **kwargs)
             found.append(w.size)
-            return w, vecs
+            return w
 
-        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        def refused(*args, **kwargs):
+            raise AssertionError("eigh call: the oracle computes eigenvalues only")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(scipy.linalg, "eigh", refused)
         levels = eigen_spectrum(deformed_potential(spec), grid)
         assert len(found) == 2 and sum(found) == len(levels)
         # the ground state is even, and the parities alternate up the spectrum
         assert found[0] == (len(levels) + 1) // 2
+
+    @pytest.mark.parametrize(
+        "spec, parities",
+        [
+            (SystemSpec(1.0, (2,)), (1, -1)),
+            (SystemSpec(2.0, (2,)), (1, -1, 1)),
+            (SystemSpec(15.0), tuple((-1) ** n for n in range(15))),
+        ],
+        ids=str,
+    )
+    def test_parity_is_the_sector(self, spec, parities):
+        # by ascending energy: even (+1) ground state, then alternating
+        pot, grid = deformed_potential(spec), GridSpec(20.0, 801)
+        assert tuple(parity for _, parity in eigen_spectrum(pot, grid)) == parities
+        # an odd sector's eigenvector is exactly 0 at x = 0, an even one's is not
+        mid = grid.n_points // 2
+        witness = sinc_eigenvectors(pot, grid)
+        assert tuple(-1 if psi[mid] == 0.0 else 1 for _, psi in witness) == parities
 
     def test_barrier_has_no_levels_and_no_lanczos_solve(self):
         assert eigen_spectrum(lambda x: 1.0 / np.cosh(x) ** 2, GridSpec(20.0, 501)) == []
@@ -139,7 +183,11 @@ class TestEigenSpectrum:
 
     def test_eigenvectors_orthonormal(self):
         g = GridSpec(20.0, 801)
-        levels = eigen_spectrum(deformed_potential(SystemSpec(2.0, (2,))), g)
+        pot = deformed_potential(SystemSpec(2.0, (2,)))
+        levels = sinc_eigenvectors(pot, g)
+        # the witness solves the oracle's own sector matrices
+        assert [e for e, _ in levels] == pytest.approx([e for e, _ in eigen_spectrum(pot, g)],
+                                                       rel=0, abs=1e-12)
         vecs = np.stack([v for _, v in levels], axis=1)
         gram = vecs.T @ vecs * g.dx
         assert np.max(np.abs(gram - np.eye(len(levels)))) <= 1e-12
@@ -148,7 +196,7 @@ class TestEigenSpectrum:
         g = GridSpec(20.0, 801)
         spec = SystemSpec(2.0, (2,))
         states = bound_states(spec)
-        for state, (_, psi) in zip(states, eigen_spectrum(deformed_potential(spec), g)):
+        for state, (_, psi) in zip(states, sinc_eigenvectors(deformed_potential(spec), g)):
             exact = state.wavefunction(g.points)
             assert np.max(np.abs(abs(np.dot(psi, exact) * g.dx) - 1.0)) <= 1e-9
             assert np.max(np.abs(np.abs(psi) - np.abs(exact))) <= 1e-6
@@ -177,7 +225,7 @@ class TestEigenSpectrum:
             eigen_spectrum(potential, GridSpec(20.0, 801))
 
     def test_sectors_solved_in_place_as_their_copies(self):
-        # eigh overwrites the transpose of each symmetric sector, with no copy;
+        # eigvalsh overwrites the transpose of each symmetric sector, with no copy;
         # the levels are those of the untouched matrices, bitwise
         from scipy import linalg
 
@@ -185,7 +233,7 @@ class TestEigenSpectrum:
         mid = grid.n_points // 2
         even, odd = _sector_matrices(np.asarray(pot(grid.points[mid:])), grid.dx)
         want = sorted(np.concatenate([
-            linalg.eigh(m, subset_by_value=(-np.inf, -spectral_oracle.CONTINUUM_EPS))[0]
+            linalg.eigvalsh(m, subset_by_value=(-np.inf, -spectral_oracle.CONTINUUM_EPS))
             for m in (even, odd)
         ]).tolist())
         assert [e for e, _ in eigen_spectrum(pot, grid)] == want
