@@ -271,7 +271,8 @@ def _oracle_grid(states, pot, tol_energy: float, tol_norming: float) -> tuple:
 
     L widens from 20 in 10 % steps until the box's estimated defects meet the
     tolerances.  The step is 0.05, or d / _POLE_STEPS if smaller, with d the
-    least |Im x| < pi/2 of U_D's poles; n is inf for d = 0.
+    least |Im x| < pi/2 of U_D's poles; n is inf for d = 0.  The grid is
+    uniform, as BOX_*_FACTOR and _POLE_STEPS were fitted to a uniform step.
     """
     default = GridSpec()
     L = default.L

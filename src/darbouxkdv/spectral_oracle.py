@@ -1,7 +1,11 @@
 """Independent sinc-collocation Schrodinger eigensolver.
 
 Discretizes -psi'' + U psi = E psi by sinc collocation (Eggert, Jarratt and
-Lund, J. Comput. Phys. 69 (1987) 209) on the uniform grid of [-L, L].  U is
+Lund, J. Comput. Phys. 69 (1987) 209) on a grid of [-L, L]: the uniform one,
+or the uniform grid in s mapped by x = a sinh(s/a), which puts the points
+densely in the core and sparsely in the smooth tails.  On a mapped grid the
+equation is solved for the Liouville-transformed potential in s (see
+_grid_sectors), with a fifth of the points for the same accuracy.  U is
 even, so each parity sector is one dense symmetric matrix on the points
 x >= 0, summed from strided Toeplitz and Hankel windows on one vector of
 sinc weights, and one eigvalsh per sector returns every eigenvalue below the
@@ -42,25 +46,52 @@ JOST_STEP = 1e-30  # imaginary part of the complex kappa step
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform symmetric grid on [-L, L], with x = 0 at its middle point."""
+    """Symmetric grid on [-L, L] of n_points points, with x = 0 at its middle point.
+
+    With scale = a = inf (the default) the grid is uniform, x_j = j dx, and
+    n_points is an odd integer >= 501.  A finite scale a > 0 maps it: the
+    points are x = g(s) = a sinh(s / a) at the uniform s_j = j dx of
+    [-S, S], S = a asinh(L / a), so dx is the step in s, and the x-step
+    g'(s) dx = cosh(s / a) dx is dx at x = 0 and grows to about
+    sqrt(1 + (L / a)^2) dx at x = +-L.  The points crowd where the well and
+    its levels vary, and thin out in the smooth tails.  A mapped grid takes
+    an odd n_points >= 101, a fifth of the uniform bound, as the map reaches
+    the accuracy of a uniform grid with about a fifth of its points: 161
+    points at a = 0.55 read the levels of h=1 [2] and 2 [2] as well as 801
+    uniform ones do, and those of 3.7 [4] to 4e-12, where the 801 are 2.4e-6
+    off.
+    """
 
     L: float = 20.0
     n_points: int = 801
+    scale: float = math.inf
 
     def __post_init__(self):
         if not 0 < self.L < math.inf:
             raise ValueError(f"grid half-width must be finite and positive, got {self.L}")
-        n = self.n_points
-        if not isinstance(n, numbers.Integral) or n < 501 or n % 2 == 0:
-            raise ValueError("n_points must be an odd integer >= 501")
+        if not self.scale > 0:
+            raise ValueError(f"map scale must be positive, or inf for uniform, got {self.scale}")
+        n, least = self.n_points, 501 if self.uniform else 101
+        if not isinstance(n, numbers.Integral) or n < least or n % 2 == 0:
+            raise ValueError(f"n_points must be an odd integer >= {least}")
+
+    @property
+    def uniform(self) -> bool:
+        return self.scale == math.inf
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(-self.L, self.L, self.n_points)
+        if self.uniform:
+            return np.linspace(-self.L, self.L, self.n_points)
+        half = self.n_points // 2
+        return self.scale * np.sinh(self.dx * np.arange(-half, half + 1) / self.scale)
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.L / (self.n_points - 1)
+        """The grid step: in x on a uniform grid, in s on a mapped one."""
+        if self.uniform:
+            return 2.0 * self.L / (self.n_points - 1)
+        return 2.0 * self.scale * math.asinh(self.L / self.scale) / (self.n_points - 1)
 
 
 def _sector_matrices(uu: np.ndarray, dx: float) -> tuple:
@@ -90,6 +121,30 @@ def _sector_matrices(uu: np.ndarray, dx: float) -> tuple:
     return even, odd
 
 
+def _grid_sectors(x: np.ndarray, uu: np.ndarray, grid: GridSpec) -> tuple:
+    """Even and odd sector matrices of -d2/dx2 + U on grid, for U = uu at its points x >= 0.
+
+    A uniform grid takes _sector_matrices as they are.  On a mapped grid,
+    x = g(s) = a sinh(s/a), psi = sqrt(g') w turns the equation into
+    -w'' + V w = E g'^2 w in s, with the Liouville potential
+    V = g'^2 U(g(s)) - {g, s}/2, g' = cosh(s/a) and the Schwarzian
+    {g, s} = (1 - 1.5 tanh^2(s/a)) / a^2.  Its sectors on the uniform s_j
+    are scaled by 1/g' on both sides, so that each stays one symmetric
+    matrix with the eigenvalues E and the eigenvectors g' w = psi sqrt(g').
+    """
+    if grid.uniform:
+        return _sector_matrices(uu, grid.dx)
+    # x = a sinh(s/a): g'^2 = 1 + (x/a)^2 and tanh^2(s/a) = (x/a)^2 / g'^2
+    r2 = (x / grid.scale) ** 2
+    stretch = 1.0 + r2
+    vv = stretch * uu - (0.5 - 0.75 * r2 / stretch) / grid.scale**2
+    inv = 1.0 / np.sqrt(stretch)
+    sectors = _sector_matrices(vv, grid.dx)
+    for matrix, r in zip(sectors, (inv, inv[1:])):
+        matrix *= np.outer(r, r)
+    return sectors
+
+
 def eigen_spectrum(potential, grid: GridSpec) -> list:
     """Bound spectrum of -d2/dx2 + U: list of (energy, parity) pairs.
 
@@ -103,11 +158,12 @@ def eigen_spectrum(potential, grid: GridSpec) -> list:
     from scipy import linalg
 
     _require_oracle_potential(potential, grid.L, DECAY_REQUIREMENT)
-    uu = np.asarray(potential(grid.points[grid.n_points // 2:]), dtype=float)
+    x = grid.points[grid.n_points // 2:]
+    uu = np.asarray(potential(x), dtype=float)
     if not np.all(np.isfinite(uu)):
         raise ValueError("potential must be finite on the grid")
     levels = []
-    for matrix, parity in zip(_sector_matrices(uu, grid.dx), (1, -1)):
+    for matrix, parity in zip(_grid_sectors(x, uu, grid), (1, -1)):
         # matrix.T is the same symmetric matrix, in the Fortran order LAPACK overwrites
         w = linalg.eigvalsh(matrix.T, subset_by_value=(-np.inf, -CONTINUUM_EPS),
                             overwrite_a=True, check_finite=False)

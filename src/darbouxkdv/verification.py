@@ -82,6 +82,16 @@ def _level_defect(found, expected) -> float:
     return _worst(abs(a - b) for a, b in zip(found, expected))
 
 
+# --- criteria 1, 2 and 5: the sinc oracle's grid ---
+
+# The sinh-mapped grid of the C01, C02 and C05 oracle solves.  At 161 points,
+# map scales a from 0.5 to 0.6 resolve h=1 [2], 2 [2], 3.7 [4], 6 [2] and 15 []
+# to the levels' rounding floor of a few 1e-12 (at a = 0.7, 3.7 [4] is left
+# 1e-10 off); a = 0.55 is the middle of that window.
+SINC_GRID = GridSpec(L=20.0, n_points=161, scale=0.55)
+_SINC_GRID_TEXT = f"n={SINC_GRID.n_points}, L={SINC_GRID.L:g}, a={SINC_GRID.scale:g}"
+
+
 # --- criteria 1 and 2: spectrum and norming constants of h=1 [2], one sinc oracle solve ---
 
 def _norming_defect_h1(levels) -> float:
@@ -94,14 +104,15 @@ def _norming_defect_h1(levels) -> float:
 
 def check_bound_states_h1() -> list:
     spec = SystemSpec(1.0, (2,))
-    oracle = oracle_norming_constants(deformed_potential(spec), GridSpec(L=20.0, n_points=801))
+    oracle = oracle_norming_constants(deformed_potential(spec), SINC_GRID)
     sdefect = _level_defect([-kappa * kappa for kappa, _ in oracle], (-16.0, -1.0))
     closed = _norming_defect_h1([(s.kappa, s.norming_constant) for s in bound_states(spec)])
     odefect = _norming_defect_h1(oracle)
     return [
-        CheckResult("spectrum h=1 [2] vs {-16,-1} (sinc oracle, n=801, L=20)", sdefect, 1e-6),
+        CheckResult(f"spectrum h=1 [2] vs {{-16,-1}} (sinc oracle, {_SINC_GRID_TEXT})",
+                    sdefect, 1e-6),
         CheckResult("norming constants h=1 [2], closed form", closed, 1e-6),
-        CheckResult("norming constants h=1 [2], sinc oracle (n=801, L=20)", odefect, 1e-3),
+        CheckResult(f"norming constants h=1 [2], sinc oracle ({_SINC_GRID_TEXT})", odefect, 1e-3),
     ]
 
 
@@ -138,14 +149,15 @@ def check_explicit_formula() -> list:
 def check_h2_chain() -> list:
     spec = SystemSpec(2.0, (2,))
     pot = deformed_potential(spec)
-    levels = eigen_spectrum(pot, GridSpec(L=20.0, n_points=801))
+    levels = eigen_spectrum(pot, SINC_GRID)
     sdefect = _level_defect([e for e, _ in levels], (-25.0, -4.0, -1.0))
     data = scattering_data_from_spec(spec)
     spot = abs(field_u(data, 0.0, 0.0) - (-44.0))
     xs = np.linspace(-8.0, 8.0, 1601)
     rdefect = float(np.max(np.abs(field_u(data, xs, 0.0) - pot(xs))))
     return [
-        CheckResult("spectrum h=2 [2] vs {-25,-4,-1} (sinc oracle, n=801, L=20)", sdefect, 1e-6),
+        CheckResult(f"spectrum h=2 [2] vs {{-25,-4,-1}} (sinc oracle, {_SINC_GRID_TEXT})",
+                    sdefect, 1e-6),
         CheckResult("h=2 profile spot value u(0,0) = -44", spot, 1e-8),
         CheckResult("reconstruction h=2: max |u(x,0) - U_D(x)| on [-8,8]", rdefect, 1e-6),
     ]

@@ -14,7 +14,7 @@ def _report(results):
 
 
 def test_c01_spectrum_reproduction():
-    """h=1, seeds=[2]: sinc oracle spectrum {-16, -1} within 1e-6 on n=801, L=20."""
+    """h=1, seeds=[2]: sinc oracle spectrum {-16, -1} within 1e-6 on n=161, L=20, a=0.55."""
     _report(ver.check_bound_states_h1()[:1])
 
 
@@ -50,7 +50,7 @@ def test_spectra_suite_solves_each_system_once(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", refused)
     _report(ver.run_suite("spectra"))
     assert solved == pytest.approx([-30.0, -44.0])
-    assert sectors == [(401, 401), (400, 400)] * 2
+    assert sectors == [(81, 81), (80, 80)] * 2
 
 
 def test_c03_glm_reconstruction_h1():

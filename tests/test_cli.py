@@ -707,9 +707,10 @@ class TestVerifyCommand:
         assert code == 1 and err == ""
         failed = [line for line in out.splitlines() if line.endswith("FAIL")]
         assert failed == [
-            "spectrum h=1 [2] vs {-16,-1} (sinc oracle, n=801, L=20): "
+            "spectrum h=1 [2] vs {-16,-1} (sinc oracle, n=161, L=20, a=0.55): "
             "defect inf vs tol 1.0e-06 FAIL",
-            "norming constants h=1 [2], sinc oracle (n=801, L=20): defect inf vs tol 1.0e-03 FAIL",
+            "norming constants h=1 [2], sinc oracle (n=161, L=20, a=0.55): "
+            "defect inf vs tol 1.0e-03 FAIL",
         ]
         assert out.endswith("7/9 checks passed, 2 FAILED\n")
 
@@ -742,6 +743,6 @@ class TestVerifyCommand:
         assert code == 1 and err == ""
         failed = [line for line in out.splitlines() if line.endswith("FAIL")]
         assert failed == [
-            "spectrum h=2 [2] vs {-25,-4,-1} (sinc oracle, n=801, L=20): "
+            "spectrum h=2 [2] vs {-25,-4,-1} (sinc oracle, n=161, L=20, a=0.55): "
             "defect inf vs tol 1.0e-06 FAIL"
         ]

@@ -7,10 +7,12 @@ from darbouxkdv import cli, spectral_oracle
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.spectral_oracle import (
     GridSpec,
+    _grid_sectors,
     _sector_matrices,
     eigen_spectrum,
     oracle_norming_constants,
 )
+from darbouxkdv.verification import SINC_GRID
 
 
 class TestGridSpec:
@@ -20,6 +22,21 @@ class TestGridSpec:
         assert len(g.points) == 801
         assert g.points[0] == -20.0 and g.points[-1] == 20.0 and g.points[400] == 0.0
         assert GridSpec().n_points == 801
+        assert GridSpec().uniform and GridSpec(20.0, 801, math.inf) == GridSpec(20.0, 801)
+
+    def test_mapped(self):
+        g = GridSpec(L=20.0, n_points=101, scale=2.0)
+        assert not g.uniform
+        assert g.dx == 2.0 * 2.0 * math.asinh(10.0) / 100  # the step in s
+        s = g.dx * np.arange(-50, 51)
+        assert np.array_equal(g.points, 2.0 * np.sinh(s / 2.0))
+        # symmetric, x = 0 exactly at the middle, +-L at the ends
+        assert np.array_equal(g.points, -g.points[::-1]) and g.points[50] == 0.0
+        assert g.points[-1] == pytest.approx(20.0, rel=1e-14)
+        # the x-step is dx at the middle and about sqrt(1 + (L/a)^2) dx at the ends
+        steps = np.diff(g.points) / g.dx
+        assert steps[50] == pytest.approx(1.0, rel=1e-3)
+        assert steps[-1] == pytest.approx(math.sqrt(101.0), rel=0.1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -32,6 +49,13 @@ class TestGridSpec:
             {"n_points": 301},
             {"n_points": 801.5},  # used to pass, then fail with a TypeError in eigen_spectrum
             {"n_points": 801.0},
+            {"scale": math.nan},
+            {"scale": 0.0},
+            {"scale": -1.0},
+            {"scale": -math.inf},
+            {"n_points": 99, "scale": 1.0},  # a mapped grid takes n_points >= 101
+            {"n_points": 160, "scale": 1.0},
+            {"n_points": 161.0, "scale": 1.0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -57,22 +81,31 @@ def sector_matrices_direct(uu, dx):
     return even + np.diag(uu), odd + np.diag(uu[1:])
 
 
+def stretch(grid):
+    """g' = dx/ds at grid.points: sqrt(1 + (x/a)^2) for x = a sinh(s/a), 1 on a uniform grid."""
+    return np.sqrt(1.0 + (grid.points / grid.scale) ** 2)
+
+
 def sinc_eigenvectors(potential, grid):
     """(energy, psi) of each level below the cutoff, ascending, by eigh on the sector
     matrices: psi on grid.points, mirrored by the sector's parity and normalized in the
-    discrete inner product sum(psi^2) dx = 1.  A witness for the closed-form
-    wavefunctions; the package itself computes no eigenvector."""
+    discrete inner product sum(psi^2 g') dx = 1, g' = stretch(grid).  On a mapped grid
+    a sector's eigenvector w is psi sqrt(g'), so psi = w / sqrt(g').  A witness for the
+    closed-form wavefunctions; the package itself computes no eigenvector."""
     from scipy import linalg
 
-    uu = np.asarray(potential(grid.points[grid.n_points // 2:]), dtype=float)
+    mid = grid.n_points // 2
+    x = grid.points[mid:]
+    uu = np.asarray(potential(x), dtype=float)
     levels = []
-    for matrix, sign in zip(_sector_matrices(uu, grid.dx), (1.0, -1.0)):
+    for matrix, sign in zip(_grid_sectors(x, uu, grid), (1.0, -1.0)):
         w, vecs = linalg.eigh(matrix, subset_by_value=(-np.inf, -spectral_oracle.CONTINUUM_EPS))
         half = vecs / math.sqrt(2.0 * grid.dx)  # psi_j = phi_j / sqrt(2) for j >= 1
         if sign > 0:
             half[0] *= math.sqrt(2.0)  # psi_0 = phi_0 carries no weight
         else:
             half = np.vstack([np.zeros(len(w)), half])  # psi_0 = 0
+        half /= np.sqrt(stretch(grid)[mid:])[:, None]
         full = np.vstack([sign * half[:0:-1], half])
         levels.extend((float(e), full[:, i]) for i, e in enumerate(w))
     return sorted(levels, key=lambda level: level[0])
@@ -128,6 +161,7 @@ class TestEigenSpectrum:
             (SystemSpec(1.0, (2,)), GridSpec(20.0, 801)),
             (SystemSpec(2.0, (2,)), GridSpec(20.0, 801)),
             (SystemSpec(15.0), GridSpec(20.0, 501)),
+            (SystemSpec(15.0), SINC_GRID),
         ],
         ids=str,
     )
@@ -181,24 +215,35 @@ class TestEigenSpectrum:
         fine = [e for e, _ in eigen_spectrum(pot, GridSpec(20.0, 1601))]
         assert max(abs(a - b) for a, b in zip(coarse, fine)) <= 1e-10
 
-    def test_eigenvectors_orthonormal(self):
-        g = GridSpec(20.0, 801)
+    @pytest.mark.parametrize("g", [GridSpec(20.0, 801), SINC_GRID], ids=str)
+    def test_eigenvectors_orthonormal(self, g):
         pot = deformed_potential(SystemSpec(2.0, (2,)))
         levels = sinc_eigenvectors(pot, g)
         # the witness solves the oracle's own sector matrices
         assert [e for e, _ in levels] == pytest.approx([e for e, _ in eigen_spectrum(pot, g)],
                                                        rel=0, abs=1e-12)
         vecs = np.stack([v for _, v in levels], axis=1)
-        gram = vecs.T @ vecs * g.dx
+        gram = vecs.T @ (vecs * stretch(g)[:, None]) * g.dx
         assert np.max(np.abs(gram - np.eye(len(levels)))) <= 1e-12
 
-    def test_eigenvectors_match_the_closed_form(self):
-        g = GridSpec(20.0, 801)
-        spec = SystemSpec(2.0, (2,))
+    @pytest.mark.parametrize(
+        "spec, g",
+        [
+            (SystemSpec(2.0, (2,)), GridSpec(20.0, 801)),
+            (SystemSpec(2.0, (2,)), SINC_GRID),
+            (SystemSpec(3.7, (4,)), SINC_GRID),
+        ],
+        ids=str,
+    )
+    def test_eigenvectors_match_the_closed_form(self, spec, g):
+        # overlaps in the discrete inner product sum(psi phi g') dx, at the mapped
+        # points on a mapped grid
         states = bound_states(spec)
-        for state, (_, psi) in zip(states, sinc_eigenvectors(deformed_potential(spec), g)):
+        levels = sinc_eigenvectors(deformed_potential(spec), g)
+        assert len(levels) == len(states)
+        for state, (_, psi) in zip(states, levels):
             exact = state.wavefunction(g.points)
-            assert np.max(np.abs(abs(np.dot(psi, exact) * g.dx) - 1.0)) <= 1e-9
+            assert abs(abs(np.sum(psi * exact * stretch(g)) * g.dx) - 1.0) <= 1e-9
             assert np.max(np.abs(np.abs(psi) - np.abs(exact))) <= 1e-6
 
     def test_decay_precondition(self):
@@ -244,6 +289,80 @@ class TestEigenSpectrum:
         with pytest.warns(RuntimeWarning):
             levels = eigen_spectrum(shallow, GridSpec(30.0, 601))
         assert len(levels) == 1
+
+
+class TestMappedGrid:
+    @pytest.mark.parametrize(
+        "spec", [SystemSpec(1.0, (2,)), SystemSpec(2.0, (2,)), SystemSpec(15.0)], ids=str
+    )
+    def test_infinite_scale_is_the_unmapped_solve(self, spec):
+        # scale = inf solves _sector_matrices of U on the linspace points as they
+        # are, with no Liouville potential and no 1/g' scaling: the same levels, bitwise
+        from scipy import linalg
+
+        pot, grid = deformed_potential(spec), GridSpec(20.0, 801, math.inf)
+        xs = np.linspace(-20.0, 20.0, 801)
+        assert np.array_equal(grid.points, xs) and grid.dx == 0.05
+        want = []
+        for matrix, parity in zip(_sector_matrices(np.asarray(pot(xs[400:])), 0.05), (1, -1)):
+            w = linalg.eigvalsh(matrix, subset_by_value=(-np.inf, -spectral_oracle.CONTINUUM_EPS))
+            want.extend((float(e), parity) for e in w)
+        assert eigen_spectrum(pot, grid) == sorted(want, key=lambda level: level[0])
+
+    def test_sectors_are_the_liouville_form(self):
+        # V = g'^2 U(g(s)) - {g, s}/2 at s_j = j ds, g = a sinh(s/a), and the sectors
+        # scaled by 1/g' on both sides, entry by entry from the definitions in s
+        grid, pot = SINC_GRID, deformed_potential(SystemSpec(3.7, (4,)))
+        a, mid = grid.scale, grid.n_points // 2
+        s = grid.dx * np.arange(mid + 1)
+        gp = np.cosh(s / a)
+        schwarzian = (1.0 - 1.5 * np.tanh(s / a) ** 2) / a**2
+        vv = gp**2 * pot(a * np.sinh(s / a)) - 0.5 * schwarzian
+        x = grid.points[mid:]
+        got = _grid_sectors(x, np.asarray(pot(x)), grid)
+        want = sector_matrices_direct(vv, grid.dx)
+        for g, w, r in zip(got, want, (1.0 / gp, 1.0 / gp[1:])):
+            w = w * np.outer(r, r)
+            assert np.allclose(g, w, rtol=0, atol=1e-13 * np.max(np.abs(w)))
+            assert np.array_equal(g, g.T)  # one symmetric matrix per sector
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SystemSpec(1.0, (2,)),
+            SystemSpec(2.0, (2,)),
+            SystemSpec(3.7, (4,)),
+            SystemSpec(6.0, (2,)),
+            SystemSpec(15.0),
+        ],
+        ids=str,
+    )
+    def test_refinement_moves_no_level(self, spec):
+        # 2n - 1 points at the same scale halve the step in s
+        pot, grid = deformed_potential(spec), SINC_GRID
+        fine = GridSpec(grid.L, 2 * grid.n_points - 1, grid.scale)
+        coarse, refined = eigen_spectrum(pot, grid), eigen_spectrum(pot, fine)
+        assert [p for _, p in coarse] == [p for _, p in refined]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(coarse, refined)) <= 1e-11
+
+    @pytest.mark.parametrize("grid", [SINC_GRID, GridSpec(20.0, 121, 0.5)], ids=str)
+    @pytest.mark.parametrize("spec", [SystemSpec(3.7, (4,)), SystemSpec(6.0, (2,))], ids=str)
+    def test_closed_form_where_the_uniform_grid_is_coarse(self, spec, grid):
+        # GridSpec(20, 801) is 2.4e-6 off on 3.7 [4] and 8.4e-9 on 6 [2]; the peak
+        # match read 4.1e-12 and 1.7e-12 on the first grid, 1.9e-10 and 7.1e-13 on the second
+        energies = [e for e, _ in eigen_spectrum(deformed_potential(spec), grid)]
+        np.testing.assert_allclose(energies, [s.energy for s in bound_states(spec)],
+                                   rtol=0, atol=1e-9)
+
+    def test_norming_constants_on_the_mapped_grid(self):
+        # the Jost solve reads only kappa and L off the grid
+        spec = SystemSpec(3.7, (4,))
+        out = oracle_norming_constants(deformed_potential(spec), SINC_GRID)
+        states = bound_states(spec)
+        assert len(out) == len(states)
+        for state, (kappa, c) in zip(states, out):
+            assert abs(state.energy + kappa * kappa) <= 1e-10
+            assert c == pytest.approx(state.norming_constant, rel=1e-8)
 
 
 class TestOracleNormingConstants:
