@@ -33,7 +33,7 @@ from .darboux import NodalWronskianError, SystemSpec, bound_states, deformed_pot
 from .kdv import (THETA_PRECISION_LIMIT, OverflowDomainError, SolitonData, field_u,
                   scattering_data_from_spec)
 from .scattering import deformed_amplitudes, numerical_amplitudes
-from .spectral_oracle import CONTINUUM_EPS, GridSpec, oracle_norming_constants
+from .spectral_oracle import CONTINUUM_EPS, MAP_SCALE, GridSpec, oracle_norming_constants
 from .verification import run_suite
 
 __all__ = ["main"]
@@ -54,10 +54,11 @@ TABLE_BLOCK = 4096  # rows (csv) or values (json) formatted and written at a tim
 # The estimates take the factors 5 and 2.
 BOX_ENERGY_FACTOR = 5.0
 BOX_NORMING_FACTOR = 2.0
-# The sinc error falls like e^(-pi d/dx), d the distance of U_D's nearest pole
-# from the real axis: the step is at most d / 5.5 (at d / 5, h=14 [2] fails).
-_POLE_STEPS = 5.5
-_MAX_ORACLE_POINTS = 8001  # sector matrices of 4001^2 doubles; 7483 points peaked at 274 MB
+# The sinc error falls like e^(-pi d/ds), d the distance from the real axis of
+# U_D's nearest pole in s = a asinh(x/a): the step in s is at most d / 6 (at
+# d / 5.5, h=9.7 [14] read its energies 7.5e-9 off, against 4.3e-10 at d / 6).
+_POLE_STEPS = 6.0
+_MAX_ORACLE_POINTS = 8001  # sector matrices of 4001^2 doubles, 128 MB each
 
 
 def _fmt(v: float) -> str:
@@ -270,9 +271,10 @@ def _oracle_grid(states, pot, tol_energy: float, tol_norming: float) -> tuple:
     """(L, n): the box [-L, L] that the levels need, in n points fine enough for U_D.
 
     L widens from 20 in 10 % steps until the box's estimated defects meet the
-    tolerances.  The step is 0.05, or d / _POLE_STEPS if smaller, with d the
-    least |Im x| < pi/2 of U_D's poles; n is inf for d = 0.  The grid is
-    uniform, as BOX_*_FACTOR and _POLE_STEPS were fitted to a uniform step.
+    tolerances.  The step in s is that of GridSpec(), or d / _POLE_STEPS if
+    smaller, with d the least |Im a asinh(x/a)| over U_D's poles x in the
+    strip |Im x| < pi/2; n = 2 ceil(S / ds) + 1 with S = a asinh(L/a), and
+    n is inf for d = 0.
     """
     default = GridSpec()
     L = default.L
@@ -283,9 +285,11 @@ def _oracle_grid(states, pot, tol_energy: float, tol_norming: float) -> tuple:
         for tail in [s.norming_constant**2 * math.exp(-2.0 * s.kappa * L)]
     ):
         L = math.ceil(1.1 * L)
-    d = min((abs(p.imag) for p in pot.poles() if abs(p.imag) < math.pi / 2), default=math.pi / 2)
-    dx = min(default.dx, d / _POLE_STEPS)
-    return L, 2 * math.ceil(L / dx) + 1 if dx > 0 else math.inf
+    poles = pot.poles()
+    poles = poles[np.abs(poles.imag) < math.pi / 2]
+    d = np.min(np.abs((MAP_SCALE * np.arcsinh(poles / MAP_SCALE)).imag), initial=math.inf)
+    ds = min(default.dx, d / _POLE_STEPS)
+    return L, 2 * math.ceil(MAP_SCALE * math.asinh(L / MAP_SCALE) / ds) + 1 if ds > 0 else math.inf
 
 
 def cmd_spectrum(args) -> int:

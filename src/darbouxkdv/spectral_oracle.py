@@ -1,14 +1,13 @@
 """Independent sinc-collocation Schrodinger eigensolver.
 
 Discretizes -psi'' + U psi = E psi by sinc collocation (Eggert, Jarratt and
-Lund, J. Comput. Phys. 69 (1987) 209) on a grid of [-L, L]: the uniform one,
-or the uniform grid in s mapped by x = a sinh(s/a), which puts the points
-densely in the core and sparsely in the smooth tails.  On a mapped grid the
-equation is solved for the Liouville-transformed potential in s (see
-_grid_sectors), with a fifth of the points for the same accuracy.  U is
-even, so each parity sector is one dense symmetric matrix on the points
-x >= 0, summed from strided Toeplitz and Hankel windows on one vector of
-sinc weights, and one eigvalsh per sector returns every eigenvalue below the
+Lund, J. Comput. Phys. 69 (1987) 209) on the uniform grid in s mapped to
+[-L, L] by x = a sinh(s/a), which puts the points densely in the core and
+sparsely in the smooth tails.  The equation is solved for the
+Liouville-transformed potential in s (see _grid_sectors).  U is even, so
+each parity sector is one dense symmetric matrix on the points x >= 0,
+summed from strided Toeplitz and Hankel windows on one vector of sinc
+weights, and one eigvalsh per sector returns every eigenvalue below the
 continuum edge, with no eigenvector: a level's parity is its sector's.  Each
 norming constant comes from the Jost solution f ~ e^(-kappa x) at the
 level's kappa, c^2 = -kappa / W[f, d_kappa f](0),
@@ -44,54 +43,46 @@ DECAY_REQUIREMENT = 1e-10
 JOST_STEP = 1e-30  # imaginary part of the complex kappa step
 
 
+# The scale a of the map x = a sinh(s/a).  At 161 points on [-20, 20], scales
+# from 0.5 to 0.6 resolve h=1 [2], 2 [2], 3.7 [4], 6 [2] and 15 [] to the
+# levels' rounding floor of a few 1e-12 (at a = 0.7, 3.7 [4] is left 1e-10
+# off); 0.55 is the middle of that window.
+MAP_SCALE = 0.55
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Symmetric grid on [-L, L] of n_points points, with x = 0 at its middle point.
 
-    With scale = a = inf (the default) the grid is uniform, x_j = j dx, and
-    n_points is an odd integer >= 501.  A finite scale a > 0 maps it: the
-    points are x = g(s) = a sinh(s / a) at the uniform s_j = j dx of
-    [-S, S], S = a asinh(L / a), so dx is the step in s, and the x-step
-    g'(s) dx = cosh(s / a) dx is dx at x = 0 and grows to about
+    The points are x = g(s) = a sinh(s / a), a = MAP_SCALE, at the uniform
+    s_j = j dx of [-S, S], S = a asinh(L / a), so dx is the step in s, and
+    the x-step g'(s) dx = cosh(s / a) dx is dx at x = 0 and grows to about
     sqrt(1 + (L / a)^2) dx at x = +-L.  The points crowd where the well and
-    its levels vary, and thin out in the smooth tails.  A mapped grid takes
-    an odd n_points >= 101, a fifth of the uniform bound, as the map reaches
-    the accuracy of a uniform grid with about a fifth of its points: 161
-    points at a = 0.55 read the levels of h=1 [2] and 2 [2] as well as 801
-    uniform ones do, and those of 3.7 [4] to 4e-12, where the 801 are 2.4e-6
-    off.
+    its levels vary, and thin out in the smooth tails.  n_points is an odd
+    integer >= 101.  The default, 161 points on [-20, 20], reads the levels
+    of h=1 [2] and 2 [2] to a few 1e-13, and those of 3.7 [4] to 4e-12, where
+    801 uniform points are 2.4e-6 off.
     """
 
     L: float = 20.0
-    n_points: int = 801
-    scale: float = math.inf
+    n_points: int = 161
 
     def __post_init__(self):
         if not 0 < self.L < math.inf:
             raise ValueError(f"grid half-width must be finite and positive, got {self.L}")
-        if not self.scale > 0:
-            raise ValueError(f"map scale must be positive, or inf for uniform, got {self.scale}")
-        n, least = self.n_points, 501 if self.uniform else 101
-        if not isinstance(n, numbers.Integral) or n < least or n % 2 == 0:
-            raise ValueError(f"n_points must be an odd integer >= {least}")
-
-    @property
-    def uniform(self) -> bool:
-        return self.scale == math.inf
+        n = self.n_points
+        if not isinstance(n, numbers.Integral) or n < 101 or n % 2 == 0:
+            raise ValueError("n_points must be an odd integer >= 101")
 
     @property
     def points(self) -> np.ndarray:
-        if self.uniform:
-            return np.linspace(-self.L, self.L, self.n_points)
         half = self.n_points // 2
-        return self.scale * np.sinh(self.dx * np.arange(-half, half + 1) / self.scale)
+        return MAP_SCALE * np.sinh(self.dx * np.arange(-half, half + 1) / MAP_SCALE)
 
     @property
     def dx(self) -> float:
-        """The grid step: in x on a uniform grid, in s on a mapped one."""
-        if self.uniform:
-            return 2.0 * self.L / (self.n_points - 1)
-        return 2.0 * self.scale * math.asinh(self.L / self.scale) / (self.n_points - 1)
+        """The grid step in s."""
+        return 2.0 * MAP_SCALE * math.asinh(self.L / MAP_SCALE) / (self.n_points - 1)
 
 
 def _sector_matrices(uu: np.ndarray, dx: float) -> tuple:
@@ -121,25 +112,22 @@ def _sector_matrices(uu: np.ndarray, dx: float) -> tuple:
     return even, odd
 
 
-def _grid_sectors(x: np.ndarray, uu: np.ndarray, grid: GridSpec) -> tuple:
-    """Even and odd sector matrices of -d2/dx2 + U on grid, for U = uu at its points x >= 0.
+def _grid_sectors(x: np.ndarray, uu: np.ndarray, ds: float) -> tuple:
+    """Even and odd sector matrices of -d2/dx2 + U, for U = uu at the grid points x >= 0.
 
-    A uniform grid takes _sector_matrices as they are.  On a mapped grid,
-    x = g(s) = a sinh(s/a), psi = sqrt(g') w turns the equation into
-    -w'' + V w = E g'^2 w in s, with the Liouville potential
+    x = g(s) = a sinh(s/a) at s_j = j ds, and psi = sqrt(g') w turns the
+    equation into -w'' + V w = E g'^2 w in s, with the Liouville potential
     V = g'^2 U(g(s)) - {g, s}/2, g' = cosh(s/a) and the Schwarzian
     {g, s} = (1 - 1.5 tanh^2(s/a)) / a^2.  Its sectors on the uniform s_j
     are scaled by 1/g' on both sides, so that each stays one symmetric
     matrix with the eigenvalues E and the eigenvectors g' w = psi sqrt(g').
     """
-    if grid.uniform:
-        return _sector_matrices(uu, grid.dx)
     # x = a sinh(s/a): g'^2 = 1 + (x/a)^2 and tanh^2(s/a) = (x/a)^2 / g'^2
-    r2 = (x / grid.scale) ** 2
+    r2 = (x / MAP_SCALE) ** 2
     stretch = 1.0 + r2
-    vv = stretch * uu - (0.5 - 0.75 * r2 / stretch) / grid.scale**2
+    vv = stretch * uu - (0.5 - 0.75 * r2 / stretch) / MAP_SCALE**2
     inv = 1.0 / np.sqrt(stretch)
-    sectors = _sector_matrices(vv, grid.dx)
+    sectors = _sector_matrices(vv, ds)
     for matrix, r in zip(sectors, (inv, inv[1:])):
         matrix *= np.outer(r, r)
     return sectors
@@ -163,7 +151,7 @@ def eigen_spectrum(potential, grid: GridSpec) -> list:
     if not np.all(np.isfinite(uu)):
         raise ValueError("potential must be finite on the grid")
     levels = []
-    for matrix, parity in zip(_grid_sectors(x, uu, grid), (1, -1)):
+    for matrix, parity in zip(_grid_sectors(x, uu, grid.dx), (1, -1)):
         # matrix.T is the same symmetric matrix, in the Fortran order LAPACK overwrites
         w = linalg.eigvalsh(matrix.T, subset_by_value=(-np.inf, -CONTINUUM_EPS),
                             overwrite_a=True, check_finite=False)

@@ -23,7 +23,7 @@ from .kdv import (
     scattering_data_from_spec,
 )
 from .scattering import deformed_amplitudes, numerical_amplitudes, transmission_poles
-from .spectral_oracle import GridSpec, eigen_spectrum, oracle_norming_constants
+from .spectral_oracle import MAP_SCALE, GridSpec, eigen_spectrum, oracle_norming_constants
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -84,12 +84,8 @@ def _level_defect(found, expected) -> float:
 
 # --- criteria 1, 2 and 5: the sinc oracle's grid ---
 
-# The sinh-mapped grid of the C01, C02 and C05 oracle solves.  At 161 points,
-# map scales a from 0.5 to 0.6 resolve h=1 [2], 2 [2], 3.7 [4], 6 [2] and 15 []
-# to the levels' rounding floor of a few 1e-12 (at a = 0.7, 3.7 [4] is left
-# 1e-10 off); a = 0.55 is the middle of that window.
-SINC_GRID = GridSpec(L=20.0, n_points=161, scale=0.55)
-_SINC_GRID_TEXT = f"n={SINC_GRID.n_points}, L={SINC_GRID.L:g}, a={SINC_GRID.scale:g}"
+SINC_GRID = GridSpec()
+_SINC_GRID_TEXT = f"n={SINC_GRID.n_points}, L={SINC_GRID.L:g}, a={MAP_SCALE:g}"
 
 
 # --- criteria 1 and 2: spectrum and norming constants of h=1 [2], one sinc oracle solve ---

@@ -16,6 +16,7 @@ from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, _text, main
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.kdv import SOLITON_LIMIT, SolitonData, field_u, scattering_data_from_spec
 from darbouxkdv.spectral_oracle import GridSpec, oracle_norming_constants
+from darbouxkdv.verification import SINC_GRID
 
 
 def run(capsys, *argv):
@@ -146,7 +147,7 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("spec", [("1.2", ""), ("2.2", "2")], ids="-".join)
     def test_shallow_level_gets_the_box_it_needs(self, capsys, spec):
         # the box [-20, 20] would move kappa = 0.2 by about 1e-4 in E, above the
-        # 1e-5 tolerance: the oracle widens its box to L = 28 and keeps the step
+        # 1e-5 tolerance: the oracle widens its box to L = 28 and keeps the step in s
         h, seeds = spec
         calls = []
         oracle = cli.oracle_norming_constants
@@ -155,14 +156,14 @@ class TestSpectrumCommand:
                        lambda pot, grid: calls.append(grid) or oracle(pot, grid))
             code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
         assert code == 0, err
-        assert calls == [GridSpec(28, 1121)]
+        assert calls == [GridSpec(28, 175)]
         assert all(lvl["energy_defect"] <= 5e-6 for lvl in json.loads(out)["levels"])
 
     @pytest.mark.parametrize("spec", [("10", "6"), ("8", "8"), ("14", "2"), ("9.7", "14")],
                              ids="-".join)
     def test_poles_near_the_axis_pass_at_default_flags(self, capsys, spec):
-        # poles of U_D at |Im x| = 0.07-0.18: the step 0.05 read these wells'
-        # energies or norming constants off beyond tolerance (exit 3)
+        # poles of U_D at |Im x| = 0.07-0.18: on the default grid, 10 [6], 8 [8] and
+        # 9.7 [14] read their energies 1.3e-5 to 0.24 off (exit 3)
         h, seeds = spec
         code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
         assert code == 0, err
@@ -171,10 +172,12 @@ class TestSpectrumCommand:
         assert all(lvl["norming_defect"] <= 1e-7 * lvl["norming_constant"] for lvl in levels)
 
     def test_regular_well_keeps_the_default_grid(self, capsys):
-        # h=1 [2]: its poles at |Im x| = 0.42 allow the step 0.05, and [-20, 20]
-        # holds both levels, so the output is the oracle's on GridSpec(20, 801)
+        # h=1 [2]: its poles at |Im x| = 0.42 allow the default step, and [-20, 20]
+        # holds both levels, so the output is the oracle's on GridSpec(), the grid
+        # of verify's sinc checks
+        assert GridSpec() == SINC_GRID
         spec = SystemSpec(1.0, (2,))
-        oracle = oracle_norming_constants(deformed_potential(spec), GridSpec(20, 801))
+        oracle = oracle_norming_constants(deformed_potential(spec), GridSpec())
         code, out, _ = run(capsys, "spectrum", "--h", "1", "--seeds", "2")
         assert code == 0
         expected = [
@@ -188,17 +191,23 @@ class TestSpectrumCommand:
         ]
         assert out == '{\n  "h": 1,\n  "seeds": [2],\n  "levels": [\n' + ",\n".join(expected) + "\n  ]\n}\n"
 
-    @pytest.mark.parametrize("spec, points", [(("300", "600"), "inf"), (("2.5", "60"), "8885")],
+    @pytest.mark.parametrize("spec, points, cap", [(("300", "600"), "inf", None),
+                                                   (("2.5", "60"), "1145", 1001)],
                              ids=["h300-600", "h2.5-60"])
-    def test_grid_above_the_cap(self, capsys, monkeypatch, spec, points):
+    def test_grid_above_the_cap(self, capsys, monkeypatch, spec, points, cap):
         # h=300 [600] has a pole on the real axis as computed (d = 0), h=2.5 [60]
-        # one at |Im x| = 0.025: exit 4 before the oracle allocates its matrices
+        # one at |Im x| = 0.025, whose 1145 points are above a cap of 1001:
+        # exit 4 before the oracle allocates its matrices
         h, seeds = spec
+        if cap is None:
+            cap = 8001
+        else:
+            monkeypatch.setattr(cli, "_MAX_ORACLE_POINTS", cap)
         monkeypatch.setattr(cli, "oracle_norming_constants", pytest.fail)
         code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert f"has {points} points, above the cap of 8001" in err
+        assert f"has {points} points, above the cap of {cap}" in err
 
     def test_near_edge_warning_is_one_line(self):
         # E = -0.0025 of h = 1.05 sits within a factor 10 of the cutoff: one
@@ -231,7 +240,7 @@ class TestSpectrumCommand:
         assert "norming defect nan" in err
 
     def test_negative_c_squared_exit_code(self, capsys):
-        # h=100 [2]: the Jost Wronskian of kappa = 99 has the wrong sign
+        # h=100 [2]: the Jost Wronskian of a deep level (kappa = 88) has the wrong sign
         code, out, err = run(capsys, "spectrum", "--h", "100", "--seeds", "2")
         assert code == 4 and out == ""
         assert err.startswith("error: Jost Wronskian norming constant") and err.count("\n") == 1
