@@ -171,6 +171,20 @@ class TestSpectrumCommand:
         assert all(lvl["energy_defect"] <= 1e-8 for lvl in levels)
         assert all(lvl["norming_defect"] <= 1e-7 * lvl["norming_constant"] for lvl in levels)
 
+    @pytest.mark.parametrize("spec, grid", [
+        (SystemSpec(2.5, (50,)), (20.0, 963)),
+        (SystemSpec(2.5, (26,)), (20.0, 529)),
+        (SystemSpec(9.7, (14,)), (20.0, 407)),
+        (SystemSpec(10.0, (6,)), (20.0, 241)),
+        (SystemSpec(1.05), (80, 213)),
+    ], ids=str)
+    def test_pole_limited_grid_sizes(self, spec, grid):
+        # ds = d / _POLE_STEPS in s, d the least |Im a asinh(x_p / a)| over the poles;
+        # 1.05 [] has no pole near the axis but a level at kappa = 0.05 that needs L = 80
+        args = cli._build_parser().parse_args(["spectrum", "--h", "1"])
+        assert cli._oracle_grid(bound_states(spec), deformed_potential(spec),
+                                args.tol_energy, args.tol_norming) == grid
+
     def test_regular_well_keeps_the_default_grid(self, capsys):
         # h=1 [2]: its poles at |Im x| = 0.42 allow the default step, and [-20, 20]
         # holds both levels, so the output is the oracle's on GridSpec(), the grid

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,12 @@ from darbouxkdv.verification import SINC_GRID
 
 class TestGridSpec:
     def test_valid(self):
+        g = GridSpec()
+        assert g == GridSpec(20.0, 161) == SINC_GRID
+        assert len(g.points) == 161
+        assert g.points[0] == pytest.approx(-20.0, rel=1e-14) and g.points[80] == 0.0
+
+    def test_mapped(self):
         g, a = GridSpec(L=20.0, n_points=101), MAP_SCALE
         assert g.dx == 2.0 * a * math.asinh(20.0 / a) / 100  # the step in s
         s = g.dx * np.arange(-50, 51)
@@ -29,7 +36,12 @@ class TestGridSpec:
         steps = np.diff(g.points) / g.dx
         assert steps[50] == pytest.approx(1.0, rel=1e-2)
         assert steps[-1] == pytest.approx(math.sqrt(1.0 + (20.0 / a) ** 2), rel=0.1)
-        assert GridSpec() == GridSpec(20.0, 161) == SINC_GRID
+
+    def test_has_no_scale_option(self):
+        # one map, a = MAP_SCALE: the grid is its box and its number of points
+        assert [f.name for f in dataclasses.fields(GridSpec)] == ["L", "n_points"]
+        with pytest.raises(TypeError):
+            GridSpec(20.0, 161, scale=MAP_SCALE)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -39,6 +51,10 @@ class TestGridSpec:
             {"L": math.nan},
             {"n_points": 99},
             {"n_points": 160},
+            {"n_points": 500},
+            {"n_points": 4000},
+            {"n_points": 801.5},
+            {"n_points": 801.0},
             {"n_points": 161.5},  # used to pass, then fail with a TypeError in eigen_spectrum
             {"n_points": 161.0},
         ],
@@ -207,6 +223,16 @@ class TestEigenSpectrum:
     def test_barrier_has_no_levels_and_no_lanczos_solve(self):
         assert eigen_spectrum(lambda x: 1.0 / np.cosh(x) ** 2, GridSpec(20.0, 501)) == []
 
+    def test_box_doubling_stability(self):
+        # [-40, 40] at the default step in s (187 points) adds the tails the levels
+        # do not reach: it moved no level by more than 1.5e-12
+        pot, grid = deformed_potential(SystemSpec(2.0, (2,))), SINC_GRID
+        wide = GridSpec(40.0, 2 * round(MAP_SCALE * math.asinh(40.0 / MAP_SCALE) / grid.dx) + 1)
+        assert wide.dx == pytest.approx(grid.dx, rel=1e-3)
+        coarse, widened = eigen_spectrum(pot, grid), eigen_spectrum(pot, wide)
+        assert [p for _, p in coarse] == [p for _, p in widened]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(coarse, widened)) <= 1e-11
+
     @pytest.mark.parametrize("g", [GridSpec(20.0, 801), SINC_GRID], ids=str)
     def test_eigenvectors_orthonormal(self, g):
         pot = deformed_potential(SystemSpec(2.0, (2,)))
@@ -321,17 +347,31 @@ class TestMappedGrid:
         assert max(abs(a - b) for (a, _), (b, _) in zip(coarse, refined)) <= 1e-11
 
     @pytest.mark.parametrize(
+        "spec", [SystemSpec(1.0, (2,)), SystemSpec(2.0, (2,)), SystemSpec(15.0)], ids=str
+    )
+    def test_levels_of_the_uniform_solve(self, spec):
+        # where 801 uniform points on [-20, 20] resolve U, the two discretizations of
+        # the same operator agree: the peak gap read 1.7e-12 (2 [2])
+        pot = deformed_potential(spec)
+        mapped = [e for e, _ in eigen_spectrum(pot, SINC_GRID)]
+        uniform = uniform_levels(pot, 20.0, 801)
+        assert len(mapped) == len(uniform) == len(bound_states(spec))
+        assert max(abs(a - b) for a, b in zip(mapped, uniform)) <= 1e-11
+
+    @pytest.mark.parametrize("grid", [SINC_GRID, GridSpec(20.0, 141)], ids=str)
+    @pytest.mark.parametrize(
         "spec, uniform_defect",
         [(SystemSpec(3.7, (4,)), 1e-6), (SystemSpec(6.0, (2,)), 1e-9)],
         ids=str,
     )
-    def test_closed_form_where_the_uniform_grid_is_coarse(self, spec, uniform_defect):
+    def test_closed_form_where_the_uniform_grid_is_coarse(self, spec, uniform_defect, grid):
         # 801 uniform points on [-20, 20] are 2.4e-6 off on 3.7 [4] and 8.4e-9 on
-        # 6 [2]; the 161 mapped points of the default grid read 4.1e-12 and 1.7e-12
+        # 6 [2]; the 161 mapped points of the default grid read 4.1e-12 and 1.7e-12,
+        # 141 mapped points 1.2e-11 and 9.1e-13
         pot, closed = deformed_potential(spec), [s.energy for s in bound_states(spec)]
         uniform = uniform_levels(pot, 20.0, 801)
         assert max(abs(a - b) for a, b in zip(uniform, closed)) > uniform_defect
-        energies = [e for e, _ in eigen_spectrum(pot, SINC_GRID)]
+        energies = [e for e, _ in eigen_spectrum(pot, grid)]
         np.testing.assert_allclose(energies, closed, rtol=0, atol=1e-9)
 
     def test_norming_constants_on_the_mapped_grid(self):
@@ -352,6 +392,14 @@ class TestOracleNormingConstants:
         kappa, c = out[0]
         assert kappa == pytest.approx(1.0, abs=1e-10)
         assert c == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+    def test_middle_point_is_zero(self):
+        # a sinh(0) puts the middle point at x = 0 exactly, where linspace put it
+        # at -3.6e-15 on 607 uniform points; the Jost solve ends at x = 0 itself
+        grid = GridSpec(20.0, 607)
+        assert grid.points[grid.n_points // 2] == 0.0
+        (out,) = oracle_norming_constants(deformed_potential(SystemSpec(1.0)), grid)
+        assert out[1] == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
     def test_deformed_well_matches_closed_form(self):
         spec = SystemSpec(1.0, (2,))
