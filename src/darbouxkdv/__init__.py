@@ -32,7 +32,7 @@ from .specfun import (
     reciprocal_gamma,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AsymptoticSoliton",

@@ -356,7 +356,7 @@ def cmd_scattering(args) -> int:
         for a in amps
     ]
     if args.oracle:
-        num = numerical_amplitudes(deformed_potential(spec, allow_singular=True), ks)
+        num = numerical_amplitudes(deformed_potential(spec), ks)
         header += ["re_t_oracle", "im_t_oracle", "re_r_oracle", "im_r_oracle"]
         cols = np.column_stack([cols, num.t.real, num.t.imag, num.r.real, num.r.imag])
     _write(_table_blocks(header, ks, np.asarray(cols), args.format), args.output)
@@ -422,7 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_spec(p):
         p.add_argument("--h", type=float, required=True, help="base coupling h > 0")
-        p.add_argument("--seeds", type=str, default="", help="comma list of even seed degrees")
+        p.add_argument("--seeds", type=str, default="",
+                       help="comma list of increasing seed degrees, the first even; the "
+                       "set is regular when they alternate in parity (2,3 or 2,5,6)")
 
     def add_output(p):
         p.add_argument("--output", type=str, default=None, help="output path (default stdout)")

@@ -15,13 +15,11 @@ Wronskian is one polynomial in u.  The seed Wronskian W~(u) is built once
 and U_D follows from W~, W~' and W~''; regularity is read off the seed
 parities.  Each bound state is the Crum ratio of two such polynomials, a
 Wronskian with one column added to or removed from the seeds over W~, times
-a cosh power.  The cosh factors cancel in every ratio, so evaluations extend
-to complex x.
+a cosh power.  The cosh factors cancel in every ratio.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -48,18 +46,18 @@ class NodalWronskianError(ValueError):
 
 
 def _validated(h, seeds) -> tuple:
-    """(float h, int seeds) for finite h > 0 and increasing even seeds >= 2, else ValueError."""
+    """(float h, int seeds) for finite h > 0 and increasing seeds, the first even and >= 2."""
     if not (isinstance(h, (int, float, np.integer, np.floating)) and math.isfinite(h) and h > 0):
         raise ValueError(f"coupling h must be a finite positive real, got {h!r}")
     seeds = tuple(seeds)
     for v in seeds:
         if not isinstance(v, (int, np.integer)):
             raise ValueError(f"seed degrees must be integers, got {v!r}")
-        if v < 2 or v % 2 != 0:
-            raise ValueError(
-                f"seed degree {v} is not an even integer >= 2 "
-                "(only even degrees are accepted)"
-            )
+    if seeds and (seeds[0] < 2 or seeds[0] % 2 != 0):
+        raise ValueError(
+            f"the first seed degree {seeds[0]} is not an even integer >= 2 "
+            "(later seeds may have either parity)"
+        )
     if any(b <= a for a, b in zip(seeds, seeds[1:])):
         raise ValueError(f"seed degrees must be strictly increasing, got {seeds}")
     return float(h), tuple(int(v) for v in seeds)
@@ -67,11 +65,14 @@ def _validated(h, seeds) -> tuple:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Base coupling h and the ordered even seed degrees of a deformation.
+    """Base coupling h and the increasing seed degrees of a deformation.
 
-    An empty seed list is the undeformed system.  _columns holds the (gamma, n)
-    of each Darboux column (cosh x)^gamma P_n^(-gamma,-gamma)(tanh x), built
-    once, as deformed_amplitudes reads it once per K.  Seed v is the column
+    An empty seed list is the undeformed system.  The first seed is even; the
+    later ones may have either parity, and PotentialEvaluator.is_singular
+    tells the regular sets, those whose degrees alternate in parity.
+    _columns holds the (gamma, n) of each Darboux column
+    (cosh x)^gamma P_n^(-gamma,-gamma)(tanh x), built once, as
+    deformed_amplitudes reads it once per K.  Seed v is the column
     (h+1+v, v).  A column adds the level kappa = gamma to the levels h - n > 0
     of the base well, and the factor (K + i gamma)/(K - i gamma) to t, minus
     it to r.  Its lowest Taylor powers at x = 0 have the parity of n, so W~
@@ -181,14 +182,15 @@ class PotentialEvaluator:
         U_D = U - 2 (1-u^2) [Gamma - 2u W~'/W~ + (1-u^2) (W~''/W~ - (W~'/W~)^2)].
 
     W~, W~' and W~'' are built once; a coefficient beyond the float range
-    raises OverflowError (deep seeds at large h).  Scalar x, real or complex
-    (the ODE oracle's right-hand side, on its detour around a pole too), and
-    arrays share one body: one Horner loop sums W~, W~' and W~'', then one
-    quotient gives U_D.  An exact zero of W~ gives nan, with no warning, at a
-    scalar x and in an array alike.
+    raises OverflowError (deep seeds at large h).  A real scalar x (the ODE
+    oracle's right-hand side) and an array of them share one body: one Horner
+    loop sums W~, W~' and W~'', then one quotient gives U_D.  An exact zero of
+    W~ gives nan, with no warning, at a scalar x and in an array alike.  A
+    complex x raises TypeError.
 
-    is_singular: W~(0) = 0 to the order of SystemSpec._columns, exact on the
-    all-even sets _validated accepts (a parity rule for mixed sets replaces it):
+    is_singular is the parity rule: W~ is nodeless on the real line exactly
+    when the degrees alternate in parity from an even first one, v_j = j-1
+    (mod 2) for j = 1..M.  It is proved on the all-even sets:
     * One even seed is nodeless.  With gamma = h+1+v = h+1+2m, the even-power
       coefficients of P_v^(-gamma,-gamma) are positive: the lowest is
       prod_i (gamma-m-1-i)/(4(i+1)) with gamma-m-1-i >= h+1 > 0, and the
@@ -196,6 +198,10 @@ class PotentialEvaluator:
       positive for j < v.  So W~ = P >= P(0) > 0, in floats too.
     * Two or more even seeds have a node.  The first-derivative row of the
       scaled matrix, gamma u P + (1-u^2) P', is odd, so W~(0) = 0 exactly.
+    On mixed sets the rule is checked, not proved: a float node scan agrees
+    with it on every increasing set of one to three degrees from 2..8 with an
+    even first one, at five h.  It looks like the pseudo-virtual analogue of
+    the Krein-Adler condition (Adler, Theor. Math. Phys. 101 (1994) 1381).
     """
 
     def __init__(self, spec: SystemSpec, allow_singular: bool = False):
@@ -213,7 +219,7 @@ class PotentialEvaluator:
         self._gamma = sum(gamma for gamma, _ in self._seeds)
         even_minus_odd = sum(1 - 2 * (n % 2) for _, n in spec._columns)
         self._zero_order = even_minus_odd * (even_minus_odd - 1) // 2  # of W~ at u = 0
-        self.is_singular = self._zero_order > 0
+        self.is_singular = any(v % 2 != j % 2 for j, v in enumerate(spec.seeds))
         if self.is_singular and not allow_singular:
             raise NodalWronskianError(
                 f"seed Wronskian of {spec.seeds} (h = {spec.h}) has a node; "
@@ -221,15 +227,15 @@ class PotentialEvaluator:
             )
 
     def _u_d(self, u, e):
-        """U_D from u = tanh x and e = e^(-2|x|), Python scalars or numpy arrays alike.
+        """U_D from u = tanh x and e = e^(-2|x|), Python floats or numpy arrays alike.
 
-        For complex x, e = e^(-+2x) where Re x >= 0 or < 0.  Padded with zeros
-        above their top powers, W~' and W~'' stay +0.0 until their own top
-        coefficient, so each sum is bitwise its own Horner sum.  sech^2 x is
-        taken as 4e/(1+e)^2, not as 1 - u^2, which loses the digits of sech^2 x,
-        and so of U_D, as u rounds towards +-1: a relative error eps e^(2|x|)/4,
-        1.7e-4 at |x| = 15, and U_D = -0 from |x| = 20.  The bracket tends to a
-        constant as |u| -> 1, so U_D keeps the relative accuracy of s2.
+        Padded with zeros above their top powers, W~' and W~'' stay +0.0 until
+        their own top coefficient, so each sum is bitwise its own Horner sum.
+        sech^2 x is taken as 4e/(1+e)^2, not as 1 - u^2, which loses the
+        digits of sech^2 x, and so of U_D, as u rounds towards +-1: a relative
+        error eps e^(2|x|)/4, 1.7e-4 at |x| = 15, and U_D = -0 from |x| = 20.
+        The bracket tends to a constant as |u| -> 1, so U_D keeps the relative
+        accuracy of s2.
         """
         w = dw = ddw = 0.0
         for c, dc, ddc in self._top_down:
@@ -238,17 +244,15 @@ class PotentialEvaluator:
         return -self._hh * s2 - 2.0 * s2 * (self._gamma - 2.0 * u * q + s2 * (ddw / w - q * q))
 
     def _scalar(self, x):
-        """U_D at one real or complex x, in pure Python; an exact zero of W~ gives nan."""
-        if isinstance(x, complex):
-            u, e = cmath.tanh(x), cmath.exp(-2.0 * x if x.real >= 0.0 else 2.0 * x)
-        else:
-            u, e = math.tanh(x), math.exp(-2.0 * abs(x))
+        """U_D at one real x, in pure Python; an exact zero of W~ gives nan."""
+        if isinstance(x, complex):  # math would take a numpy complex's real part
+            raise TypeError("U_D takes real x only, got a complex x")
         try:
-            return self._u_d(u, e)
+            return self._u_d(math.tanh(x), math.exp(-2.0 * abs(x)))
         except ZeroDivisionError:
-            return complex(math.nan, math.nan) if isinstance(u, complex) else math.nan
+            return math.nan
 
-    evaluate_scalar = _scalar  # the ODE oracle's one call per step, real line and detour alike
+    evaluate_scalar = _scalar  # the ODE oracle's one call per step
 
     def poles(self) -> np.ndarray:
         """Poles of U_D in the strip |Im x| < pi/2: x = artanh(u) over the roots u of W~.
@@ -266,12 +270,13 @@ class PotentialEvaluator:
         return np.concatenate([[0.0], poles]) if m else poles
 
     def __call__(self, x):
-        if not isinstance(x, (int, float, complex)):
+        if not isinstance(x, (int, float)):
             x = np.asarray(x)
+            if x.dtype.kind == "c":
+                raise TypeError("U_D takes real x only, got a complex x")
             if x.ndim:
-                a = np.where(x.real >= 0.0, x, -x) if x.dtype.kind == "c" else np.abs(x)
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # at a node
-                    return self._u_d(np.tanh(x), np.exp(-2.0 * a))
+                    return self._u_d(np.tanh(x), np.exp(-2.0 * np.abs(x)))
             x = x.item()
         return self._scalar(x)
 
@@ -281,7 +286,7 @@ def deformed_potential(spec: SystemSpec, allow_singular: bool = False) -> Potent
 
     Seed sets whose Wronskian has a node raise NodalWronskianError unless
     allow_singular is set; a singular evaluator is still exact away from the
-    Wronskian zeros and supports complex x for contour integration.
+    Wronskian zeros.
     """
     return PotentialEvaluator(spec, allow_singular=allow_singular)
 
@@ -312,8 +317,9 @@ def _unit_state(sols: list, den: tuple, kappa: float, c: float) -> Callable:
     2^kappa num(1)/den(1); scale = c / tail makes psi decay as +c e^(-kappa x),
     which fixes its sign and, c^2 being the norming constant, its unit norm.
     With 2^kappa (cosh x)^(-kappa) = e^(-kappa (|x| + log1p(e^(-2|x|)))), num
-    and den taken over their largest coefficients and den > 0 (W~ is
-    nodeless), psi is a sign times the exponential of a sum of logarithms:
+    and den taken over their largest coefficients, and den over its sign too
+    (W~ is nodeless, so of the one sign of W~(0), negative on h=1 [2,3]), psi
+    is a sign times the exponential of a sum of logarithms:
     nothing overflows (deep wells have coefficients near 1e290, and
     2^kappa num(1) beyond the float range), and psi underflows to 0 only
     below the smallest float.
@@ -340,7 +346,7 @@ def _unit_state(sols: list, den: tuple, kappa: float, c: float) -> Callable:
                 return str(exc)
             bound = _wronskian_poly(sols, magnitude=True)
         top = np.max(np.abs(num))
-        d = np.asarray(den) / np.max(np.abs(den))
+        d = np.asarray(den) / math.copysign(np.max(np.abs(den)), den[0])
         num1 = npoly.polyval(1.0, num) / top
         with np.errstate(divide="ignore"):
             log_scale = math.log(c) + np.log(npoly.polyval(1.0, d)) - np.log(abs(num1))

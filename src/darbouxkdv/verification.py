@@ -213,7 +213,7 @@ ORACLE_SPECS = (
     SystemSpec(1.0, (2,)),
     SystemSpec(2.0, (2,)),
     SystemSpec(1.5, (2,)),
-    SystemSpec(1.0, (2, 4)),
+    SystemSpec(1.0, (2, 3)),
 )
 ORACLE_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
@@ -221,8 +221,7 @@ ORACLE_K_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 def check_oracle_agreement() -> list:
     out = []
     for spec in ORACLE_SPECS:
-        pot = deformed_potential(spec, allow_singular=True)
-        numeric = numerical_amplitudes(pot, ORACLE_K_GRID)
+        numeric = numerical_amplitudes(deformed_potential(spec), ORACLE_K_GRID)
         closed = [deformed_amplitudes(spec, K) for K in ORACLE_K_GRID]
         dt = _worst(abs(c.t - t) for c, t in zip(closed, numeric.t))
         dr = _worst(abs(c.r - r) for c, r in zip(closed, numeric.r))

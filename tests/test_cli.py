@@ -296,9 +296,9 @@ class TestScatteringCommand:
         assert cols["re_t_oracle"] == pytest.approx(cols["re_t"], abs=1e-5)
         assert cols["im_t_oracle"] == pytest.approx(cols["im_t"], abs=1e-5)
 
-    @pytest.mark.parametrize("seeds", ["2", "2,4"])
+    @pytest.mark.parametrize("seeds", ["2", "2,3"])
     def test_oracle_columns_on_default_grid(self, capsys, seeds):
-        # 32 K from 0.25 to 8; h=1 [2,4] takes the detour around its pole
+        # 32 K from 0.25 to 8, on a single seed and on the regular two-seed h=1 [2,3]
         h = "1.5" if seeds == "2" else "1"
         code, out, _ = run(capsys, "scattering", "--h", h, "--seeds", seeds, "--oracle")
         assert code == 0
@@ -309,6 +309,14 @@ class TestScatteringCommand:
             cols = dict(zip(names, (float(v) for v in row.split(","))))
             for part in ("re_t", "im_t", "re_r", "im_r"):
                 assert abs(cols[part + "_oracle"] - cols[part]) <= 1e-10
+
+    def test_oracle_on_a_singular_set_exit_code(self, capsys):
+        # the closed forms still take h=1 [2,4]; the oracle's real line would cross its pole
+        code, out, err = run(capsys, "scattering", "--h", "1", "--seeds", "2,4",
+                             "--k", "1", "--oracle")
+        assert code == 2
+        assert out == ""
+        assert "singular" in err
 
     def test_oracle_stepper_failure_exit_code(self, capsys, monkeypatch):
         # K = 3000 needs more VODE steps than the oracle allows; a small step
@@ -754,7 +762,7 @@ class TestVerifyCommand:
         failed = [line for line in out.splitlines() if line.endswith("FAIL")]
         assert failed == [
             f"oracle agreement t, h={h} seeds={seeds}: defect nan vs tol 1.0e-04 FAIL"
-            for h, seeds in (("1.0", [2]), ("2.0", [2]), ("1.5", [2]), ("1.0", [2, 4]))
+            for h, seeds in (("1.0", [2]), ("2.0", [2]), ("1.5", [2]), ("1.0", [2, 3]))
         ]
 
     def test_empty_oracle_spectrum_fails_check(self, capsys, monkeypatch):

@@ -226,6 +226,20 @@ class TestFieldU:
         ref = deformed_potential(spec)(xs)
         assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("h, seeds", [
+        (1, (2, 3)), (2, (2, 3)), (1, (2, 5)), (3, (4, 5)), (2, (2, 3, 4)), (1, (2, 3, 4, 5)),
+    ])
+    def test_reconstructs_regular_multi_seed_wells(self, h, seeds):
+        # seeds alternating in parity give regular wells, and their closed-form data
+        # (kappas {1..h} and h+1+v_j) rebuild U_D at t = 0 and solve KdV
+        spec = SystemSpec(float(h), seeds)
+        data = scattering_data_from_spec(spec)
+        assert data.kappas == tuple(sorted([h - n for n in range(h)] + [h + 1 + v for v in seeds]))
+        xs = np.linspace(-10.0, 10.0, 2001)
+        ref = deformed_potential(spec)(xs)
+        assert np.max(np.abs(field_u(data, xs, 0.0) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert max(kdv_residual(data, x, t) for x in (-1.0, 0.7) for t in (-0.01, 0.01)) <= 1e-9
+
     @pytest.mark.parametrize("h, seeds", [(1, (2,)), (2, (2,)), (3, (4,)), (5, ()), (6, (2,))])
     def test_reconstructs_the_tails_relatively(self, h, seeds):
         # each value held relative to itself out to |x| = 30, where U_D ~ e^(-60);

@@ -101,7 +101,7 @@ def test_cold_first_calls_match_warm_ones():
         data = SolitonData((1.0, 2.0), (1.5, 0.5))
         res = [kdv_residual(data, 0.3, 0.1) for _ in range(2)]
         pot = deformed_potential(SystemSpec(1.0, (2,)))
-        grid = GridSpec(L=20.0, n_points=1001)
+        grid = GridSpec()
         first, second = (eigen_spectrum(pot, grid) for _ in range(2))
         same = first == second
         print(json.dumps({"cold": cold, "t": [amp.t.real, amp.t.imag],

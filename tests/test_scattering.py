@@ -12,7 +12,6 @@ from darbouxkdv.cli import main
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.scattering import (
     AMPLITUDE_ERROR_LIMIT,
-    DETOUR_BAND,
     SMALL_K_CUTOFF,
     deformed_amplitudes,
     numerical_amplitudes,
@@ -275,7 +274,7 @@ class TestJostIntegrator:
     @pytest.mark.parametrize(
         "oracle",
         [lambda pot: numerical_amplitudes(pot, [0.5, 2.0]),
-         lambda pot: oracle_norming_constants(pot, GridSpec(20.0, 801))],
+         lambda pot: oracle_norming_constants(pot, GridSpec())],
         ids=["numerical_amplitudes", "oracle_norming_constants"],
     )
     def test_nan_inside_the_well_raises(self, oracle):
@@ -286,7 +285,7 @@ class TestJostIntegrator:
     def test_dense_and_elementwise_right_hand_sides_agree(self, spec, monkeypatch):
         # the dense (2n, 2n) product and the three ufuncs round differently, so
         # VODE picks other steps; both land within the solve's tolerance
-        pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
+        pot = deformed_potential(spec)
         dense = numerical_amplitudes(pot, ORACLE_K_GRID)
         monkeypatch.setattr(scattering, "_DENSE_MAX", 0)
         elementwise = numerical_amplitudes(pot, ORACLE_K_GRID)
@@ -296,12 +295,13 @@ class TestJostIntegrator:
     @pytest.mark.parametrize("n", [3, scattering._DENSE_MAX + 8], ids=["dense", "O(n)"])
     def test_band_jacobian_unpacks_to_m(self, n):
         # the Jacobian of the float view is M(z) itself, with (h_j, h'_j) adjacent:
-        # blocks [[0, 1], [U, -2ik_j]], each complex entry w as [[Re w, -Im w], [Im w, Re w]]
+        # blocks [[0, 1], [U, -2ik_j]], each complex entry w as [[Re w, -Im w], [Im w, Re w]];
+        # U is real, so the band reaches two rows below the diagonal
         kappa = np.linspace(0.3, 7.0, n)
         ik = (0.3 + 1j * (-1.0) ** np.arange(n)) * kappa
         derivative, jacobian, lband, uband = scattering._jost_system(ik)
-        assert (lband, uband) == (3, 2)
-        for uz in (-1.7 + 0.6j, 0.4, 2.5 - 3.0j):
+        assert (lband, uband) == (2, 2)
+        for uz in (-1.7, 0.4, 2.5):
             m = np.zeros((2 * n, 2 * n), complex)
             for j in range(n):
                 m[2 * j, 2 * j + 1] = 1.0
@@ -323,12 +323,12 @@ class TestJostIntegrator:
             np.testing.assert_allclose(derivative(uz, flat), expected @ flat, rtol=1e-14, atol=1e-14)
 
     def test_two_threads_match_the_serial_results(self):
-        singular = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
+        two_seeds = deformed_potential(SystemSpec(1.0, (2, 3)))
         regular = deformed_potential(SystemSpec(2.0, (2,)))
-        grid = GridSpec(20.0, 801)
+        grid = GridSpec()
 
         def both_oracles():
-            amp = numerical_amplitudes(singular, ORACLE_K_GRID)
+            amp = numerical_amplitudes(two_seeds, ORACLE_K_GRID)
             return amp.t.tolist(), amp.r.tolist(), oracle_norming_constants(regular, grid)
 
         serial = both_oracles()
@@ -377,32 +377,16 @@ class TestNumericalAmplitudes:
             assert abs(closed.t - numeric.t) <= 1e-6
             assert abs(closed.r - numeric.r) <= 1e-6
 
-    def test_singular_multi_index_contour(self):
-        spec = SystemSpec(1.0, (2, 4))
-        pot = deformed_potential(spec, allow_singular=True)
-        closed = deformed_amplitudes(spec, 1.0)
-        numeric = numerical_amplitudes(pot, 1.0)
-        assert abs(closed.t - numeric.t) <= 1e-6
-        assert abs(numeric.r) <= 1e-6
-
-    def test_contour_is_path_independent(self, monkeypatch):
-        # the deformed scattering state is meromorphic at the Wronskian zero,
-        # so lines below and above the poles at Im x = 0.461 must give the same
-        # amplitudes
-        pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
-        a, b = (self.at_height(monkeypatch, height, pot, 2.0) for height in (0.2, 0.7))
-        assert abs(a.t - b.t) <= 1e-7
-
-    def test_contour_is_path_independent_for_k_array(self, monkeypatch):
-        pot = deformed_potential(SystemSpec(1.0, (2, 4)), allow_singular=True)
-        K = np.array([0.5, 2.0, 8.0])
-        a, b = (self.at_height(monkeypatch, height, pot, K) for height in (0.2, 0.7))
-        assert np.max(np.abs(a.t - b.t)) <= 1e-7
+    @pytest.mark.parametrize("seeds", [(2, 4), (2, 4, 6), (2, 4, 5)], ids=str)
+    def test_singular_well_refused(self, seeds):
+        # the real-line path would cross the poles of a singular U_D
+        pot = deformed_potential(SystemSpec(1.0, seeds), allow_singular=True)
+        with pytest.raises(ValueError, match="singular"):
+            numerical_amplitudes(pot, [0.5, 1.0])
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
     def test_k_array_matches_closed_form(self, spec):
-        pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
-        assert pot.is_singular == (spec.seeds == (2, 4))  # [2, 4] takes the detour
+        pot = deformed_potential(spec)
         numeric = numerical_amplitudes(pot, ORACLE_K_GRID)
         assert numeric.t.shape == numeric.r.shape == (len(ORACLE_K_GRID),)
         assert numeric.K.tolist() == list(ORACLE_K_GRID)
@@ -424,46 +408,33 @@ class TestNumericalAmplitudes:
             assert abs(closed.t - t) <= 1e-9
             assert abs(closed.r - r) <= 1e-9
 
-    @pytest.mark.parametrize("spec", [SystemSpec(3.7, (4,)), SystemSpec(1.0, (2, 4))], ids=str)
+    @pytest.mark.parametrize("spec", [SystemSpec(3.7, (4,)), SystemSpec(1.0, (2, 3))], ids=str)
     def test_32_wave_numbers_accurate_to_1e9(self, spec, monkeypatch):
-        # 32 Jost solutions on the real line (+K only) and 64 on the detour (+-K)
-        # both take the O(n) right-hand side, past _DENSE_MAX
+        # 32 Jost solutions (+K only) take the O(n) right-hand side, past _DENSE_MAX
         K = np.linspace(SMALL_K_CUTOFF, 20.0, 32)
         used = self.record_solves(monkeypatch)
-        pot = deformed_potential(spec, allow_singular=True)
+        pot = deformed_potential(spec)
         numeric = numerical_amplitudes(pot, K)
-        ((n, _),) = used
-        assert n == (64 if pot.is_singular else 32) and n > scattering._DENSE_MAX
+        assert used == [32] and 32 > scattering._DENSE_MAX
         for k, t, r in zip(K, numeric.t, numeric.r):
             closed = deformed_amplitudes(spec, k)
             assert abs(closed.t - t) <= 1e-9
             assert abs(closed.r - r) <= 1e-9
 
-    @pytest.mark.parametrize("spec", [SystemSpec(1.0, (2, 4)), SystemSpec(2.5, (2, 4, 6))], ids=str)
-    def test_singular_wells_accurate_to_1e7(self, spec):
-        # on a quarter arc of radius R an error grew like e^(2K R) on its way to
-        # z0 = iR: h=1 [2,4] was off by 1.0 at K = 100; on the line no error grows
+    @pytest.mark.parametrize("spec", [SystemSpec(1.0, (2, 3)), SystemSpec(2.5, (2, 3, 4))], ids=str)
+    def test_multi_seed_wells_accurate_to_1e9(self, spec):
+        # the factor product of two and three seeds, out to K = 100
         K = (0.5, 8.0, 20.0, 40.0, 60.0, 80.0, 100.0)
-        numeric = numerical_amplitudes(deformed_potential(spec, allow_singular=True), K)
+        numeric = numerical_amplitudes(deformed_potential(spec), K)
         for k, t, r in zip(K, numeric.t, numeric.r):
             closed = deformed_amplitudes(spec, k)
-            assert abs(closed.t - t) <= 1e-7
-            assert abs(closed.r - r) <= 1e-7
-
-    @pytest.mark.filterwarnings("error")
-    def test_detour_past_the_overflow_of_its_wave_factor(self):
-        # f(z0; -K) carries e^(Kc), which overflows from Kc = 710 (K = 2,150 at
-        # c = 0.331): the readout gave t = r = nan, with numpy warnings only
-        spec = SystemSpec(1.0, (2, 4))
-        numeric = numerical_amplitudes(deformed_potential(spec, allow_singular=True), 2500.0)
-        closed = deformed_amplitudes(spec, 2500.0)
-        assert abs(closed.t - numeric.t) <= 1e-9
-        assert abs(closed.r - numeric.r) <= 1e-9
+            assert abs(closed.t - t) <= 1e-9
+            assert abs(closed.r - r) <= 1e-9
 
     @staticmethod
     def oracle_potential_calls(spec, monkeypatch) -> int:
         """evaluate_scalar calls of one numerical_amplitudes on ORACLE_K_GRID."""
-        pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
+        pot = deformed_potential(spec)
         calls = []
         evaluate_scalar = pot.evaluate_scalar
 
@@ -477,13 +448,12 @@ class TestNumericalAmplitudes:
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
     def test_tails_cost_few_potential_calls(self, spec, monkeypatch):
-        # h' stays near 0 where U has decayed, so the tails take long
-        # steps; the detour of h=1 [2,4] took 8,058 calls on an arc 0.014 from two poles.
-        # About 1.3 times the counts measured, 743 to 1,022 for one seed and 1,303
-        # on the detour, so a step-count regression of the Jost solve shows: with
-        # functional iteration in place of Newton steps they were 1,661 to 1,819 and 2,662
+        # h' stays near 0 where U has decayed, so the tails take long steps.
+        # About 1.3 times the counts measured, 749 to 779 for one seed and 941 for
+        # h=1 [2,3], so a step-count regression of the Jost solve shows: with
+        # functional iteration in place of Newton steps one seed took 1,661 to 1,819
         calls = self.oracle_potential_calls(spec, monkeypatch)
-        assert 0 < calls <= (1700 if len(spec.seeds) > 1 else 1350)
+        assert 0 < calls <= 1350
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
     def test_half_path_halves_the_potential_calls(self, spec, monkeypatch):
@@ -491,43 +461,33 @@ class TestNumericalAmplitudes:
         # x = -25 took 2,149 to 3,228 calls per spec on this grid
         assert 0 < self.oracle_potential_calls(spec, monkeypatch) <= 1700
 
-    @pytest.mark.parametrize("spec", [SystemSpec(1.0, (2, 4)), SystemSpec(2.5, (2, 4, 6))], ids=str)
-    def test_singular_wells_at_the_small_k_cutoff(self, spec):
-        # 1/K-sized coefficients cancel at K = 0.05; an arc 0.014 from a pole pair
-        # (h=1 [2,4] at radius 0.5) left 5e-8 of error there
-        numeric = numerical_amplitudes(deformed_potential(spec, allow_singular=True), SMALL_K_CUTOFF)
+    @pytest.mark.parametrize("spec", [SystemSpec(1.0, (2, 3)), SystemSpec(2.5, (2, 3, 4))], ids=str)
+    def test_multi_seed_wells_at_the_small_k_cutoff(self, spec):
+        # 1/K-sized coefficients cancel at K = 0.05
+        numeric = numerical_amplitudes(deformed_potential(spec), SMALL_K_CUTOFF)
         closed = deformed_amplitudes(spec, SMALL_K_CUTOFF)
         assert abs(closed.t - numeric.t) <= 1e-9
         assert abs(closed.r - numeric.r) <= 1e-9
 
     @staticmethod
-    def at_height(monkeypatch, height, potential, K):
-        """numerical_amplitudes(potential, K) on a detour line at the given height."""
-        monkeypatch.setattr(scattering, "_detour_height", lambda potential: height)
-        return numerical_amplitudes(potential, K)
-
-    @staticmethod
     def record_solves(monkeypatch) -> list:
-        """(number of wave numbers, path height) of every later Jost solve, in order."""
+        """The number of wave numbers of every later Jost solve, in order."""
         used = []
         jost = scattering._jost
 
-        def recorded(potential, ik, L, height=0.0):
-            used.append((ik.size, height))
-            return jost(potential, ik, L, height)
+        def recorded(potential, ik, L):
+            used.append(ik.size)
+            return jost(potential, ik, L)
 
         monkeypatch.setattr(scattering, "_jost", recorded)
         return used
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
     def test_real_line_solves_plus_k_only(self, spec, monkeypatch):
-        # U is real on the real line, so f(x; -K) = conj f(x; K) comes free; on the
-        # detour f(.; -K) lives on the mirror line s - ic and is solved for
+        # U is real, so f(x; -K) = conj f(x; K) comes free
         used = self.record_solves(monkeypatch)
-        pot = deformed_potential(spec, allow_singular=len(spec.seeds) > 1)
-        numerical_amplitudes(pot, ORACLE_K_GRID)
-        ((n, _),) = used
-        assert n == (2 if pot.is_singular else 1) * len(ORACLE_K_GRID)
+        numerical_amplitudes(deformed_potential(spec), ORACLE_K_GRID)
+        assert used == [len(ORACLE_K_GRID)]
 
     @staticmethod
     def full_state_amplitudes(potential, K) -> tuple:
@@ -540,7 +500,7 @@ class TestNumericalAmplitudes:
         return t, t * (fp * dfp.conj()).real / (-1j * kv)
 
     @pytest.mark.parametrize("nk", [len(ORACLE_K_GRID), 512])
-    @pytest.mark.parametrize("spec", [s for s in ORACLE_SPECS if len(s.seeds) < 2], ids=str)
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
     def test_half_state_matches_the_full_state(self, spec, nk):
         # the two solves round differently and VODE picks other steps, so the
         # conjugate of f(.; K) is no bitwise copy of a solved f(.; -K)
@@ -550,27 +510,6 @@ class TestNumericalAmplitudes:
         numeric = numerical_amplitudes(pot, K)
         assert np.max(np.abs(numeric.t - t)) <= 1e-12
         assert np.max(np.abs(numeric.r - r)) <= 1e-12
-
-    @pytest.mark.parametrize(
-        "spec, height",
-        [
-            (SystemSpec(1.0, (2, 4)), 0.331),  # poles at Im x = 0.461
-            (SystemSpec(2.5, (2, 4, 6)), 0.297),  # poles at Im x = 0.395 and 0.443
-            (SystemSpec(2.0, (2, 4)), None),
-            (SystemSpec(3.0, (4, 6)), None),
-            (SystemSpec(1.6, (2, 4, 6)), None),
-        ],
-        ids=str,
-    )
-    def test_detour_radius_clears_the_poles(self, spec, height, monkeypatch):
-        used = self.record_solves(monkeypatch)
-        pot = deformed_potential(spec, allow_singular=True)
-        numerical_amplitudes(pot, 1.0)
-        ((_, c),) = used
-        assert DETOUR_BAND[0] <= c <= DETOUR_BAND[1]
-        assert np.min(np.abs(np.abs(pot.poles().imag) - c)) >= 0.05
-        if height is not None:
-            assert c == pytest.approx(height, abs=1e-3)
 
     def test_scalar_k_gives_scalar_fields(self):
         amp = numerical_amplitudes(deformed_potential(SystemSpec(1.0, (2,))), 1.0)
@@ -587,8 +526,7 @@ class TestNumericalAmplitudes:
             numerical_amplitudes(deformed_potential(SystemSpec(1.0)), K)
 
     def test_one_ode_solve_per_spec(self, monkeypatch, capsys):
-        # every K of a spec shares one integrator on one straight path, the real
-        # line or the line above a singular set's pole (the quarter arc took a second)
+        # every K of a spec shares one integrator on one path, the real line
         import scipy.integrate
 
         made = []
@@ -599,7 +537,7 @@ class TestNumericalAmplitudes:
                 return super().set_integrator(name, **params)
 
         monkeypatch.setattr(scipy.integrate, "ode", CountedOde)
-        assert main(["scattering", "--h", "1", "--seeds", "2,4", "--oracle", "--nk", "32"]) == 0
+        assert main(["scattering", "--h", "1", "--seeds", "2,3", "--oracle", "--nk", "32"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 33
         assert made == ["vode"]
         made.clear()

@@ -142,12 +142,12 @@ class TestEigenSpectrum:
         assert levels[0][0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_deformed_well_h1(self):
-        levels = eigen_spectrum(deformed_potential(SystemSpec(1.0, (2,))), GridSpec(20.0, 801))
+        levels = eigen_spectrum(deformed_potential(SystemSpec(1.0, (2,))), GridSpec())
         energies = [e for e, _ in levels]
         np.testing.assert_allclose(energies, [-16.0, -1.0], rtol=0, atol=1e-10)
 
     def test_deformed_well_h2(self):
-        levels = eigen_spectrum(deformed_potential(SystemSpec(2.0, (2,))), GridSpec(20.0, 801))
+        levels = eigen_spectrum(deformed_potential(SystemSpec(2.0, (2,))), GridSpec())
         energies = [e for e, _ in levels]
         np.testing.assert_allclose(energies, [-25.0, -4.0, -1.0], rtol=0, atol=1e-10)
 
@@ -165,15 +165,15 @@ class TestEigenSpectrum:
         assert len(levels) == expected
 
     def test_every_level_of_a_deep_well(self):
-        levels = eigen_spectrum(deformed_potential(SystemSpec(15.0)), GridSpec(20.0, 801))
+        levels = eigen_spectrum(deformed_potential(SystemSpec(15.0)), GridSpec())
         energies = [e for e, _ in levels]
         np.testing.assert_allclose(energies, [-((15 - n) ** 2) for n in range(15)], atol=1e-9)
 
     @pytest.mark.parametrize(
         "spec, grid",
         [
-            (SystemSpec(1.0, (2,)), GridSpec(20.0, 801)),
-            (SystemSpec(2.0, (2,)), GridSpec(20.0, 801)),
+            (SystemSpec(1.0, (2,)), GridSpec()),
+            (SystemSpec(2.0, (2,)), GridSpec()),
             (SystemSpec(15.0), GridSpec(20.0, 501)),
             (SystemSpec(15.0), SINC_GRID),
         ],
@@ -213,7 +213,7 @@ class TestEigenSpectrum:
     )
     def test_parity_is_the_sector(self, spec, parities):
         # by ascending energy: even (+1) ground state, then alternating
-        pot, grid = deformed_potential(spec), GridSpec(20.0, 801)
+        pot, grid = deformed_potential(spec), GridSpec()
         assert tuple(parity for _, parity in eigen_spectrum(pot, grid)) == parities
         # an odd sector's eigenvector is exactly 0 at x = 0, an even one's is not
         mid = grid.n_points // 2
@@ -266,7 +266,7 @@ class TestEigenSpectrum:
 
     def test_decay_precondition(self):
         with pytest.raises(ValueError):
-            eigen_spectrum(deformed_potential(SystemSpec(1.0)), GridSpec(8.0, 801))
+            eigen_spectrum(deformed_potential(SystemSpec(1.0)), GridSpec(8.0))
 
     @pytest.mark.parametrize(
         "potential",
@@ -276,7 +276,7 @@ class TestEigenSpectrum:
     def test_even_precondition(self, potential):
         # the parity sectors hold for an even, real well only
         with pytest.raises(ValueError, match="even and real"):
-            eigen_spectrum(potential, GridSpec(20.0, 801))
+            eigen_spectrum(potential, GridSpec())
 
     def test_nonfinite_potential_raises(self):
         # nan between the probe points, where only the grid sees it
@@ -292,7 +292,7 @@ class TestEigenSpectrum:
         # the levels are those of the untouched matrices, bitwise
         from scipy import linalg
 
-        pot, grid = deformed_potential(SystemSpec(2.0, (2,))), GridSpec(20.0, 801)
+        pot, grid = deformed_potential(SystemSpec(2.0, (2,))), GridSpec()
         x = grid.points[grid.n_points // 2:]
         even, odd = _grid_sectors(x, np.asarray(pot(x)), grid.dx)
         want = sorted(np.concatenate([
@@ -387,7 +387,7 @@ class TestMappedGrid:
 
 class TestOracleNormingConstants:
     def test_base_well(self):
-        out = oracle_norming_constants(deformed_potential(SystemSpec(1.0)), GridSpec(20.0, 801))
+        out = oracle_norming_constants(deformed_potential(SystemSpec(1.0)), GridSpec())
         assert len(out) == 1
         kappa, c = out[0]
         assert kappa == pytest.approx(1.0, abs=1e-10)
@@ -404,7 +404,7 @@ class TestOracleNormingConstants:
     def test_deformed_well_matches_closed_form(self):
         spec = SystemSpec(1.0, (2,))
         closed = {round(s.kappa): s.norming_constant for s in bound_states(spec)}
-        out = oracle_norming_constants(deformed_potential(spec), GridSpec(20.0, 801))
+        out = oracle_norming_constants(deformed_potential(spec), GridSpec())
         for kappa, c in out:
             assert c == pytest.approx(closed[round(kappa)], rel=1e-9)
 
@@ -412,7 +412,7 @@ class TestOracleNormingConstants:
         # kappa = 4 sinks below 1e-11 by x = 8, before U has decayed: the Jost
         # Wronskian at x = 0 needs no asymptotic window
         spec = SystemSpec(1.0, (2,))
-        out = oracle_norming_constants(deformed_potential(spec), GridSpec(20.0, 801))
+        out = oracle_norming_constants(deformed_potential(spec), GridSpec())
         kappa, c = max(out)
         assert kappa == pytest.approx(4.0, abs=1e-10)
         assert c == pytest.approx(math.sqrt(40.0 / 3.0), rel=1e-9)
@@ -420,7 +420,7 @@ class TestOracleNormingConstants:
     def test_deep_levels_resolve_c(self):
         # h = 9: kappa = 9 decays like e^(-9x), far below any tail-fit floor
         spec = SystemSpec(9.0)
-        out = oracle_norming_constants(deformed_potential(spec), GridSpec(20.0, 801))
+        out = oracle_norming_constants(deformed_potential(spec), GridSpec())
         states = bound_states(spec)
         assert len(out) == len(states) == 9
         for state, (kappa, c) in zip(states, out):
