@@ -617,11 +617,12 @@ class TestBoundStates:
 
     @pytest.mark.parametrize("h, seeds", MIXED_SEED_SETS, ids=str)
     def test_mixed_sets_unit_norm_and_tail(self, h, seeds):
-        # W~ < 0 on these sets (W~(0) = -0.75 at h=1 [2,3]): every state came out
-        # nan, from the log of a negative denominator, before den took its sign
-        pot = deformed_potential(SystemSpec(h, seeds))
+        # W~ < 0 on these sets (W~(0) = -0.75 at h=1 [2,3]), so the states take
+        # the log of the denominator over its sign
+        spec = SystemSpec(h, seeds)
+        pot = deformed_potential(spec)
         assert not pot.is_singular and pot._w[0] < 0.0
-        states = bound_states(SystemSpec(h, seeds))
+        states = bound_states(spec)
         assert len(states) == math.ceil(h) + len(seeds)
         for s in states:
             norm, _ = quad(
