@@ -3,11 +3,12 @@ fields and the verification suites, as reproducible file outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 closed-form/oracle mismatch beyond tolerance, 4 numeric-domain violation
-(including a spectrum oracle grid above its point cap and an ODE oracle
-stepper that fails).  Errors and warnings go to stderr as one
-"error: ..." or "warning: ..." line each.  A reader that closes stdout
-early (`... | head`) ends the output with no traceback, and the exit code is
-the command's own: 0 for a table written without error.
+(including a level at the spectrum oracle's continuum cutoff, an oracle grid
+above its point cap and an ODE oracle stepper that fails).  Errors and
+warnings go to stderr as one "error: ..." or "warning: ..." line each.  A
+reader that closes stdout early (`... | head`) ends the output with no
+traceback, and the exit code is the command's own: 0 for a table written
+without error.
 All floats are written with 17 significant digits and no locale dependence,
 so identical configurations produce byte-identical outputs.  The potential,
 scattering and soliton tables go through one writer, in blocks of TABLE_BLOCK
@@ -29,11 +30,11 @@ from functools import cache
 
 import numpy as np
 
-from .darboux import NodalWronskianError, SystemSpec, bound_states, deformed_potential
+from .darboux import NodalWronskianError, SystemSpec, _is_singular, bound_states, deformed_potential
 from .kdv import (THETA_PRECISION_LIMIT, OverflowDomainError, SolitonData, field_u,
                   scattering_data_from_spec)
 from .scattering import deformed_amplitudes, numerical_amplitudes
-from .spectral_oracle import CONTINUUM_EPS, MAP_SCALE, GridSpec, oracle_norming_constants
+from .spectral_oracle import _spectrum_grid, oracle_norming_constants
 from .verification import run_suite
 
 __all__ = ["main"]
@@ -45,21 +46,6 @@ EXIT_ORACLE_MISMATCH = 3
 EXIT_NUMERIC_DOMAIN = 4
 
 TABLE_BLOCK = 4096  # rows (csv) or values (json) formatted and written at a time
-
-# The box [-L, L] of the sinc oracle moves a level (kappa, c) by about
-# 4 kappa c^2 e^(-2 kappa L) in E and by up to L c^2 e^(-2 kappa L) relative
-# in c: fits to h = 0.3-3.4 with seeds (), (2,) and (4,) at L = 15, 20, 25
-# (step 0.05) held to 0.95-1.15 and, for c from the Jost Wronskian at the
-# box's kappa, 0.07-1.90 times these forms wherever the c form exceeds 1e-8.
-# The estimates take the factors 5 and 2.
-BOX_ENERGY_FACTOR = 5.0
-BOX_NORMING_FACTOR = 2.0
-# The sinc error falls like e^(-pi d/ds), d the distance from the real axis of
-# U_D's nearest pole in s = a asinh(x/a): the step in s is at most d / 6 (at
-# d / 5.5, h=9.7 [14] read its energies 7.5e-9 off, against 4.3e-10 at d / 6).
-_POLE_STEPS = 6.0
-_MAX_ORACLE_POINTS = 8001  # sector matrices of 4001^2 doubles, 128 MB each
-
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
@@ -267,53 +253,15 @@ def cmd_potential(args) -> int:
     return EXIT_OK
 
 
-def _oracle_grid(states, pot, tol_energy: float, tol_norming: float) -> tuple:
-    """(L, n): the box [-L, L] that the levels need, in n points fine enough for U_D.
-
-    L widens from 20 in 10 % steps until the box's estimated defects meet the
-    tolerances.  The step in s is that of GridSpec(), or d / _POLE_STEPS if
-    smaller, with d the least |Im a asinh(x/a)| over U_D's poles x in the
-    strip |Im x| < pi/2; n = 2 ceil(S / ds) + 1 with S = a asinh(L/a), and
-    n is inf for d = 0.
-    """
-    default = GridSpec()
-    L = default.L
-    while any(
-        BOX_ENERGY_FACTOR * s.kappa * tail > tol_energy
-        or BOX_NORMING_FACTOR * L * s.norming_constant * tail > tol_norming
-        for s in states
-        for tail in [s.norming_constant**2 * math.exp(-2.0 * s.kappa * L)]
-    ):
-        L = math.ceil(1.1 * L)
-    poles = pot.poles()
-    poles = poles[np.abs(poles.imag) < math.pi / 2]
-    d = np.min(np.abs((MAP_SCALE * np.arcsinh(poles / MAP_SCALE)).imag), initial=math.inf)
-    ds = min(default.dx, d / _POLE_STEPS)
-    return L, 2 * math.ceil(MAP_SCALE * math.asinh(L / MAP_SCALE) / ds) + 1 if ds > 0 else math.inf
-
-
 def cmd_spectrum(args) -> int:
     for flag, tol in (("--tol-energy", args.tol_energy), ("--tol-norming", args.tol_norming)):
         if not 0 < tol < math.inf:  # a nan tolerance would pass every comparison
             raise ValueError(f"{flag} must be finite and positive, got {tol}")
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
     states = bound_states(spec)
-    edge = [s.energy for s in states if s.energy >= -CONTINUUM_EPS]
-    if edge:
-        sys.stderr.write(
-            f"error: level(s) E = {edge} above the oracle's continuum cutoff {-CONTINUUM_EPS:g}: "
-            "no box resolves them\n"
-        )
-        return EXIT_NUMERIC_DOMAIN
     pot = deformed_potential(spec)
-    L, n = _oracle_grid(states, pot, args.tol_energy, args.tol_norming)
-    if n > _MAX_ORACLE_POINTS:
-        sys.stderr.write(
-            f"error: the oracle grid on [-{L:g}, {L:g}] that resolves the poles of U_D "
-            f"has {n} points, above the cap of {_MAX_ORACLE_POINTS}\n"
-        )
-        return EXIT_NUMERIC_DOMAIN
-    oracle = oracle_norming_constants(pot, GridSpec(L, n))
+    grid = _spectrum_grid(pot, states, args.tol_energy, args.tol_norming)
+    oracle = oracle_norming_constants(pot, grid)
     if len(oracle) != len(states):
         sys.stderr.write(
             f"error: oracle found {len(oracle)} bound states, closed form has {len(states)}\n"
@@ -348,6 +296,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scattering(args) -> int:
     spec = SystemSpec(args.h, _parse_seeds(args.seeds))
+    _is_singular(spec)  # refused with or without --oracle, before a deep W~ could overflow
     ks = _axis(args, "k", ("kmin", "kmax", "nk"), (0.25, 8.0, 32))
     header = ["K", "re_t", "im_t", "re_r", "im_r", "abs_t", "abs_r", "unitarity_defect"]
     amps = (deformed_amplitudes(spec, K) for K in ks.tolist())
@@ -441,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="bound states: closed form vs sinc-collocation oracle",
                        description="The oracle's box [-L, L] is the one the closed-form "
                        "levels need, and its step resolves the poles of U_D; a grid of more "
-                       f"than {_MAX_ORACLE_POINTS} points exits 4.")
+                       "than 8001 points exits 4.")
     add_spec(p)
     p.add_argument("--tol-energy", type=float, default=1e-5, help="absolute; also sizes the box")
     p.add_argument("--tol-norming", type=float, default=1e-3, help="absolute; also sizes the box")

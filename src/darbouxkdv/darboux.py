@@ -75,9 +75,7 @@ class SystemSpec:
     deformed_amplitudes reads it once per K.  Seed v is the column
     (h+1+v, v).  A column adds the level kappa = gamma to the levels h - n > 0
     of the base well, and the factor (K + i gamma)/(K - i gamma) to t, minus
-    it to r.  Its lowest Taylor powers at x = 0 have the parity of n, so W~
-    vanishes at u = 0 to order at least (e-o)(e-o-1)/2 over e columns of even
-    n and o of odd n.
+    it to r.
     """
 
     h: float
@@ -173,6 +171,17 @@ def _finite(coef: np.ndarray, what: str) -> np.ndarray:
     return coef
 
 
+def _is_singular(spec: SystemSpec, allow_singular: bool = False) -> bool:
+    """PotentialEvaluator's parity rule, off the seeds alone; NodalWronskianError unless allowed."""
+    singular = any(v % 2 != j % 2 for j, v in enumerate(spec.seeds))
+    if singular and not allow_singular:
+        raise NodalWronskianError(
+            f"seed Wronskian of {spec.seeds} (h = {spec.h}) has a node; "
+            "the deformed potential is singular and this multi-index is rejected"
+        )
+    return singular
+
+
 class PotentialEvaluator:
     """Callable x -> U_D(x) for a (possibly deformed) soliton potential.
 
@@ -206,6 +215,7 @@ class PotentialEvaluator:
 
     def __init__(self, spec: SystemSpec, allow_singular: bool = False):
         self.spec = spec
+        self.is_singular = _is_singular(spec, allow_singular)
         with np.errstate(over="ignore", invalid="ignore"):
             self._seeds = [_solution(gamma, n) for gamma, n in spec._columns]
             w = _wronskian_poly(self._seeds)
@@ -217,14 +227,6 @@ class PotentialEvaluator:
         self._top_down = tuple(zip(*((0.0,) * (len(self._w) - len(c)) + c[::-1] for c in coefs)))
         self._hh = spec.h * (spec.h + 1.0)
         self._gamma = sum(gamma for gamma, _ in self._seeds)
-        even_minus_odd = sum(1 - 2 * (n % 2) for _, n in spec._columns)
-        self._zero_order = even_minus_odd * (even_minus_odd - 1) // 2  # of W~ at u = 0
-        self.is_singular = any(v % 2 != j % 2 for j, v in enumerate(spec.seeds))
-        if self.is_singular and not allow_singular:
-            raise NodalWronskianError(
-                f"seed Wronskian of {spec.seeds} (h = {spec.h}) has a node; "
-                "the deformed potential is singular and this multi-index is rejected"
-            )
 
     def _u_d(self, u, e):
         """U_D from u = tanh x and e = e^(-2|x|), Python floats or numpy arrays alike.
@@ -257,17 +259,17 @@ class PotentialEvaluator:
     def poles(self) -> np.ndarray:
         """Poles of U_D in the strip |Im x| < pi/2: x = artanh(u) over the roots u of W~.
 
-        W~ vanishes at u = 0 to the order of SystemSpec._columns, so its lowest
-        coefficients are zero in exact arithmetic; computed ones are rounding
-        noise (-2.8e-14 at u^1 for h = 2.5, seeds (2, 4, 6)) that would split
-        the multiple root into tiny spurious ones.  They are dropped, and the
-        root at u = 0 is the pole x = 0, once.  Noise in the top coefficients
-        adds roots far outside the unit disk, whose artanh lie near +-i pi/2.
-        The other poles of U_D, at x = i pi/2 + i pi n, lie outside the strip.
+        A regular W~ is nodeless on the real line, so none is real.  Noise in
+        the top coefficients adds roots far outside the unit disk, whose artanh
+        lie near +-i pi/2.  The other poles of U_D, at x = i pi/2 + i pi n, lie
+        outside the strip.  ValueError on a singular evaluator: its W~ has
+        real roots, and a multiple one at u = 0 (as on [2,4,6]) splits under
+        rounding into tiny spurious ones.
         """
-        m = self._zero_order
-        poles = np.arctanh(npoly.polyroots(self._w[m:]).astype(complex))
-        return np.concatenate([[0.0], poles]) if m else poles
+        if self.is_singular:
+            raise ValueError(f"poles() takes a regular well, not the seeds {self.spec.seeds}")
+        poles = np.arctanh(npoly.polyroots(self._w).astype(complex))
+        return poles[np.abs(poles.imag) < math.pi / 2]
 
     def __call__(self, x):
         if not isinstance(x, (int, float)):

@@ -15,9 +15,8 @@ with f integrated inward from x = L by the Jost integrator of the
 scattering oracle (VODE's Adams method, with Newton steps on the exact
 banded Jacobian of the linear Jost equation) at k = i (kappa + i delta):
 the complex step delta puts d_kappa f in the imaginary part.
-The box [-L, L] moves a level (kappa, c) by about 4 kappa c^2 e^(-2 kappa L)
-in E, so shallow levels need a wide box.  Used purely as an oracle against
-the closed-form spectra and norming constants.
+_spectrum_grid sizes the box and the step for the spectrum command.  Used
+purely as an oracle against the closed-form spectra and norming constants.
 
 scipy.linalg is imported by eigen_spectrum and scipy.integrate by the Jost
 integrator, so they load only when a spectrum is asked for (the spectrum
@@ -48,6 +47,24 @@ JOST_STEP = 1e-30  # imaginary part of the complex kappa step
 # levels' rounding floor of a few 1e-12 (at a = 0.7, 3.7 [4] is left 1e-10
 # off); 0.55 is the middle of that window.
 MAP_SCALE = 0.55
+
+# The box [-L, L] moves a level (kappa, c) by about 4 kappa c^2 e^(-2 kappa L)
+# in E and by up to L c^2 e^(-2 kappa L) relative in c: fits to h = 0.3-3.4
+# with seeds (), (2,) and (4,) at L = 15, 20, 25 (step 0.05) held to 0.95-1.15
+# and, for c from the Jost Wronskian at the box's kappa, 0.07-1.90 times these
+# forms wherever the c form exceeds 1e-8.  The estimates take the factors 5 and 2.
+BOX_ENERGY_FACTOR = 5.0
+BOX_NORMING_FACTOR = 2.0
+# The sinc error falls like e^(-pi d/ds), d the distance from the real axis of
+# U_D's nearest pole in s = a asinh(x/a): the step in s is at most d / 6 (at
+# d / 5.5, h=9.7 [14] read its energies 7.5e-9 off, against 4.3e-10 at d / 6).
+_POLE_STEPS = 6.0
+_MAX_ORACLE_POINTS = 8001  # sector matrices of 4001^2 doubles, 128 MB each
+
+
+def _reach(L: float) -> float:
+    """S = a asinh(L / a): the grid on [-L, L] is the uniform one on [-S, S] in s."""
+    return MAP_SCALE * math.asinh(L / MAP_SCALE)
 
 
 @dataclass(frozen=True)
@@ -82,7 +99,38 @@ class GridSpec:
     @property
     def dx(self) -> float:
         """The grid step in s."""
-        return 2.0 * MAP_SCALE * math.asinh(self.L / MAP_SCALE) / (self.n_points - 1)
+        return 2.0 * _reach(self.L) / (self.n_points - 1)
+
+
+def _spectrum_grid(potential, levels, tol_energy: float, tol_norming: float) -> GridSpec:
+    """The GridSpec on which the levels (kappa, c) of a regular U_D meet both tolerances.
+
+    L widens from 20 in 10 % steps until the box's estimated defects meet the
+    tolerances.  The step in s is GridSpec().dx, or d / _POLE_STEPS if smaller,
+    d the least |Im a asinh(x/a)| over potential.poles().  RuntimeError, before
+    the oracle allocates anything, for a level at or above -CONTINUUM_EPS and
+    for more than _MAX_ORACLE_POINTS points (d = 0 asks for infinitely many).
+    """
+    edge = [s.energy for s in levels if s.energy >= -CONTINUUM_EPS]
+    if edge:
+        raise RuntimeError(f"level(s) E = {edge} above the oracle's continuum cutoff "
+                           f"{-CONTINUUM_EPS:g}: no box resolves them")
+    L = GridSpec().L
+    while any(
+        BOX_ENERGY_FACTOR * s.kappa * tail > tol_energy
+        or BOX_NORMING_FACTOR * L * s.norming_constant * tail > tol_norming
+        for s in levels
+        for tail in [s.norming_constant**2 * math.exp(-2.0 * s.kappa * L)]
+    ):
+        L = math.ceil(1.1 * L)
+    poles = potential.poles()
+    d = np.min(np.abs((MAP_SCALE * np.arcsinh(poles / MAP_SCALE)).imag), initial=math.inf)
+    ds = min(GridSpec().dx, d / _POLE_STEPS)
+    n = 2 * math.ceil(_reach(L) / ds) + 1 if ds > 0 else math.inf
+    if n > _MAX_ORACLE_POINTS:
+        raise RuntimeError(f"the oracle grid on [-{L:g}, {L:g}] that resolves the poles of U_D "
+                           f"has {n} points, above the cap of {_MAX_ORACLE_POINTS}")
+    return GridSpec(L, n)
 
 
 def _sector_matrices(uu: np.ndarray, dx: float) -> tuple:

@@ -78,6 +78,23 @@ def test_c07_scattering_unitarity():
     _report(ver.check_unitarity())
 
 
+def test_suite_builds_only_regular_systems(monkeypatch):
+    # every seed set the checks draw alternates in parity from an even first degree,
+    # so no check reads a number off a singular well
+    from darbouxkdv.darboux import SystemSpec
+
+    seen, post_init = [], SystemSpec.__post_init__
+
+    def recorded(spec):
+        post_init(spec)
+        seen.append(spec.seeds)
+
+    monkeypatch.setattr(SystemSpec, "__post_init__", recorded)
+    assert all(r.passed for r in ver.run_suite("all"))
+    assert {(2, 3), (4,), ()} <= set(seen)
+    assert not [s for s in seen if any(v % 2 != j % 2 for j, v in enumerate(s))]
+
+
 def test_c08_scattering_oracle_agreement():
     """Closed form vs ODE oracle within 1e-4 over K in {0.25,...,8} for four specs."""
     _report(ver.check_oracle_agreement())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import darbouxkdv
-from darbouxkdv import cli, scattering
+from darbouxkdv import cli, scattering, spectral_oracle
 from darbouxkdv.cli import TABLE_BLOCK, _table_blocks, _text, main
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.kdv import SOLITON_LIMIT, SolitonData, field_u, scattering_data_from_spec
@@ -182,8 +182,8 @@ class TestSpectrumCommand:
         # ds = d / _POLE_STEPS in s, d the least |Im a asinh(x_p / a)| over the poles;
         # 1.05 [] has no pole near the axis but a level at kappa = 0.05 that needs L = 80
         args = cli._build_parser().parse_args(["spectrum", "--h", "1"])
-        assert cli._oracle_grid(bound_states(spec), deformed_potential(spec),
-                                args.tol_energy, args.tol_norming) == grid
+        assert spectral_oracle._spectrum_grid(deformed_potential(spec), bound_states(spec),
+                                              args.tol_energy, args.tol_norming) == GridSpec(*grid)
 
     def test_regular_well_keeps_the_default_grid(self, capsys):
         # h=1 [2]: its poles at |Im x| = 0.42 allow the default step, and [-20, 20]
@@ -216,12 +216,18 @@ class TestSpectrumCommand:
         if cap is None:
             cap = 8001
         else:
-            monkeypatch.setattr(cli, "_MAX_ORACLE_POINTS", cap)
+            monkeypatch.setattr(spectral_oracle, "_MAX_ORACLE_POINTS", cap)
         monkeypatch.setattr(cli, "oracle_norming_constants", pytest.fail)
         code, out, err = run(capsys, "spectrum", "--h", h, "--seeds", seeds)
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"has {points} points, above the cap of {cap}" in err
+
+    def test_help_names_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["spectrum", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"a grid of more than {spectral_oracle._MAX_ORACLE_POINTS} points exits 4" in out
 
     def test_near_edge_warning_is_one_line(self):
         # E = -0.0025 of h = 1.05 sits within a factor 10 of the cutoff: one
@@ -311,12 +317,29 @@ class TestScatteringCommand:
                 assert abs(cols[part + "_oracle"] - cols[part]) <= 1e-10
 
     def test_oracle_on_a_singular_set_exit_code(self, capsys):
-        # the closed forms still take h=1 [2,4]; the oracle's real line would cross its pole
+        # h=1 [2,4] has a pole at x = 0, on the oracle's real line
         code, out, err = run(capsys, "scattering", "--h", "1", "--seeds", "2,4",
                              "--k", "1", "--oracle")
         assert code == 2
         assert out == ""
         assert "singular" in err
+
+    def test_singular_set_exit_code(self, capsys):
+        # without --oracle too: the closed forms would give t = 0.7313 + 0.6820i for a
+        # potential with a double pole at x = 0
+        code, out, err = run(capsys, "scattering", "--h", "1", "--seeds", "2,4", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed Wronskian of (2, 4)") and err.count("\n") == 1
+
+    def test_deep_regular_set_keeps_its_closed_forms(self, capsys):
+        # W~ of h=1000 [600] leaves the float range (potential exits 4), but t needs only
+        # the Gamma products: the refusal of singular sets reads the seeds alone
+        code, out, err = run(capsys, "scattering", "--h", "1000", "--seeds", "600", "--k", "1")
+        assert code == 0, err
+        header, row = out.strip().split("\n")
+        cols = dict(zip(header.split(","), (float(v) for v in row.split(","))))
+        assert cols["unitarity_defect"] <= 1e-10
 
     def test_oracle_stepper_failure_exit_code(self, capsys, monkeypatch):
         # K = 3000 needs more VODE steps than the oracle allows; a small step

@@ -409,13 +409,12 @@ class TestDeformedPotential:
         assert np.max(np.abs(pot(xs) - ref)) <= 1e-12 * scale
         assert max(abs(pot(float(x)) - r) for x, r in zip(xs, ref)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("h, seeds", [(1.0, (2,)), *MULTI_SEED_SETS, (2.5, (2, 4, 6))])
+    @pytest.mark.parametrize("h, seeds", [(1.0, (2,)), *MIXED_SEED_SETS, (3.0, (4, 5))])
     def test_poles_are_zeros_of_the_mpmath_wronskian(self, h, seeds):
-        poles = deformed_potential(SystemSpec(h, seeds), allow_singular=True).poles()
-        # the multiple root of W~ at u = 0 is the one pole x = 0, not a cluster of
-        # tiny roots split off by the rounding noise of its lowest coefficients
-        centre = [z for z in poles if abs(z) < 0.2]
-        assert centre == ([0.0] if len(seeds) > 1 else [])
+        poles = deformed_potential(SystemSpec(h, seeds)).poles()
+        # a regular well has no pole near the real line (the nearest, of 3 [4,5], at
+        # |Im x| = 0.21), and poles() keeps only those of the strip |Im x| < pi/2
+        assert np.all((np.abs(poles.imag) > 0.2) & (np.abs(poles.imag) < math.pi / 2))
         # every pole inside |x| < 1 (the rest sit near +-i pi/2) is a zero of W; a
         # misplaced pole would leave |W| at the size of its value 0.05 away
         inner = [complex(z) for z in poles if 0.0 < abs(z) < 1.0]
@@ -424,6 +423,12 @@ class TestDeformedPotential:
             for z in inner:
                 near = abs(wronskian_mp(h, seeds, z + 0.05))
                 assert abs(wronskian_mp(h, seeds, z)) <= 1e-6 * near
+
+    def test_poles_of_a_singular_evaluator_raise(self):
+        # W~ of [2,4,6] has a triple root at u = 0, which rounding splits into tiny ones
+        pot = deformed_potential(SystemSpec(2.5, (2, 4, 6)), allow_singular=True)
+        with pytest.raises(ValueError, match="regular well"):
+            pot.poles()
 
     def test_exact_wronskian_zero_is_nan(self):
         # W~(0) is exactly zero for the even set [2,4]; no ZeroDivisionError

@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from darbouxkdv import cli, spectral_oracle
+from darbouxkdv import spectral_oracle
 from darbouxkdv.darboux import SystemSpec, bound_states, deformed_potential
 from darbouxkdv.spectral_oracle import (
     MAP_SCALE,
     GridSpec,
     _grid_sectors,
+    _reach,
     _sector_matrices,
+    _spectrum_grid,
     eigen_spectrum,
     oracle_norming_constants,
 )
@@ -227,7 +229,7 @@ class TestEigenSpectrum:
         # [-40, 40] at the default step in s (187 points) adds the tails the levels
         # do not reach: it moved no level by more than 1.5e-12
         pot, grid = deformed_potential(SystemSpec(2.0, (2,))), SINC_GRID
-        wide = GridSpec(40.0, 2 * round(MAP_SCALE * math.asinh(40.0 / MAP_SCALE) / grid.dx) + 1)
+        wide = GridSpec(40.0, 2 * round(_reach(40.0) / grid.dx) + 1)
         assert wide.dx == pytest.approx(grid.dx, rel=1e-3)
         coarse, widened = eigen_spectrum(pot, grid), eigen_spectrum(pot, wide)
         assert [p for _, p in coarse] == [p for _, p in widened]
@@ -452,8 +454,7 @@ class TestOracleNormingConstants:
     def oracle_on_cli_grid(spec) -> list:
         """The oracle's (kappa, c) on the grid that `spectrum` derives at its default tolerances."""
         states, pot = bound_states(spec), deformed_potential(spec)
-        L, n = cli._oracle_grid(states, pot, 1e-5, 1e-3)
-        out = oracle_norming_constants(pot, GridSpec(L, n))
+        out = oracle_norming_constants(pot, _spectrum_grid(pot, states, 1e-5, 1e-3))
         assert len(out) == len(states)
         return [(state.norming_constant, c) for state, (_, c) in zip(states, out)]
 
