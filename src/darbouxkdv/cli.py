@@ -31,8 +31,7 @@ from functools import cache
 import numpy as np
 
 from .darboux import NodalWronskianError, SystemSpec, _is_singular, bound_states, deformed_potential
-from .kdv import (THETA_PRECISION_LIMIT, OverflowDomainError, SolitonData, field_u,
-                  scattering_data_from_spec)
+from .kdv import OverflowDomainError, SolitonData, field_u, scattering_data_from_spec
 from .scattering import deformed_amplitudes, numerical_amplitudes
 from .spectral_oracle import _spectrum_grid, oracle_norming_constants
 from .verification import run_suite
@@ -330,16 +329,6 @@ def cmd_soliton(args) -> int:
     data = _soliton_data(args)
     ts = _axis(args, "t", ("tmin", "tmax", "nt"), (0.0, 0.0, 1))
     xs = _axis(args, "x", ("xmin", "xmax", "n"), (-10.0, 10.0, 401))
-    # |4 k^3 t| + k |x| above the limit for some kappa, per (t, x); it grows with
-    # kappa, also as rounded, so the largest kappa alone decides
-    k = data.kappas[-1]
-    outside = np.abs(ts * (4.0 * k**3))[:, None] + k * np.abs(xs) > THETA_PRECISION_LIMIT
-    ti, xi = np.nonzero(outside)
-    if ti.size:
-        listing = ", ".join(f"({_fmt(xs[j])}, {_fmt(ts[i])})" for i, j in zip(ti[:10], xi[:10]))
-        raise OverflowDomainError(
-            f"{ti.size} grid point(s) outside the numeric stability domain: {listing}"
-        )
     us = np.empty((ts.size, xs.size))
     for i, t in enumerate(ts):  # every field value before the first byte is written
         us[i] = field_u(data, xs, float(t))

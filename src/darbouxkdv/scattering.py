@@ -220,36 +220,37 @@ def _jost(potential, ik, L: float) -> np.ndarray:
     Jacobian M(x) in band form (_jost_system) and the Adams corrector is a
     Newton step, which converges in about 1.2 right-hand sides per step.
     The state is complex for every ik, real ones too, and goes to VODE as
-    its float view; each call reads the real U(x) once.
+    its float view; each call reads the real U(x) once.  Where h and h' both
+    end below atol / rtol of _TOL, as a deep level's f(0) of about 1/c does,
+    VODE's weight rtol |y| + atol is no longer relative: those solutions are
+    solved again, alone, with atol 1e-300 (VODE refuses 0).
     RuntimeError if U is not finite at a point of the path or VODE fails.
     """
     from scipy import integrate  # slow to import, and only the oracles use it
 
     u = getattr(potential, "evaluate_scalar", potential)
-    n = ik.size
-    derivative, jacobian, lband, uband = _jost_system(ik)
-    y = np.zeros(2 * n, complex)  # (h_0, h'_0, h_1, h'_1, ...)
-    y[0::2] = 1.0
     nonfinite = []
 
     def refused(x, ux):
         nonfinite.append((x, ux))
         return 0.0  # VODE would step on a nan until _MAX_STEPS; refused below
 
-    def rhs(x, flat):
-        ux = u(x)
-        return derivative(ux if math.isfinite(ux) else refused(x, ux), flat)
+    def solve(ik, atol):
+        derivative, jacobian, lband, uband = _jost_system(ik)
 
-    def jac(x, flat):
-        ux = u(x)
-        return jacobian(ux if math.isfinite(ux) else refused(x, ux))
+        def rhs(x, flat):
+            ux = u(x)
+            return derivative(ux if math.isfinite(ux) else refused(x, ux), flat)
 
-    with _JOST_LOCK, warnings.catch_warnings():
-        # a failed VODE call also warns; the RuntimeError below reports it once
-        warnings.filterwarnings("ignore", "vode: ", UserWarning)
+        def jac(x, flat):
+            ux = u(x)
+            return jacobian(ux if math.isfinite(ux) else refused(x, ux))
+
+        y = np.zeros(2 * ik.size, complex)  # (h_0, h'_0, h_1, h'_1, ...)
+        y[0::2] = 1.0
         solver = integrate.ode(rhs, jac).set_integrator(
             "vode", method="adams", with_jacobian=True, lband=lband, uband=uband,
-            rtol=_TOL[0], atol=_TOL[1], max_step=_MAX_STEP, nsteps=_MAX_STEPS,
+            rtol=_TOL[0], atol=atol, max_step=_MAX_STEP, nsteps=_MAX_STEPS,
         )
         solver.set_initial_value(y.view(float), L)
         state = solver.integrate(0.0).view(complex)
@@ -261,7 +262,16 @@ def _jost(potential, ik, L: float) -> np.ndarray:
                 f"Jost ODE stepper failed: VODE return code "
                 f"{solver.get_return_code()} at x = {solver.t:.6g}"
             )
-    return np.concatenate([state[0::2], state[1::2]])  # (h..., h'...)
+        return state[0::2], state[1::2]
+
+    with _JOST_LOCK, warnings.catch_warnings():
+        # a failed VODE call also warns; the RuntimeError below reports it once
+        warnings.filterwarnings("ignore", "vode: ", UserWarning)
+        h, dh = solve(ik, _TOL[1])
+        again = np.flatnonzero((abs(h) < _TOL[1] / _TOL[0]) & (abs(dh) < _TOL[1] / _TOL[0]))
+        if again.size:
+            h[again], dh[again] = solve(ik[again], 1e-300)
+    return np.concatenate([h, dh])  # (h..., h'...)
 
 
 # both oracles need U(x) = U(-x), real, checked at these points to this relative

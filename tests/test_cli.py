@@ -259,12 +259,21 @@ class TestSpectrumCommand:
         assert err.startswith("error: oracle divergence") and err.count("\n") == 1
         assert "norming defect nan" in err
 
-    def test_negative_c_squared_exit_code(self, capsys):
-        # h=100 [2]: the Jost Wronskian of a deep level (kappa = 88) has the wrong sign
-        code, out, err = run(capsys, "spectrum", "--h", "100", "--seeds", "2")
+    def test_negative_c_squared_exit_code(self, capsys, monkeypatch):
+        # conjugating the Jost state flips the sign of every kappa derivative, and of c^2
+        jost = spectral_oracle._jost
+        monkeypatch.setattr(spectral_oracle, "_jost", lambda *args: jost(*args).conj())
+        code, out, err = run(capsys, "spectrum", "--h", "1", "--seeds", "2")
         assert code == 4 and out == ""
         assert err.startswith("error: Jost Wronskian norming constant") and err.count("\n") == 1
         assert "nan" not in err
+
+    def test_oracle_level_count_mismatch_exit_code(self, capsys, monkeypatch):
+        norming = cli.oracle_norming_constants
+        monkeypatch.setattr(cli, "oracle_norming_constants", lambda *args: norming(*args)[1:])
+        code, out, err = run(capsys, "spectrum", "--h", "1", "--seeds", "2")
+        assert code == 3 and out == ""
+        assert err == "error: oracle found 1 bound states, closed form has 2\n"
 
     def test_level_above_the_continuum_cutoff(self, capsys):
         # E = -1e-4 of h = 1.01 lies above the oracle's cutoff -1e-3 at every box
@@ -690,30 +699,25 @@ class TestSolitonCommand:
                            "--t", "1e12", "--x", "0")
         assert code == 4
         assert "stability" in err
-        # on a grid: every offender counted, the first ones listed t-major
-        code, _, err = run(capsys, "soliton", "--kappas", "1,4", "--c0", "1,1",
-                           "--tmin", "0", "--tmax", "1e12", "--nt", "3",
-                           "--xmin", "-1", "--xmax", "1", "--n", "3")
-        assert code == 4
-        assert "6 grid point(s) outside the numeric stability domain" in err
-        assert (
-            "(-1, 500000000000), (0, 500000000000), (1, 500000000000), "
-            "(-1, 1000000000000), (0, 1000000000000), (1, 1000000000000)\n"
-        ) in err
+        # on a grid: kdv's own line, which names the first slice outside
+        code, out, err = run(capsys, "soliton", "--kappas", "1,4", "--c0", "1,1",
+                             "--tmin", "0", "--tmax", "1e12", "--nt", "3",
+                             "--xmin", "-1", "--xmax", "1", "--n", "3")
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "numeric stability domain" in err and "t = 500000000000.0" in err
 
     def test_stability_domain_is_the_union_over_kappas(self, capsys):
-        # |4 k^3 t| + k |x| grows with kappa, so the largest kappa decides alone
-        kappas = (0.5, 1.5, 2.5)
-        ts, xs = np.linspace(-2e10, 2e10, 9), np.linspace(-6e11, 6e11, 11)
-        outside = np.zeros((ts.size, xs.size), dtype=bool)
-        for k in kappas:
-            outside |= np.abs(ts * (4.0 * k**3))[:, None] + k * np.abs(xs) > 1e12
-        assert 0 < outside.sum() < outside.size
-        code, _, err = run(capsys, "soliton", "--kappas", "0.5,1.5,2.5", "--c0", "1,1,1",
-                           "--tmin=-2e10", "--tmax", "2e10", "--nt", "9",
-                           "--xmin=-6e11", "--xmax", "6e11", "--n", "11")
-        assert code == 4
-        assert f"error: {outside.sum()} grid point(s) outside the numeric stability domain" in err
+        # |4 k^3 t| + k |x| grows with kappa, so the largest kappa decides alone: here
+        # kappa = 2.5 leaves the domain from a later slice on, and 1.5 never does
+        ts, reach = np.linspace(0.0, 1e10, 11), 3e11
+        inside = [np.abs(ts * (4.0 * k**3)) + k * reach <= 1e12 for k in (1.5, 2.5)]
+        assert inside[0].all() and inside[1][:2].all() and not inside[1].all()
+        code, out, err = run(capsys, "soliton", "--kappas", "0.5,1.5,2.5", "--c0", "1,1,1",
+                             "--tmin", "0", "--tmax", "1e10", "--nt", "11",
+                             "--xmin=-3e11", "--xmax", "3e11")
+        assert code == 4 and out == ""
+        assert f"t = {ts[np.argmin(inside[1])]} " in err
 
 
 @pytest.mark.parametrize("argv", [

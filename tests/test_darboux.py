@@ -322,6 +322,12 @@ class TestDeformedPotential:
                 assert pot.evaluate_scalar(float(x)) == pytest.approx(vec, rel=1e-13, abs=1e-13)
                 assert pot(float(x)) == pot.evaluate_scalar(float(x))
 
+    def test_zero_dimensional_array_takes_the_scalar_path(self):
+        pot = deformed_potential(SystemSpec(1.0, (2, 3)))
+        for x in (0.0, -0.0, 0.7, -3.2, 25.0):
+            u = pot(np.array(x))
+            assert type(u) is float and u.hex() == pot(x).hex()
+
     @pytest.mark.parametrize("spec", [SystemSpec(1.0, (2,)), SystemSpec(1.0, (2, 3))], ids=str)
     def test_complex_x_raises_type_error(self, spec):
         # the evaluator is real-line only: np.abs of a complex x would give a

@@ -474,12 +474,12 @@ class TestOracleNormingConstants:
         for closed, c in self.oracle_on_cli_grid(spec):
             assert c == pytest.approx(closed, rel=1e-8)
 
-    def test_deep_well_keeps_its_deepest_levels(self):
-        # kappa up to 53: this grid reads 6.8e-8 relative.  The deepest levels' c is
-        # limited by the Jost solver's absolute atol: over the grids of 161 to 801
-        # points it read from 6e-11 to 0.8 relative (ROADMAP item 20)
-        for closed, c in self.oracle_on_cli_grid(SystemSpec(50.0, (2,))):
-            assert c == pytest.approx(closed, rel=1e-7)
+    @pytest.mark.parametrize("h, rel", [(50.0, 1e-8), (80.0, 5e-8), (100.0, 5e-8)], ids=str)
+    def test_deep_well_keeps_its_deepest_levels(self, h, rel):
+        # kappa up to 103, c up to 2.8e38: these grids read 3.9e-10, 3.2e-9 and 1.1e-8
+        # relative, as the deep levels' f(0) of about 1/c is solved with a relative tolerance
+        for closed, c in self.oracle_on_cli_grid(SystemSpec(h, (2,))):
+            assert c == pytest.approx(closed, rel=rel)
 
     def test_non_positive_c_squared_raises(self, monkeypatch):
         # conjugating the state flips the sign of every kappa derivative, and of c^2
